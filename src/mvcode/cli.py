@@ -12,76 +12,28 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import bounds
 from .allocation import Scheme
 from .codec import encode_all, quorum_decode, stores_from_json, stores_to_json
-from .errors import BudgetExceededError, CodecError, MvcodeError, RegimeError
+from .errors import CodecError, MvcodeError
 from .fixtures import (check_indistinguishable, fixture_thm3, fixture_thm4,
                        make_thm3_params, make_thm4_params, thm3_read_sets,
                        thm4_l_choices, thm4_read_sets)
 from .model import Params, SystemState, latest_complete, random_state
 from .oracle import OracleBudget, oracle_min_cost
-from .verifier import BITEXACT, COUNTING, VerifyMode, verify
+from .verifier import VerifyMode, random_payloads, verify
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation; round-trips through to_dict/from_dict."""
-
-    command: str
-    n: int = 0
-    cw: int = 0
-    cr: int = 0
-    nu: int = 2
-    h: int = 0
-    k_bits: int = 1024
-    scheme: str = ""
-    mode: str = "exhaustive"
-    samples: int = 100_000
-    seed: int = 0
-    jobs: int = 1
-    budget: int | None = None
-    out: str = ""
-    fmt: str = "json"
-    layers: tuple[str, ...] = (COUNTING, BITEXACT)
-    extra: tuple[tuple[str, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["layers"] = list(self.layers)
-        d["extra"] = {k: v for k, v in self.extra}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        d = dict(d)
-        d["layers"] = tuple(d.get("layers", ()))
-        d["extra"] = tuple(sorted(d.get("extra", {}).items()))
-        return cls(**d)
-
-    def params(self) -> Params:
-        return Params(n=self.n, cw=self.cw, cr=self.cr,
-                      nu=self.nu, h=self.h, k_bits=self.k_bits)
-
-    def extra_get(self, key: str, default: str = "") -> str:
-        for k, v in self.extra:
-            if k == key:
-                return v
-        return default
-
-
-def _add_param_flags(sp: argparse.ArgumentParser, need_quorums: bool = True) -> None:
+def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, required=True, help="server count")
-    if need_quorums:
-        sp.add_argument("--cw", type=int, required=True, help="write quorum size")
-        sp.add_argument("--cr", type=int, required=True, help="read quorum size")
+    sp.add_argument("--cw", type=int, required=True, help="write quorum size")
+    sp.add_argument("--cr", type=int, required=True, help="read quorum size")
     sp.add_argument("--nu", type=int, default=2, help="number of versions")
     sp.add_argument("--h", type=int, default=0, help="side-information radius")
     sp.add_argument("--K", type=int, default=1024, dest="k_bits",
@@ -124,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--scheme", choices=[s.value for s in Scheme], required=True)
     sp.add_argument("--state", default="", help="state JSON file")
-    sp.add_argument("--state-seed", type=int, default=None)
+    sp.add_argument("--state-seed", type=int, default=0)
     sp.add_argument("--payloads", nargs="*", default=[],
                     help="one raw file per version (K/8 bytes each)")
-    sp.add_argument("--payload-seed", type=int, default=None)
+    sp.add_argument("--payload-seed", type=int, default=0)
     sp.add_argument("--read-set", default="", help="comma-separated server ids")
     sp.add_argument("--read-seed", type=int, default=0)
     sp.add_argument("--stores-out", default="")
@@ -142,35 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra: dict[str, str] = {}
-    for key in ("which", "c", "state", "state_seed", "payload_seed", "read_set",
-                "read_seed", "stores_out", "stores_in", "g", "max_g",
-                "max_violations", "payloads"):
-        if hasattr(args, key) and getattr(args, key) not in (None, "", []):
-            value = getattr(args, key)
-            extra[key] = ",".join(value) if isinstance(value, list) else str(value)
-    layers = tuple(s.strip() for s in getattr(args, "layers", "counting,bitexact").split(",")
-                   if s.strip())
-    return RunConfig(
-        command=args.command,
-        n=getattr(args, "n", 0) or 0,
-        cw=getattr(args, "cw", 0) or 0,
-        cr=getattr(args, "cr", 0) or 0,
-        nu=getattr(args, "nu", 2),
-        h=getattr(args, "h", 0) if getattr(args, "h", 0) is not None else 0,
-        k_bits=getattr(args, "k_bits", 1024),
-        scheme=getattr(args, "scheme", "") or "",
-        mode=getattr(args, "mode", "exhaustive"),
-        samples=getattr(args, "samples", 100_000),
-        seed=getattr(args, "seed", 0),
-        jobs=getattr(args, "jobs", 1),
-        budget=getattr(args, "budget", None),
-        out=getattr(args, "out", "") or "",
-        fmt=getattr(args, "fmt", "json"),
-        layers=layers,
-        extra=tuple(sorted(extra.items())),
-    )
+def _params(args: argparse.Namespace) -> Params:
+    return Params(n=args.n, cw=args.cw, cr=args.cr,
+                  nu=args.nu, h=args.h, k_bits=args.k_bits)
 
 
 def _write_or_print(text: str, out: str) -> None:
@@ -180,18 +106,18 @@ def _write_or_print(text: str, out: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    p = cfg.params()
-    scheme = Scheme(cfg.scheme)
-    if cfg.mode == "exhaustive":
-        mode = VerifyMode.exhaustive(seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace) -> int:
+    p = _params(args)
+    scheme = Scheme(args.scheme)
+    if args.mode == "exhaustive":
+        mode = VerifyMode.exhaustive(seed=args.seed)
     else:
-        mode = VerifyMode.sampled(cfg.samples, cfg.seed)
-    report = verify(scheme, p, mode, layers=cfg.layers, jobs=cfg.jobs,
-                    max_violations=int(cfg.extra_get("max_violations", "100")),
-                    budget=cfg.budget)
-    if cfg.out:
-        Path(cfg.out).write_text(report.to_json(), encoding="utf-8")
+        mode = VerifyMode.sampled(args.samples, args.seed)
+    layers = tuple(s.strip() for s in args.layers.split(",") if s.strip())
+    report = verify(scheme, p, mode, layers=layers, jobs=args.jobs,
+                    max_violations=args.max_violations, budget=args.budget)
+    if args.out:
+        Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(f"scheme={report.scheme} states={report.states_checked} "
           f"read_sets={report.read_sets_per_state} violations={report.violations_total} "
           f"worst_case_bits={float(report.worst_case_bits)} "
@@ -199,26 +125,23 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    lo, _, hi = cfg.extra_get("c").partition(":")
+def cmd_table(args: argparse.Namespace) -> int:
+    lo, _, hi = args.c.partition(":")
     c_lo, c_hi = int(lo), int(hi if hi else lo)
-    rows = bounds.compare_report(c_lo, c_hi, cfg.nu, cfg.k_bits)
-    text = bounds.rows_to_csv(rows) if cfg.fmt == "csv" else bounds.rows_to_json(rows)
-    _write_or_print(text, cfg.out)
+    rows = bounds.compare_report(c_lo, c_hi, args.nu, args.k_bits)
+    text = bounds.rows_to_csv(rows) if args.fmt == "csv" else bounds.rows_to_json(rows)
+    _write_or_print(text, args.out)
     return EXIT_OK
 
 
-def cmd_fixtures(cfg: RunConfig) -> int:
-    which = cfg.extra_get("which")
-    if which == "thm3":
-        p = make_thm3_params(cfg.n, cfg.k_bits)
+def cmd_fixtures(args: argparse.Namespace) -> int:
+    if args.which == "thm3":
+        p = make_thm3_params(args.n, args.k_bits)
         pair = fixture_thm3(p)
         r1, r2 = thm3_read_sets(p)
         read_doc = {"r1": list(r1), "r2": list(r2)}
     else:
-        c = int(cfg.extra_get("c", "3"))
-        h = int(cfg.extra_get("h")) if cfg.extra_get("h") else None
-        p = make_thm4_params(cfg.n, c, cfg.k_bits, h=h)
+        p = make_thm4_params(args.n, args.c, args.k_bits, h=args.h)
         pair = fixture_thm4(p)
         read_doc = {}
         for l in dict.fromkeys(thm4_l_choices(p.c)):
@@ -226,7 +149,7 @@ def cmd_fixtures(cfg: RunConfig) -> int:
             read_doc[f"l={l}"] = {"r1": list(r1), "r2": list(r2)}
     problems = check_indistinguishable(pair, p)
     doc = {
-        "which": which,
+        "which": args.which,
         "params": p.to_dict(),
         "s1": json.loads(pair.s1.to_json()),
         "s2": json.loads(pair.s2.to_json()),
@@ -238,50 +161,46 @@ def cmd_fixtures(cfg: RunConfig) -> int:
         "check_ok": not problems,
         "problems": problems,
     }
-    _write_or_print(json.dumps(doc, sort_keys=True, indent=2) + "\n", cfg.out)
+    _write_or_print(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK if not problems else EXIT_VIOLATION
 
 
-def cmd_roundtrip(cfg: RunConfig) -> int:
-    p = cfg.params()
-    scheme = Scheme(cfg.scheme)
+def cmd_roundtrip(args: argparse.Namespace) -> int:
+    p = _params(args)
+    scheme = Scheme(args.scheme)
     if p.k_bits % 8 != 0:
         raise CodecError(f"round-trips need byte-aligned K, got {p.k_bits}")
 
-    if cfg.extra_get("state"):
-        S = SystemState.from_json(Path(cfg.extra_get("state")).read_text(), p)
+    if args.state:
+        S = SystemState.from_json(Path(args.state).read_text(), p)
     else:
-        S = random_state(p, int(cfg.extra_get("state_seed", "0")))
+        S = random_state(p, args.state_seed)
 
-    if cfg.extra_get("payloads"):
-        files = cfg.extra_get("payloads").split(",")
-        if len(files) != p.nu:
-            raise CodecError(f"expected {p.nu} payload files, got {len(files)}")
-        messages = {u: Path(f).read_bytes() for u, f in zip(p.versions, files)}
+    if args.payloads:
+        if len(args.payloads) != p.nu:
+            raise CodecError(f"expected {p.nu} payload files, got {len(args.payloads)}")
+        messages = {u: Path(f).read_bytes() for u, f in zip(p.versions, args.payloads)}
         for u, msg in messages.items():
             if len(msg) != p.k_bits // 8:
                 raise CodecError(
                     f"payload for version {u} is {len(msg)} bytes, expected {p.k_bits // 8}")
     else:
-        rng = random.Random(int(cfg.extra_get("payload_seed", "0")))
-        messages = {u: rng.getrandbits(p.k_bits).to_bytes(p.k_bits // 8, "big")
-                    for u in p.versions}
+        messages = random_payloads(p, args.payload_seed)
 
-    if cfg.extra_get("stores_in"):
-        stores = stores_from_json(Path(cfg.extra_get("stores_in")).read_text())
+    if args.stores_in:
+        stores = stores_from_json(Path(args.stores_in).read_text())
         missing = [i for i in range(p.n) if i not in stores]
         if missing:
             raise CodecError(f"store file lacks servers {missing}")
     else:
         stores = encode_all(scheme, S, messages, p)
-    if cfg.extra_get("stores_out"):
-        Path(cfg.extra_get("stores_out")).write_text(stores_to_json(stores),
-                                                     encoding="utf-8")
+    if args.stores_out:
+        Path(args.stores_out).write_text(stores_to_json(stores), encoding="utf-8")
 
-    if cfg.extra_get("read_set"):
-        T = tuple(int(x) for x in cfg.extra_get("read_set").split(","))
+    if args.read_set:
+        T = tuple(int(x) for x in args.read_set.split(","))
     else:
-        rng = random.Random(int(cfg.extra_get("read_seed", "0")))
+        rng = random.Random(args.read_seed)
         T = tuple(sorted(rng.sample(range(p.n), p.cr)))
 
     result = quorum_decode(scheme, S, T, stores, p)
@@ -296,11 +215,9 @@ def cmd_roundtrip(cfg: RunConfig) -> int:
     return EXIT_VIOLATION
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    p = cfg.params()
-    g = int(cfg.extra_get("g"))
-    budget = OracleBudget(max_g=int(cfg.extra_get("max_g", "4")))
-    value = oracle_min_cost(p, g, budget=budget, work_override=cfg.budget)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    p = _params(args)
+    value = oracle_min_cost(p, args.g, budget=OracleBudget(max_g=args.max_g))
     lo = bounds.lb_eq1(p.k_bits, p.nu, p.c)
     hi = bounds.cost_baseline(p.k_bits, p.nu, p.c)
     print(f"oracle_min_cost={value.numerator}/{value.denominator} "
@@ -323,13 +240,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except (RegimeError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (MvcodeError, ValueError, OSError, json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command](args)
+    except (MvcodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

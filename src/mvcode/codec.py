@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import gf65536 as gf
-from .allocation import Scheme, allocation_for, scheme_granularity, validate_regime
+from .allocation import Scheme, allocation_for, scheme_granularity
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      InsufficientSymbolsError)
 from .model import Params, SystemState, latest_complete
@@ -31,12 +31,11 @@ class MdsSpec:
     """Dimension-k evaluation code over the 2^16 field."""
 
     k: int
-    field_order: int = gf.ORDER
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"code dimension must be >= 1, got {self.k}")
-        if self.k > self.field_order:
+        if self.k > gf.ORDER:
             raise ValueError("dimension exceeds the field universe")
 
 
@@ -79,7 +78,7 @@ def mds_encode(message: bytes, spec: MdsSpec, indices: Sequence[int]) -> list[by
     if len(set(indices)) != len(indices):
         raise CodecError(f"duplicate symbol indices: {sorted(indices)}")
     for j in indices:
-        if not 0 <= j < spec.field_order:
+        if not 0 <= j < gf.ORDER:
             raise CodecError(f"symbol index {j} outside the field universe")
     if not indices:
         return []
@@ -159,9 +158,8 @@ def server_encode(scheme: Scheme, S: SystemState, i: int,
     `messages` must hold exactly the versions in S(i); the store depends on
     S only through the side view of i (full state for the central scheme).
     """
-    validate_regime(scheme, p)
-    _check_message_args(messages, S[i], p)
     alloc = allocation_for(scheme, S, i, p)
+    _check_message_args(messages, S[i], p)
     denom = alloc.granularity.denom
     spec = MdsSpec(denom)
     coded: list[CodedSymbol] = []
@@ -169,7 +167,7 @@ def server_encode(scheme: Scheme, S: SystemState, i: int,
         slots = slots_per_server(scheme, u, p)
         if count > slots:
             raise CodecError(f"allocation of {count} symbols exceeds {slots} slots")
-        if p.n * slots > spec.field_order:
+        if p.n * slots > gf.ORDER:
             raise CodecError("global index universe exhausted")
         indices = [i * slots + t for t in range(count)]
         payloads = mds_encode(_pad(messages[u], p.k_bits, denom), spec, indices)

@@ -112,13 +112,11 @@ class SystemState:
         return json.dumps([sorted(s) for s in self.subsets])
 
     @classmethod
-    def from_json(cls, text: str, p: Params | None = None) -> "SystemState":
+    def from_json(cls, text: str, p: Params) -> "SystemState":
         data = json.loads(text)
         if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
             raise ValueError("state JSON must be an array of arrays of version ids")
-        if p is not None:
-            return cls.of(p, data)
-        return cls(tuple(frozenset(s) for s in data))
+        return cls.of(p, data)
 
 
 @dataclass(frozen=True)

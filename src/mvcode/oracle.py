@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping
 
 import numpy as np
@@ -28,36 +27,37 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .errors import BudgetExceededError
 from .model import (Params, SideView, enumerate_states, latest_complete,
                     side_view, state_count, work_budget)
+from .verifier import read_sets, short_read_set
+
+# instance limits of the exact search; only the granularity limit is per call
+MAX_N = 5
+MAX_NU = 2
 
 
 @dataclass(frozen=True)
 class OracleBudget:
-    max_n: int = 5
-    max_nu: int = 2
     max_g: int = 4
 
 
 Strategy = dict[SideView, dict[int, int]]
 
 
-def _check_budget(p: Params, g: int, budget: OracleBudget,
-                  work_override: int | None) -> None:
-    if p.nu > budget.max_nu:
-        raise BudgetExceededError(f"oracle budget allows nu <= {budget.max_nu}, got {p.nu}")
-    if p.n > budget.max_n:
-        raise BudgetExceededError(f"oracle budget allows n <= {budget.max_n}, got {p.n}")
+def _check_budget(p: Params, g: int, budget: OracleBudget) -> None:
+    if p.nu > MAX_NU:
+        raise BudgetExceededError(f"oracle budget allows nu <= {MAX_NU}, got {p.nu}")
+    if p.n > MAX_N:
+        raise BudgetExceededError(f"oracle budget allows n <= {MAX_N}, got {p.n}")
     if g > budget.max_g:
         raise BudgetExceededError(f"oracle budget allows granularity <= {budget.max_g}, got {g}")
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
-    n_reads = len(list(combinations(range(p.n), p.cr)))
-    if state_count(p) * n_reads > work_budget(work_override):
+    if state_count(p) * len(read_sets(p)) > work_budget():
         raise BudgetExceededError("oracle instance exceeds the work budget")
 
 
 def _solve(p: Params, g: int) -> tuple[int, Strategy]:
     """Minimum feasible worst-case total in symbol units, plus a witness."""
-    read_sets = list(combinations(range(p.n), p.cr))
+    reads = read_sets(p)
 
     class_ids: dict[SideView, int] = {}
     class_views: list[SideView] = []
@@ -78,7 +78,7 @@ def _solve(p: Params, g: int) -> tuple[int, Strategy]:
         views = [class_of(side_view(S, i, p)) for i in range(p.n)]
         if latest is None:
             continue
-        for T in read_sets:
+        for T in reads:
             key = (tuple(sorted(views[t] for t in T)), latest)
             constraints.add(key)
 
@@ -156,16 +156,13 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     """Brute-force decodability check of a fixed strategy, independent of
     the solver: every complete state, every read set, some fresh-enough
     version reaching g units."""
-    read_sets_all = list(combinations(range(p.n), p.cr))
     for S in enumerate_states(p):
         latest = latest_complete(S, p)
         if latest is None:
             continue
-        allocs = [strategy.get(side_view(S, i, p), {}) for i in range(p.n)]
-        for T in read_sets_all:
-            if not any(sum(allocs[t].get(m, 0) for t in T) >= g
-                       for m in range(latest, p.nu + 1)):
-                return False
+        holdings = [strategy.get(side_view(S, i, p), {}) for i in range(p.n)]
+        if short_read_set(holdings, p, latest, g) is not None:
+            return False
     return True
 
 
@@ -173,20 +170,18 @@ def strategy_worst_units(strategy: Mapping[SideView, Mapping[int, int]]) -> int:
     return max((sum(alloc.values()) for alloc in strategy.values()), default=0)
 
 
-def oracle_min_cost(p: Params, g: int, budget: OracleBudget = OracleBudget(),
-                    work_override: int | None = None) -> Fraction:
+def oracle_min_cost(p: Params, g: int, budget: OracleBudget = OracleBudget()) -> Fraction:
     """Cheapest worst-case per-server storage, in bits, over all strategies
     on the k_bits/g grid. Upper-bounds the true optimum of per-version MDS
     schemes at this granularity."""
-    _check_budget(p, g, budget, work_override)
+    _check_budget(p, g, budget)
     best, _ = _solve(p, g)
     return Fraction(best * p.k_bits, g)
 
 
 def oracle_min_cost_with_witness(p: Params, g: int,
-                                 budget: OracleBudget = OracleBudget(),
-                                 work_override: int | None = None
+                                 budget: OracleBudget = OracleBudget()
                                  ) -> tuple[Fraction, Strategy]:
-    _check_budget(p, g, budget, work_override)
+    _check_budget(p, g, budget)
     best, strategy = _solve(p, g)
     return Fraction(best * p.k_bits, g), strategy

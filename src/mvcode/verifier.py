@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Mapping, Sequence
 
 from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
                          scheme_granularity, validate_regime)
@@ -121,6 +122,23 @@ def read_sets(p: Params) -> list[tuple[int, ...]]:
     return list(combinations(range(p.n), p.cr))
 
 
+def short_read_set(holdings: Sequence[Mapping[int, int]], p: Params, latest: int,
+                   threshold: int) -> tuple[tuple[int, ...], dict[int, int]] | None:
+    """The counting rule of decodability. `holdings[i]` maps each version to
+    the symbols server i stores of it. Returns the first read set in which no
+    version in [latest, nu] reaches `threshold` symbols, with its per-version
+    totals newest first, or None when every read set can decode."""
+    for T in read_sets(p):
+        totals = {}
+        for m in range(p.nu, latest - 1, -1):
+            totals[m] = sum(holdings[t].get(m, 0) for t in T)
+            if totals[m] >= threshold:
+                break
+        else:
+            return T, totals
+    return None
+
+
 def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
                          allocs: list[Allocation] | None = None) -> Violation | None:
     """First read set (if any) where no fresh-enough version reaches the
@@ -132,20 +150,13 @@ def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
     latest = latest_complete(S, p)
     if latest is None:
         return None
-    for T in read_sets(p):
-        trace = {}
-        ok = False
-        for m in range(p.nu, latest - 1, -1):
-            total = sum(allocs[t].count(m) for t in T)
-            trace[m] = total
-            if total >= denom:
-                ok = True
-                break
-        if not ok:
-            return Violation(
-                state=S.to_json(), read_set=T, layer=COUNTING,
-                reason=f"no version >= {latest} reaches {denom} symbols; counts {trace}")
-    return None
+    short = short_read_set([dict(a.symbols) for a in allocs], p, latest, denom)
+    if short is None:
+        return None
+    T, totals = short
+    return Violation(
+        state=S.to_json(), read_set=T, layer=COUNTING,
+        reason=f"no version >= {latest} reaches {denom} symbols; counts {totals}")
 
 
 def random_payloads(p: Params, seed: int) -> dict[int, bytes]:

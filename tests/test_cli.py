@@ -2,7 +2,7 @@
 
 import json
 
-from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, RunConfig, main
+from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 
 def run(argv):
@@ -102,6 +102,14 @@ class TestFixturesCommand:
         assert doc["indistinguishable"] == [0, 1, 2]
         assert "l=1" in doc["read_sets"]
 
+    def test_thm4_honours_h(self, tmp_path):
+        out = tmp_path / "f.json"
+        assert run(["fixtures", "--which", "thm4", "--n", "11", "--c", "3", "--h", "1",
+                    "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["params"]["h"] == 1
+        assert doc["check_ok"] is True
+
     def test_thm4_regime_violation(self):
         assert run(["fixtures", "--which", "thm4", "--n", "12", "--c", "3"]) == EXIT_CONFIG
 
@@ -152,6 +160,18 @@ class TestRoundtripCommand:
         assert code == EXIT_VIOLATION
         assert "match=false" in capsys.readouterr().out
 
+    def test_payload_paths_with_commas(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        folder = tmp_path / "a,b"
+        folder.mkdir()
+        p1, p2 = folder / "v1.bin", folder / "v2.bin"
+        p1.write_bytes(bytes(range(128)))
+        p2.write_bytes(bytes(reversed(range(128))))
+        code = run(self.ARGS + ["--state", str(state), "--payloads", str(p1), str(p2)])
+        assert code == EXIT_OK
+        assert "match=true" in capsys.readouterr().out
+
     def test_truncated_store_file(self, tmp_path):
         state = tmp_path / "state.json"
         state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
@@ -196,13 +216,6 @@ class TestOracleCommand:
         assert "oracle_min_cost=1280/3" in capsys.readouterr().out
 
 
-class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig(command="verify", n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024,
-                        scheme="c1", mode="sampled", samples=777, seed=3, jobs=2,
-                        out="r.json", layers=("counting",),
-                        extra=(("max_violations", "5"),))
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
+class TestDispatch:
     def test_unknown_subcommand_is_config_error(self):
         assert run(["frobnicate"]) == EXIT_CONFIG

@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from mvcode import BudgetExceededError, OracleBudget, Params, oracle_min_cost
+from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, allocation_for,
+                    check_state_counting, enumerate_states, latest_complete,
+                    oracle_min_cost, scheme_granularity, side_view)
+from mvcode.allocation import Allocation
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
+from mvcode.verifier import read_sets
 
 K = 1024
 
@@ -76,3 +80,69 @@ class TestBudget:
             oracle_min_cost(Params(n=6, cw=6, cr=6, nu=2, h=0, k_bits=K), 4)
         with pytest.raises(BudgetExceededError):
             oracle_min_cost(params(h=0, nu=3, n=4), 4)
+
+
+class TestSharedCountingRule:
+    """strategy_feasible and check_state_counting apply one decodability rule:
+    fed the same side-view strategy, they must reach the same verdict."""
+
+    P6 = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
+
+    def scheme_strategy(self, scheme):
+        strategy = {}
+        for S in enumerate_states(self.P6):
+            for i in range(self.P6.n):
+                alloc = allocation_for(scheme, S, i, self.P6)
+                strategy[side_view(S, i, self.P6)] = dict(alloc.symbols)
+        return strategy
+
+    def counting_passes(self, scheme, strategy):
+        gran = scheme_granularity(scheme, self.P6)
+        for S in enumerate_states(self.P6):
+            allocs = [Allocation.of(strategy.get(side_view(S, i, self.P6), {}), gran)
+                      for i in range(self.P6.n)]
+            if check_state_counting(scheme, S, self.P6, allocs) is not None:
+                return False
+        return True
+
+    def agree(self, scheme, strategy):
+        denom = scheme_granularity(scheme, self.P6).denom
+        feasible = strategy_feasible(self.P6, denom, strategy)
+        assert feasible == self.counting_passes(scheme, strategy)
+        return feasible
+
+    @pytest.mark.parametrize("scheme", [Scheme.C1, Scheme.C2])
+    def test_scheme_strategy_is_feasible_under_both(self, scheme):
+        assert self.agree(scheme, self.scheme_strategy(scheme))
+
+    @pytest.mark.parametrize("scheme", [Scheme.C1, Scheme.C2])
+    def test_short_allocation_fails_both(self, scheme):
+        strategy = self.scheme_strategy(scheme)
+        # every server holding version 2 keeps one symbol less of it
+        short = {view: {u: s - (u == 2) for u, s in alloc.items()}
+                 for view, alloc in strategy.items()}
+        assert not self.agree(scheme, short)
+
+    def test_one_symbol_short_at_a_tight_read_set_fails_both(self):
+        # c1's budget is tight: some read set has exactly one fresh version
+        # at exactly the threshold. Take one of its symbols away. (c2 keeps
+        # slack at n=6, so it has no such read set.)
+        scheme = Scheme.C1
+        strategy = self.scheme_strategy(scheme)
+        denom = scheme_granularity(scheme, self.P6).denom
+        for S in enumerate_states(self.P6):
+            latest = latest_complete(S, self.P6)
+            if latest is None:
+                continue
+            views = [side_view(S, i, self.P6) for i in range(self.P6.n)]
+            for T in read_sets(self.P6):
+                totals = {m: sum(strategy[views[t]].get(m, 0) for t in T)
+                          for m in range(latest, self.P6.nu + 1)}
+                reach = [m for m, total in totals.items() if total >= denom]
+                if len(reach) == 1 and totals[reach[0]] == denom:
+                    m = reach[0]
+                    view = next(views[t] for t in T if strategy[views[t]].get(m, 0))
+                    cut = {**strategy[view], m: strategy[view][m] - 1}
+                    assert not self.agree(scheme, {**strategy, view: cut})
+                    return
+        pytest.fail("no read set meets the threshold exactly")
