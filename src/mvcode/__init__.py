@@ -17,7 +17,7 @@ from .codec import (CodedSymbol, MdsSpec, ServerStore, encode_all, mds_decode,
                     mds_encode, quorum_decode, server_encode)
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
                      InconsistentSymbolsError, InsufficientSymbolsError,
-                     MvcodeError, RegimeError)
+                     MvcodeError, RegimeError, SolverError)
 from .fixtures import (FixturePair, check_indistinguishable, fixture_thm3,
                        fixture_thm4, make_thm3_params, make_thm4_params,
                        thm3_read_sets, thm4_l_choices, thm4_read_sets)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,7 +58,7 @@ class ServerStore:
 
 
 def _to_elements(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype=">u2").astype(np.int64)
+    return np.frombuffer(data, dtype=">u2").astype(np.uint16)
 
 
 def _to_bytes(elems: np.ndarray) -> bytes:
@@ -135,6 +136,31 @@ def slots_per_server(scheme: Scheme, version: int, p: Params) -> int:
     if scheme is Scheme.C1:
         return p.c + 2 if version == 1 else p.c
     return 1
+
+
+@lru_cache(maxsize=64)
+def _slot_generator(scheme: Scheme, p: Params, version: int) -> np.ndarray:
+    """Generator rows of every server slot of `version`: row i*slots+t is the
+    symbol with the index server_encode gives server i's slot t."""
+    slots = slots_per_server(scheme, version, p)
+    denom = scheme_granularity(scheme, p).denom
+    return gf.generator_matrix(denom, tuple(range(p.n * slots)))
+
+
+def message_elements(messages: Sequence[bytes], p: Params, denom: int) -> np.ndarray:
+    """Padded messages as a (denom, len(messages), w) stack of field elements:
+    entry [r, b] is base symbol r of message b."""
+    data = b"".join(_pad(m, p.k_bits, denom) for m in messages)
+    return _to_elements(data).reshape(len(messages), denom, -1).transpose(1, 0, 2)
+
+
+def encode_slots(scheme: Scheme, p: Params, version: int, elements: np.ndarray) -> np.ndarray:
+    """Every server slot of `version` for a stack of messages from
+    `message_elements`, with one matmul: entry [i*slots+t, b] holds the bytes
+    server_encode stores at that index for message b."""
+    k, count, w = elements.shape
+    coded = gf.matmul(_slot_generator(scheme, p, version), elements.reshape(k, count * w))
+    return coded.reshape(-1, count, w)
 
 
 def _check_message_args(messages: Mapping[int, bytes], own: frozenset[int],

@@ -13,6 +13,10 @@ class BudgetExceededError(MvcodeError):
     """Requested work exceeds the configured enumeration budget."""
 
 
+class SolverError(MvcodeError):
+    """The strategy oracle's integer program ended without a proven optimum."""
+
+
 class CodecError(MvcodeError):
     """Base class for encode/decode failures."""
 

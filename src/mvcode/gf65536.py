@@ -1,8 +1,12 @@
 """Arithmetic over GF(2^16) and the evaluation-code generator rows.
 
 Multiplication uses log/antilog tables built from the primitive polynomial
-x^16 + x^12 + x^3 + x + 1 (0x1100B). The antilog table is doubled so a sum
-of two logs never needs a modular reduction.
+x^16 + x^12 + x^3 + x + 1 (0x1100B), in the table-lookup style of Plank,
+Greenan & Miller, "Screaming Fast Galois Field Arithmetic Using Intel SIMD
+Instructions" (FAST 2013). The antilog table is doubled so a sum of two logs
+never needs a modular reduction, and the log of 0 is a sentinel that lands
+every product with 0 in a zero tail of the antilog table, so `mul` needs no
+zero mask.
 
 The code realized here is a polynomial evaluation code with a systematic
 prefix: message symbols are the values of a degree-< k polynomial at the
@@ -19,32 +23,32 @@ import numpy as np
 
 ORDER = 1 << 16
 _PRIM_POLY = 0x1100B
-
-_EXP = np.zeros(2 * (ORDER - 1), dtype=np.int64)
-_LOG = np.zeros(ORDER, dtype=np.int64)
+_LOG_ZERO = 2 * (ORDER - 1)  # sum with any log indexes the zero tail of _EXP
 
 
-def _build_tables() -> None:
+def _build_tables() -> tuple[np.ndarray, np.ndarray]:
+    powers = []
     b = 1
-    for i in range(ORDER - 1):
-        _EXP[i] = b
-        _LOG[b] = i
+    for _ in range(ORDER - 1):
+        powers.append(b)
         b <<= 1
         if b & ORDER:
             b ^= _PRIM_POLY
-    _EXP[ORDER - 1:] = _EXP[:ORDER - 1]
+    exp = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint16)
+    exp[:ORDER - 1] = powers
+    exp[ORDER - 1:_LOG_ZERO] = powers
+    log = np.empty(ORDER, dtype=np.int32)
+    log[powers] = np.arange(ORDER - 1, dtype=np.int32)
+    log[0] = _LOG_ZERO
+    return exp, log
 
 
-_build_tables()
+_EXP, _LOG = _build_tables()
 
 
 def mul(a, b):
     """Elementwise product of two arrays (or scalars) of field elements."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    out = _EXP[_LOG[a] + _LOG[b]]
-    zero = (a == 0) | (b == 0)
-    return np.where(zero, 0, out)
+    return _EXP[_LOG[a] + _LOG[b]]
 
 
 def mul_s(a: int, b: int) -> int:
@@ -68,7 +72,7 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     m, k = A.shape
     k2, w = B.shape
     assert k == k2, (A.shape, B.shape)
-    out = np.zeros((m, w), dtype=np.int64)
+    out = np.zeros((m, w), dtype=np.uint16)
     for t in range(k):
         out ^= mul(A[:, t][:, None], B[t][None, :])
     return out
@@ -78,8 +82,8 @@ def mat_inv(A: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse; raises if A is singular."""
     n = A.shape[0]
     assert A.shape == (n, n)
-    work = A.astype(np.int64).copy()
-    inv = np.eye(n, dtype=np.int64)
+    work = A.astype(np.uint16)
+    inv = np.eye(n, dtype=np.uint16)
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r, col] != 0), None)
         if pivot is None:
@@ -90,11 +94,11 @@ def mat_inv(A: np.ndarray) -> np.ndarray:
         scale = inv_s(int(work[col, col]))
         work[col] = mul(work[col], scale)
         inv[col] = mul(inv[col], scale)
-        for r in range(n):
-            if r != col and work[r, col] != 0:
-                factor = int(work[r, col])
-                work[r] ^= mul(work[col], factor)
-                inv[r] ^= mul(inv[col], factor)
+        # clear the column in every other row at once; a zero factor is a no-op
+        factors = work[:, col:col + 1].copy()
+        factors[col] = 0
+        work ^= mul(factors, work[col])
+        inv ^= mul(factors, inv[col])
     return inv
 
 
@@ -125,7 +129,7 @@ def generator_row(k: int, index: int) -> tuple[int, ...]:
 
 
 def generator_matrix(k: int, indices: tuple[int, ...]) -> np.ndarray:
-    return np.array([generator_row(k, j) for j in indices], dtype=np.int64)
+    return np.array([generator_row(k, j) for j in indices], dtype=np.uint16)
 
 
 @lru_cache(maxsize=4096)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, SolverError
 from .model import (Params, SideView, enumerate_states, latest_complete,
                     side_view, state_count, work_budget)
 from .verifier import read_sets, short_read_set
@@ -143,7 +143,7 @@ def _solve(p: Params, g: int) -> tuple[int, Strategy]:
                bounds=Bounds(lo, hi),
                options={"mip_rel_gap": 0.0})
     if res.status != 0:
-        raise RuntimeError(f"strategy search failed: {res.message}")
+        raise SolverError(f"strategy search failed: {res.message}")
     best = round(res.x[0])
     strategy: Strategy = {}
     for view, cid in class_ids.items():

@@ -9,6 +9,11 @@ Two layers with independent failure modes:
             through every read set; the returned bytes must equal the
             original message of the returned version.
 
+The bit-exact layer runs on blocks of states: one encode per version for
+the whole block and one decode per group of read sets that pick the same
+symbols (`bitexact_block`). A state it cannot clear goes back through the
+per-state reference `check_state_bitexact`, which reports its violation.
+
 Worst-case cost is measured over every (state, server) pair as an exact
 fraction of k_bits, so it can be compared against the scheme budget with
 zero tolerance.
@@ -25,9 +30,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from . import gf65536 as gf
 from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
                          scheme_granularity, validate_regime)
-from .codec import encode_all, quorum_decode
+from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
+                    slots_per_server)
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
                      InconsistentSymbolsError)
 from .model import (Params, SystemState, latest_complete, random_state,
@@ -37,6 +46,10 @@ COUNTING = "counting"
 BITEXACT = "bitexact"
 
 _SEED_STRIDE = 1_000_003  # spreads per-state seeds; keeps sampling jobs-independent
+# a block of states holds at most _BLOCK states and about _BLOCK_BYTES of
+# messages, which bounds the arrays the bit-exact layer stacks
+_BLOCK = 256
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -159,9 +172,13 @@ def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
         reason=f"no version >= {latest} reaches {denom} symbols; counts {totals}")
 
 
-def random_payloads(p: Params, seed: int) -> dict[int, bytes]:
+def _require_byte_aligned(p: Params) -> None:
     if p.k_bits % 8 != 0:
         raise CodecError(f"the bit-exact layer needs byte-aligned K, got {p.k_bits}")
+
+
+def random_payloads(p: Params, seed: int) -> dict[int, bytes]:
+    _require_byte_aligned(p)
     rng = random.Random(seed)
     return {u: rng.getrandbits(p.k_bits).to_bytes(p.k_bits // 8, "big")
             for u in p.versions}
@@ -203,36 +220,121 @@ def check_state_bitexact(scheme: Scheme, S: SystemState, p: Params,
     return bitexact_violations(scheme, S, stores, messages, p)
 
 
+def _encodable(S: SystemState, allocs: Sequence[Allocation],
+               slots: Mapping[int, int], p: Params) -> bool:
+    """True when server_encode accepts every allocation of S: each server
+    stores versions it received, within its slots of the index universe.
+    Otherwise the reference path raises server_encode's error."""
+    for i, alloc in enumerate(allocs):
+        for u, count in alloc.symbols:
+            if u not in S[i] or not 1 <= count <= slots[u] or p.n * slots[u] > gf.ORDER:
+                return False
+    return True
+
+
+def _decode_choice(holdings: Sequence[Mapping[int, int]], T: tuple[int, ...],
+                   slots: Mapping[int, int], latest: int, denom: int,
+                   p: Params) -> tuple[int, tuple[int, ...]] | None:
+    """The (version, indices) quorum_decode reads through T: the newest
+    version in [latest, nu] with `denom` symbols there, and its `denom`
+    smallest indices. None when no such version exists."""
+    for m in range(p.nu, latest - 1, -1):
+        held = [t * slots[m] + r for t in T for r in range(holdings[t].get(m, 0))]
+        if len(held) >= denom:
+            return m, tuple(held[:denom])
+    return None
+
+
+def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
+                   allocs: Sequence[Sequence[Allocation]],
+                   seeds: Sequence[int]) -> list[Violation | None]:
+    """check_state_bitexact for a block of states with their allocations.
+
+    The states with a complete version are encoded together, one matmul per
+    version, and every (state, read set) is decoded in groups that read the
+    same indices of the same version, one cached decode matrix per group.
+    A state that is not encodable, has a read set with no decodable version,
+    or decodes to other bytes goes through check_state_bitexact, which
+    reports exactly what the reference reports.
+    """
+    if states:
+        _require_byte_aligned(p)
+    denom = scheme_granularity(scheme, p).denom
+    slots = {u: slots_per_server(scheme, u, p) for u in p.versions}
+    reads = read_sets(p)
+    redo = [False] * len(states)
+    live: list[int] = []  # block positions of states with a complete version
+    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+    for b, S in enumerate(states):
+        if not _encodable(S, allocs[b], slots, p):
+            redo[b] = True
+            continue
+        latest = latest_complete(S, p)
+        if latest is None:
+            continue  # every read set returns None without reading a store
+        holdings = [dict(a.symbols) for a in allocs[b]]
+        choices = [_decode_choice(holdings, T, slots, latest, denom, p) for T in reads]
+        if None in choices:
+            redo[b] = True
+            continue
+        for key in choices:
+            groups.setdefault(key, []).append(len(live))
+        live.append(b)
+
+    if live:
+        payloads = [random_payloads(p, seeds[b]) for b in live]
+        messages, coded = {}, {}
+        for m in sorted({m for m, _ in groups}):
+            messages[m] = message_elements([pl[m] for pl in payloads], p, denom)
+            coded[m] = encode_slots(scheme, p, m, messages[m])
+        for (m, chosen), members in groups.items():
+            rows = coded[m][np.ix_(chosen, members)]
+            if chosen == tuple(range(denom)):
+                decoded = rows
+            else:
+                decoded = gf.matmul(gf.decode_matrix(denom, chosen),
+                                    rows.reshape(denom, -1)).reshape(rows.shape)
+            wrong = (decoded != messages[m][:, members]).any(axis=(0, 2))
+            for pos in np.flatnonzero(wrong):
+                redo[live[members[pos]]] = True
+
+    return [check_state_bitexact(scheme, S, p, seed) if again else None
+            for S, seed, again in zip(states, seeds, redo)]
+
+
 def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
                   layers: tuple[str, ...], start: int, stop: int,
                   max_violations: int) -> dict:
-    worst = Fraction(0)
+    symbol_bits = scheme_granularity(scheme, p).symbol_bits(p.k_bits)
+    block = max(1, min(_BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
+    worst_symbols = 0
     violations: list[Violation] = []
     total = 0
-    k_bits = p.k_bits
-    for idx in range(start, stop):
-        if mode.kind == "exhaustive":
-            S = state_at(p, idx)
-            payload_seed = mode.seed * _SEED_STRIDE + idx
-        else:
-            S = random_state(p, mode.seed * _SEED_STRIDE + idx)
-            payload_seed = (mode.seed + 1) * _SEED_STRIDE + idx
-        allocs = [allocation_for(scheme, S, i, p) for i in range(p.n)]
-        for alloc in allocs:
-            worst = max(worst, alloc.bits(k_bits))
-        found: list[Violation] = []
-        if COUNTING in layers:
-            v = check_state_counting(scheme, S, p, allocs)
-            if v is not None:
-                found.append(v)
-        if BITEXACT in layers:
-            v = check_state_bitexact(scheme, S, p, payload_seed)
-            if v is not None:
-                found.append(v)
-        total += len(found)
-        violations.extend(found[:max(0, max_violations - len(violations))])
-    return {"worst": worst, "violations": violations, "violations_total": total,
-            "states": stop - start}
+    for lo in range(start, stop, block):
+        states, seeds, allocs, counting = [], [], [], []
+        for idx in range(lo, min(lo + block, stop)):
+            if mode.kind == "exhaustive":
+                S = state_at(p, idx)
+                payload_seed = mode.seed * _SEED_STRIDE + idx
+            else:
+                S = random_state(p, mode.seed * _SEED_STRIDE + idx)
+                payload_seed = (mode.seed + 1) * _SEED_STRIDE + idx
+            state_allocs = [allocation_for(scheme, S, i, p) for i in range(p.n)]
+            worst_symbols = max(worst_symbols, *(a.total_symbols for a in state_allocs))
+            counting.append(check_state_counting(scheme, S, p, state_allocs)
+                            if COUNTING in layers else None)
+            if BITEXACT in layers:
+                states.append(S)
+                seeds.append(payload_seed)
+                allocs.append(state_allocs)
+        bitexact = (bitexact_block(scheme, p, states, allocs, seeds)
+                    if BITEXACT in layers else [None] * len(counting))
+        for found in zip(counting, bitexact):
+            found = [v for v in found if v is not None]
+            total += len(found)
+            violations.extend(found[:max(0, max_violations - len(violations))])
+    return {"worst": worst_symbols * symbol_bits, "violations": violations,
+            "violations_total": total, "states": stop - start}
 
 
 def _range_worker(args) -> dict:

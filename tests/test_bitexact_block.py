@@ -1,0 +1,144 @@
+"""The batched bit-exact layer against its per-state reference.
+
+`bitexact_block` must return, state for state, what `check_state_bitexact`
+returns; reports built on it must not change by a byte, with or without
+violations, and must not depend on the number of jobs.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from mvcode import CodecError, Params, Scheme, SystemState, allocation, verifier
+from mvcode.allocation import Allocation, allocation_for
+from mvcode.fixtures import make_thm3_params
+from mvcode.model import enumerate_states, random_state
+from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block,
+                             check_state_bitexact, verify)
+
+DATA = Path(__file__).parent / "data"
+P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
+P4_CR4 = Params(n=4, cw=3, cr=4, nu=2, h=1, k_bits=64)  # c=3: the smallest c2 with nu=2
+P6 = make_thm3_params(6, 1024)
+P6_CENTRAL = Params(n=6, cw=5, cr=5, nu=2, h=3, k_bits=1024)
+# SHA-256 of verify(c1, P6, exhaustive seed 1).to_json(), recorded with the
+# per-state bit-exact loop before the block kernel replaced it
+C1_N6_SEED1_SHA256 = "27d2cd7e1971e7836c2b5264d04dae67f946b27993e6786eb8850479ddd252fe"
+
+
+def _drop_one_symbol_at_server_0(monkeypatch):
+    """Cripple c1: server 0 stores one symbol less of every version it holds."""
+    original = allocation.alloc_c1
+
+    def crippled(view, p):
+        alloc = original(view, p)
+        if view.center != 0:
+            return alloc
+        return Allocation.of({u: s - 1 for u, s in alloc.symbols}, alloc.granularity)
+
+    monkeypatch.setattr(allocation, "alloc_c1", crippled)
+
+
+def _kernel_and_reference(scheme, p, states, seeds):
+    allocs = [[allocation_for(scheme, S, i, p) for i in range(p.n)] for S in states]
+    kernel = bitexact_block(scheme, p, states, allocs, seeds)
+    reference = [check_state_bitexact(scheme, S, p, seed) for S, seed in zip(states, seeds)]
+    return kernel, reference
+
+
+class TestDifferential:
+    @pytest.mark.parametrize("scheme,p", [(Scheme.C1, P4), (Scheme.C1, P4_CR4),
+                                          (Scheme.C2, P4_CR4)])
+    def test_exhaustive_n4(self, scheme, p):
+        states = list(enumerate_states(p))
+        kernel, reference = _kernel_and_reference(scheme, p, states, range(len(states)))
+        assert kernel == reference
+
+    @pytest.mark.parametrize("scheme,p", [(Scheme.C1, P6), (Scheme.C2, P6),
+                                          (Scheme.CENTRAL, P6_CENTRAL)])
+    def test_seeded_n6(self, scheme, p):
+        states = [random_state(p, 7000 + j) for j in range(300)]
+        kernel, reference = _kernel_and_reference(scheme, p, states, range(300))
+        assert kernel == reference
+
+    def test_exhaustive_n4_with_a_crippled_server(self, monkeypatch):
+        _drop_one_symbol_at_server_0(monkeypatch)
+        states = list(enumerate_states(P4))
+        kernel, reference = _kernel_and_reference(Scheme.C1, P4, states, range(len(states)))
+        assert kernel == reference
+        assert sum(v is not None for v in reference) > 0
+
+    def test_a_wrong_byte_sends_the_state_to_the_reference(self, monkeypatch):
+        # flip one coded element of block position 1; the kernel must notice
+        # the bad decode and ask the reference, which sees correct bytes
+        encode_slots = verifier.encode_slots
+
+        def corrupt(scheme, p, version, elements):
+            coded = encode_slots(scheme, p, version, elements)
+            coded[:, 1, 0] ^= 1
+            return coded
+
+        asked = []
+
+        def reference(scheme, S, p, seed):
+            asked.append(S)
+            return None
+
+        monkeypatch.setattr(verifier, "encode_slots", corrupt)
+        monkeypatch.setattr(verifier, "check_state_bitexact", reference)
+        full = SystemState.of(P6, [{1, 2}] * P6.n)
+        states = [full, full, full]
+        allocs = [[allocation_for(Scheme.C1, full, i, P6) for i in range(P6.n)]] * 3
+        assert bitexact_block(Scheme.C1, P6, states, allocs, [1, 2, 3]) == [None] * 3
+        assert asked == [full]
+
+
+class TestReports:
+    def test_c1_n6_report_is_unchanged(self):
+        text = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
+
+    def test_fault_injected_report_is_unchanged(self, monkeypatch):
+        # recorded with the per-state bit-exact loop, before the block kernel
+        _drop_one_symbol_at_server_0(monkeypatch)
+        report = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1), max_violations=100)
+        assert report.to_json() == (DATA / "verify_c1_n6_injected.json").read_text()
+
+    def test_jobs_do_not_change_the_report(self):
+        one = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=1).to_dict()
+        two = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=2).to_dict()
+        assert (one.pop("jobs"), two.pop("jobs")) == (1, 2)
+        assert one == two
+
+
+class TestBoundaryChecks:
+    def _overfill_server_0(self, monkeypatch):
+        original = allocation.alloc_c1
+
+        def overfilled(view, p):
+            alloc = original(view, p)
+            if view.center != 0 or 1 not in view.center_state:
+                return alloc
+            return Allocation.of({**dict(alloc.symbols), 1: p.c + 3}, alloc.granularity)
+
+        monkeypatch.setattr(allocation, "alloc_c1", overfilled)
+
+    def test_count_over_slots_raises_through_verify(self, monkeypatch):
+        # the first state hit (rank 1) has no complete version
+        self._overfill_server_0(monkeypatch)
+        with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
+            verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1))
+
+    def test_count_over_slots_raises_without_a_complete_version(self, monkeypatch):
+        self._overfill_server_0(monkeypatch)
+        S = SystemState.of(P6, [{1}] + [set()] * 5)
+        allocs = [[allocation_for(Scheme.C1, S, i, P6) for i in range(P6.n)]]
+        with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
+            bitexact_block(Scheme.C1, P6, [S], allocs, [0])
+
+    def test_unaligned_k_raises_through_verify(self):
+        p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=65)
+        with pytest.raises(CodecError, match=r"^the bit-exact layer needs byte-aligned K, got 65$"):
+            verify(Scheme.C1, p, VerifyMode.exhaustive(), layers=(BITEXACT,))

@@ -216,6 +216,21 @@ class TestOracleCommand:
         assert "oracle_min_cost=1280/3" in capsys.readouterr().out
 
 
+    def test_solver_failure_is_a_config_error(self, monkeypatch, capsys):
+        # HiGHS status 1 is an iteration or time limit: no proven optimum
+        import types
+        import mvcode.oracle
+        limit = types.SimpleNamespace(status=1, message="Time limit reached. (HiGHS Status 13)")
+        monkeypatch.setattr(mvcode.oracle, "milp", lambda *args, **kwargs: limit)
+        code = run(["oracle", "--n", "4", "--cw", "4", "--cr", "4", "--nu", "2",
+                    "--h", "0", "--K", "1024", "--G", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == ("error: strategy search failed: "
+                                "Time limit reached. (HiGHS Status 13)\n")
+
+
 class TestDispatch:
     def test_unknown_subcommand_is_config_error(self):
         assert run(["frobnicate"]) == EXIT_CONFIG

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from mvcode import (CodecError, DecodeContractError, InconsistentSymbolsError,
@@ -46,6 +47,39 @@ class TestField:
         inv = gf.mat_inv(m)
         ident = gf.matmul(inv, m)
         assert (ident == [[1 if i == j else 0 for j in range(4)] for i in range(4)]).all()
+
+    def test_mul_matches_scalar_with_edge_elements(self):
+        rng = random.Random(3)
+        sample = [rng.randrange(gf.ORDER) for _ in range(10_000)]
+        for a in (0, 1, 2, gf.ORDER - 1):
+            assert gf.mul(a, sample).tolist() == [gf.mul_s(a, b) for b in sample]
+            assert gf.mul(sample, a).tolist() == [gf.mul_s(b, a) for b in sample]
+
+    def test_mul_matches_scalar_on_random_pairs(self):
+        rng = random.Random(4)
+        a = [rng.randrange(gf.ORDER) for _ in range(10_000)]
+        b = [rng.randrange(gf.ORDER) for _ in range(10_000)]
+        assert gf.mul(a, b).tolist() == [gf.mul_s(x, y) for x, y in zip(a, b)]
+
+    def test_inverse_of_random_matrices(self):
+        rng = np.random.default_rng(5)
+        ident = np.eye(16, dtype=np.uint16)
+        inverted = 0
+        while inverted < 50:
+            A = rng.integers(0, gf.ORDER, size=(16, 16))
+            try:
+                inv = gf.mat_inv(A)
+            except ValueError:
+                continue  # singular; a random matrix is so with probability ~1/ORDER
+            assert (gf.matmul(inv, A) == ident).all()
+            assert (gf.matmul(A, inv) == ident).all()
+            inverted += 1
+
+    def test_singular_matrix_raises(self):
+        A = np.array([[1, 2, 3], [2, 4, 6], [7, 0, 9]])
+        A[1] = gf.mul(A[0], 5)  # row 1 is a multiple of row 0 over the field
+        with pytest.raises(ValueError, match="singular"):
+            gf.mat_inv(A)
 
 
 class TestMds:
