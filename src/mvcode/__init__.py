@@ -17,7 +17,7 @@ from .codec import (CodedSymbol, MdsSpec, ServerStore, encode_all, mds_decode,
                     mds_encode, quorum_decode, server_encode)
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
                      InconsistentSymbolsError, InsufficientSymbolsError,
-                     MvcodeError, RegimeError, SolverError)
+                     MvcodeError, RegimeError, SolverError, WorkerError)
 from .fixtures import (FixturePair, check_indistinguishable, fixture_thm3,
                        fixture_thm4, make_thm3_params, make_thm4_params,
                        thm3_read_sets, thm4_l_choices, thm4_read_sets)
@@ -25,8 +25,18 @@ from .model import (Params, SideView, SystemState, complete_versions,
                     enumerate_states, latest_complete, local_candidate,
                     neighborhood, random_state, receivers, side_view,
                     state_at, state_count, state_index)
-from .oracle import OracleBudget, oracle_min_cost, oracle_min_cost_with_witness
 from .verifier import (VerifyMode, VerifyReport, Violation,
                        check_state_bitexact, check_state_counting, verify)
 
 __version__ = "0.1.0"
+
+# the oracle needs scipy, which takes longer to import than the rest of the
+# package; it is imported on first use of one of these names
+_ORACLE_NAMES = ("OracleBudget", "oracle_min_cost", "oracle_min_cost_with_witness")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -20,9 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .errors import RegimeError
-from .model import Params, SideView, SystemState, latest_complete, side_view, view_local_candidate
+from .model import (Params, SideView, SystemState, latest_complete, ring_window,
+                    side_view, view_local_candidate)
 
 
 class Scheme(str, Enum):
@@ -160,6 +164,56 @@ def allocation_for(scheme: Scheme, S: SystemState, i: int, p: Params) -> Allocat
     if scheme is Scheme.C2:
         return alloc_c2(side_view(S, i, p), p)
     return alloc_centralized(S, i, p)
+
+
+@lru_cache(maxsize=64)
+def _window_matrix(n: int, h: int) -> np.ndarray:
+    """W[j, i] = 1 when server i sees server j, so bits @ W counts per server
+    the visible servers whose bit is set."""
+    W = np.zeros((n, n))
+    for i in range(n):
+        W[list(ring_window(i, n, h)), i] = 1
+    W.flags.writeable = False
+    return W
+
+
+def _newest(flags: list[np.ndarray]) -> np.ndarray:
+    """Elementwise, the newest version u whose flags[u-1] is set, 0 when none is."""
+    newest = np.zeros(flags[0].shape, dtype=np.int32)
+    for u, flag in enumerate(flags, 1):
+        newest[flag] = u
+    return newest
+
+
+def block_allocations(scheme: Scheme, masks: np.ndarray, p: Params
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """allocation_for for every server of a block of states at once.
+
+    `masks` is a (states, n) array of per-server version bitmasks, bit u-1
+    set when the server holds version u. Returns the symbol counts as a
+    (states, n, nu) int32 array, counts[b, i, u-1] being what
+    allocation_for(scheme, S_b, i, p) allocates to version u, and each
+    state's latest complete version, 0 when none is complete. The
+    per-server functions above are the reference this must equal.
+    """
+    # held[u-1][b, i] = 1 when server i holds version u in state b; sums of
+    # these 0/1 floats are exact and go through BLAS
+    held = [((masks >> (u - 1)) & 1).astype(np.float64) for u in p.versions]
+    latest = _newest([h @ np.ones(p.n) >= p.cw for h in held])
+    W = _window_matrix(p.n, p.h)
+    if scheme is Scheme.C1:
+        # a server that sees version 2 (bit 1) at >= n-2 servers splits
+        sees_2 = ((masks >> 1) & 1).astype(np.float64) @ W >= p.n - 2
+        per_version = [held[0] * np.where(sees_2, 2, p.c + 2)]
+        if p.nu > 1:
+            per_version.append(held[1] * sees_2 * p.c)
+    elif scheme is Scheme.C2:
+        local = _newest([(h > 0) & (h @ W >= p.n - 2) for h in held])
+        per_version = [local == u for u in p.versions]
+    else:
+        per_version = [h * (latest == u)[:, None] for u, h in enumerate(held, 1)]
+    # versions outermost in memory, so sums over versions add whole planes
+    return np.stack(per_version).astype(np.int32).transpose(1, 2, 0), latest
 
 
 def allocation_rows(scheme: Scheme, S: SystemState, p: Params,

@@ -22,7 +22,6 @@ from .fixtures import (check_indistinguishable, fixture_thm3, fixture_thm4,
                        make_thm3_params, make_thm4_params, thm3_read_sets,
                        thm4_l_choices, thm4_read_sets)
 from .model import Params, SystemState, latest_complete, random_state
-from .oracle import OracleBudget, oracle_min_cost
 from .verifier import VerifyMode, random_payloads, verify
 
 EXIT_OK = 0
@@ -216,6 +215,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import OracleBudget, oracle_min_cost  # scipy loads only for this command
+
     p = _params(args)
     value = oracle_min_cost(p, args.g, budget=OracleBudget(max_g=args.max_g))
     lo = bounds.lb_eq1(p.k_bits, p.nu, p.c)

@@ -17,6 +17,10 @@ class SolverError(MvcodeError):
     """The strategy oracle's integer program ended without a proven optimum."""
 
 
+class WorkerError(MvcodeError):
+    """A worker process of a parallel run ended abnormally."""
+
+
 class CodecError(MvcodeError):
     """Base class for encode/decode failures."""
 

@@ -15,7 +15,9 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError
 
@@ -217,16 +219,30 @@ def state_count(p: Params) -> int:
     return (1 << p.nu) ** p.n
 
 
+@lru_cache(maxsize=4096)
+def _versions_of_mask(mask: int) -> frozenset[int]:
+    return frozenset(u for u in range(1, mask.bit_length() + 1) if mask >> (u - 1) & 1)
+
+
+def state_from_masks(masks: Sequence[int]) -> SystemState:
+    """The state whose server i holds version u when bit u-1 of masks[i] is set."""
+    return SystemState(tuple(_versions_of_mask(m) for m in masks))
+
+
 def state_at(p: Params, index: int) -> SystemState:
     """Decode a lexicographic state rank; server 0's bitmask is least significant."""
     if not 0 <= index < state_count(p):
         raise ValueError(f"state index {index} outside [0, {state_count(p)})")
     mask_all = (1 << p.nu) - 1
-    subsets = []
-    for i in range(p.n):
-        m = (index >> (i * p.nu)) & mask_all
-        subsets.append(frozenset(u for u in p.versions if m >> (u - 1) & 1))
-    return SystemState(tuple(subsets))
+    return state_from_masks([(index >> (i * p.nu)) & mask_all for i in range(p.n)])
+
+
+def rank_masks(p: Params, start: int, stop: int) -> np.ndarray:
+    """The per-server masks of the states ranked [start, stop), one row each,
+    as state_at decodes them."""
+    ranks = np.arange(start, stop, dtype=np.int64)
+    shifts = np.arange(p.n, dtype=np.int64) * p.nu
+    return (ranks[:, None] >> shifts) & ((1 << p.nu) - 1)
 
 
 def state_index(p: Params, S: SystemState) -> int:
@@ -261,11 +277,12 @@ def enumerate_states(p: Params, start: int = 0, stop: int | None = None,
         yield state_at(p, idx)
 
 
+def random_masks(p: Params, seed: int) -> list[int]:
+    """The per-server masks of random_state(p, seed)."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(p.nu) for _ in range(p.n)]
+
+
 def random_state(p: Params, seed: int) -> SystemState:
     """Uniform random state, a deterministic function of the seed."""
-    rng = random.Random(seed)
-    subsets = []
-    for _ in range(p.n):
-        m = rng.getrandbits(p.nu)
-        subsets.append(frozenset(u for u in p.versions if m >> (u - 1) & 1))
-    return SystemState(tuple(subsets))
+    return state_from_masks(random_masks(p, seed))

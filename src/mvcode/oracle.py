@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Mapping
 
 import numpy as np
@@ -27,11 +28,13 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .errors import BudgetExceededError, SolverError
 from .model import (Params, SideView, enumerate_states, latest_complete,
                     side_view, state_count, work_budget)
-from .verifier import read_sets, short_read_set
+from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
 MAX_N = 5
 MAX_NU = 2
+# states strategy_feasible checks at once
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -156,12 +159,16 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     """Brute-force decodability check of a fixed strategy, independent of
     the solver: every complete state, every read set, some fresh-enough
     version reaching g units."""
-    for S in enumerate_states(p):
-        latest = latest_complete(S, p)
-        if latest is None:
-            continue
-        holdings = [strategy.get(side_view(S, i, p), {}) for i in range(p.n)]
-        if short_read_set(holdings, p, latest, g) is not None:
+    states = enumerate_states(p)
+    while block := list(islice(states, _BLOCK)):
+        holdings = np.zeros((len(block), p.n, p.nu), dtype=np.int32)
+        latest = np.zeros(len(block), dtype=np.int32)
+        for b, S in enumerate(block):
+            latest[b] = latest_complete(S, p) or 0
+            for i in range(p.n):
+                for u, units in strategy.get(side_view(S, i, p), {}).items():
+                    holdings[b, i, u - 1] = units
+        if short_states(holdings, latest, p, g).any():
             return False
     return True
 

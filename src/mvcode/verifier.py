@@ -9,10 +9,13 @@ Two layers with independent failure modes:
             through every read set; the returned bytes must equal the
             original message of the returned version.
 
-The bit-exact layer runs on blocks of states: one encode per version for
-the whole block and one decode per group of read sets that pick the same
-symbols (`bitexact_block`). A state it cannot clear goes back through the
-per-state reference `check_state_bitexact`, which reports its violation.
+Both layers run on blocks of states. The counting layer takes a block's
+allocations from `block_allocations` and checks every read set of every
+state at once (`short_states`); the bit-exact layer makes one encode per
+version for the whole block and one decode per group of read sets that
+pick the same symbols (`bitexact_block`). A state either block check cannot
+clear goes back through its per-state reference, `check_state_counting` or
+`check_state_bitexact`, which reports its violation.
 
 Worst-case cost is measured over every (state, server) pair as an exact
 fraction of k_bits, so it can be compared against the scheme budget with
@@ -21,34 +24,39 @@ zero tolerance.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import random
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import gf65536 as gf
-from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
-                         scheme_granularity, validate_regime)
+from .allocation import (Allocation, Granularity, Scheme, allocation_for,
+                         alpha_bits, block_allocations, scheme_granularity,
+                         validate_regime)
 from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slots_per_server)
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
-                     InconsistentSymbolsError)
-from .model import (Params, SystemState, latest_complete, random_state,
-                    state_at, state_count, work_budget)
+                     InconsistentSymbolsError, WorkerError)
+from .model import (Params, SystemState, latest_complete, random_masks,
+                    rank_masks, state_count, state_from_masks, work_budget)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
 
 _SEED_STRIDE = 1_000_003  # spreads per-state seeds; keeps sampling jobs-independent
-# a block of states holds at most _BLOCK states and about _BLOCK_BYTES of
-# messages, which bounds the arrays the bit-exact layer stacks
-_BLOCK = 256
+# a block of states holds at most _BLOCK states, or when the bit-exact
+# layer runs at most _BITEXACT_BLOCK states and about _BLOCK_BYTES of
+# messages, which bounds the arrays either layer stacks
+_BLOCK = 512
+_BITEXACT_BLOCK = 256
 _BLOCK_BYTES = 1 << 22
 
 
@@ -152,6 +160,32 @@ def short_read_set(holdings: Sequence[Mapping[int, int]], p: Params, latest: int
     return None
 
 
+@lru_cache(maxsize=64)
+def _read_set_matrix(p: Params) -> np.ndarray:
+    """R[t, r] = 1 when server t is in the r-th read set of read_sets(p)."""
+    sets = read_sets(p)
+    R = np.zeros((p.n, len(sets)))
+    for r, T in enumerate(sets):
+        R[list(T), r] = 1
+    R.flags.writeable = False
+    return R
+
+
+def short_states(holdings: np.ndarray, latest: np.ndarray, p: Params,
+                 threshold: int) -> np.ndarray:
+    """short_read_set for a block of states. `holdings[b, i, u-1]` is the
+    symbols server i stores of version u in state b, and `latest[b]` that
+    state's latest complete version, 0 when none is. True where some read
+    set has no version in [latest, nu] reaching `threshold` symbols."""
+    R = _read_set_matrix(p)
+    decodable = np.zeros((len(latest), R.shape[1]), dtype=bool)
+    for u in p.versions:
+        # read-set totals of integer counts, summed exactly in float64 by BLAS
+        reaches = holdings[:, :, u - 1].astype(np.float64) @ R >= threshold
+        decodable |= reaches & (u >= latest)[:, None]
+    return (latest > 0) & ~decodable.all(1)
+
+
 def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
                          allocs: list[Allocation] | None = None) -> Violation | None:
     """First read set (if any) where no fresh-enough version reaches the
@@ -246,9 +280,10 @@ def _decode_choice(holdings: Sequence[Mapping[int, int]], T: tuple[int, ...],
 
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
-                   allocs: Sequence[Sequence[Allocation]],
-                   seeds: Sequence[int]) -> list[Violation | None]:
-    """check_state_bitexact for a block of states with their allocations.
+                   allocs: Sequence[Sequence[Allocation]], seeds: Sequence[int],
+                   latest: Sequence[int] | None = None) -> list[Violation | None]:
+    """check_state_bitexact for a block of states with their allocations,
+    and their latest complete versions (0 for none) when the caller has them.
 
     The states with a complete version are encoded together, one matmul per
     version, and every (state, read set) is decoded in groups that read the
@@ -262,6 +297,8 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     denom = scheme_granularity(scheme, p).denom
     slots = {u: slots_per_server(scheme, u, p) for u in p.versions}
     reads = read_sets(p)
+    if latest is None:
+        latest = [latest_complete(S, p) or 0 for S in states]
     redo = [False] * len(states)
     live: list[int] = []  # block positions of states with a complete version
     groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
@@ -269,11 +306,10 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
         if not _encodable(S, allocs[b], slots, p):
             redo[b] = True
             continue
-        latest = latest_complete(S, p)
-        if latest is None:
+        if not latest[b]:
             continue  # every read set returns None without reading a store
         holdings = [dict(a.symbols) for a in allocs[b]]
-        choices = [_decode_choice(holdings, T, slots, latest, denom, p) for T in reads]
+        choices = [_decode_choice(holdings, T, slots, latest[b], denom, p) for T in reads]
         if None in choices:
             redo[b] = True
             continue
@@ -302,38 +338,57 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
             for S, seed, again in zip(states, seeds, redo)]
 
 
+def _block_masks(p: Params, mode: VerifyMode, lo: int, hi: int) -> np.ndarray:
+    if mode.kind == "exhaustive":
+        return rank_masks(p, lo, hi)
+    rows = [random_masks(p, mode.seed * _SEED_STRIDE + idx) for idx in range(lo, hi)]
+    return np.array(rows, dtype=np.int64).reshape(hi - lo, p.n)
+
+
+@lru_cache(maxsize=1024)
+def _allocation(row: tuple[int, ...], gran: Granularity) -> Allocation:
+    return Allocation.of(dict(enumerate(row, 1)), gran)
+
+
+def _allocations(counts: np.ndarray, gran: Granularity) -> list[Allocation]:
+    """One state's kernel rows as Allocations, one per server."""
+    return [_allocation(tuple(row), gran) for row in counts.tolist()]
+
+
 def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
                   layers: tuple[str, ...], start: int, stop: int,
                   max_violations: int) -> dict:
-    symbol_bits = scheme_granularity(scheme, p).symbol_bits(p.k_bits)
-    block = max(1, min(_BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
+    gran = scheme_granularity(scheme, p)
+    block = _BLOCK
+    if BITEXACT in layers:
+        block = max(1, min(_BITEXACT_BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
     worst_symbols = 0
     violations: list[Violation] = []
     total = 0
     for lo in range(start, stop, block):
-        states, seeds, allocs, counting = [], [], [], []
-        for idx in range(lo, min(lo + block, stop)):
-            if mode.kind == "exhaustive":
-                S = state_at(p, idx)
-                payload_seed = mode.seed * _SEED_STRIDE + idx
-            else:
-                S = random_state(p, mode.seed * _SEED_STRIDE + idx)
-                payload_seed = (mode.seed + 1) * _SEED_STRIDE + idx
-            state_allocs = [allocation_for(scheme, S, i, p) for i in range(p.n)]
-            worst_symbols = max(worst_symbols, *(a.total_symbols for a in state_allocs))
-            counting.append(check_state_counting(scheme, S, p, state_allocs)
-                            if COUNTING in layers else None)
-            if BITEXACT in layers:
-                states.append(S)
-                seeds.append(payload_seed)
-                allocs.append(state_allocs)
-        bitexact = (bitexact_block(scheme, p, states, allocs, seeds)
-                    if BITEXACT in layers else [None] * len(counting))
-        for found in zip(counting, bitexact):
-            found = [v for v in found if v is not None]
-            total += len(found)
-            violations.extend(found[:max(0, max_violations - len(violations))])
-    return {"worst": worst_symbols * symbol_bits, "violations": violations,
+        hi = min(lo + block, stop)
+        masks = _block_masks(p, mode, lo, hi)
+        counts, latest = block_allocations(scheme, masks, p)
+        worst_symbols = max(worst_symbols, int(counts.sum(-1).max()))
+        found: list[tuple[int, Violation | None]] = []  # (block position, violation)
+        if COUNTING in layers:
+            for b in np.flatnonzero(short_states(counts, latest, p, gran.denom)).tolist():
+                S = state_from_masks(masks[b].tolist())
+                found.append((b, check_state_counting(scheme, S, p, _allocations(counts[b], gran))))
+        if BITEXACT in layers:
+            states = [state_from_masks(row) for row in masks.tolist()]
+            allocs = [_allocations(rows, gran) for rows in counts]
+            payload_seed = mode.seed if mode.kind == "exhaustive" else mode.seed + 1
+            seeds = [payload_seed * _SEED_STRIDE + idx for idx in range(lo, hi)]
+            found.extend(enumerate(bitexact_block(scheme, p, states, allocs, seeds,
+                                                  latest.tolist())))
+        # in state order, a state's counting violation before its bit-exact one
+        for _, violation in sorted(found, key=lambda pair: pair[0]):
+            if violation is not None:
+                total += 1
+                if len(violations) < max_violations:
+                    violations.append(violation)
+    return {"worst": worst_symbols * gran.symbol_bits(p.k_bits), "violations": violations,
             "violations_total": total, "states": stop - start}
 
 
@@ -377,8 +432,11 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     if jobs == 1 or len(arg_sets) == 1:
         partials = [_range_worker(a) for a in arg_sets]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(_range_worker, arg_sets))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                partials = list(pool.map(_range_worker, arg_sets))
+        except BrokenProcessPool as exc:
+            raise WorkerError(f"a verification worker stopped abnormally: {exc}") from exc
 
     worst = max((part["worst"] for part in partials), default=Fraction(0))
     violations: list[Violation] = []

@@ -9,12 +9,13 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mvcode import CodecError, Params, Scheme, SystemState, allocation, verifier
-from mvcode.allocation import Allocation, allocation_for
+from mvcode.allocation import Allocation, allocation_for, block_allocations
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import enumerate_states, random_state
+from mvcode.model import enumerate_states, random_state, rank_masks, state_count
 from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block,
                              check_state_bitexact, verify)
 
@@ -28,6 +29,11 @@ P6_CENTRAL = Params(n=6, cw=5, cr=5, nu=2, h=3, k_bits=1024)
 C1_N6_SEED1_SHA256 = "27d2cd7e1971e7836c2b5264d04dae67f946b27993e6786eb8850479ddd252fe"
 
 
+# A fault is injected into both forms of the c1 rule: verify takes its
+# allocations from the block rule, and the per-state reference paths (the
+# counting violation, encode_all) from alloc_c1. test_the_fault_reaches_both_rules
+# keeps the two in step.
+
 def _drop_one_symbol_at_server_0(monkeypatch):
     """Cripple c1: server 0 stores one symbol less of every version it holds."""
     original = allocation.alloc_c1
@@ -38,7 +44,44 @@ def _drop_one_symbol_at_server_0(monkeypatch):
             return alloc
         return Allocation.of({u: s - 1 for u, s in alloc.symbols}, alloc.granularity)
 
+    def crippled_block(scheme, masks, p):
+        counts, latest = block_allocations(scheme, masks, p)
+        if scheme is Scheme.C1:
+            counts[:, 0] -= counts[:, 0] > 0
+        return counts, latest
+
     monkeypatch.setattr(allocation, "alloc_c1", crippled)
+    monkeypatch.setattr(verifier, "block_allocations", crippled_block)
+
+
+def _overfill_server_0(monkeypatch):
+    """Give server 0 of c1 more symbols of version 1 than it has slots."""
+    original = allocation.alloc_c1
+
+    def overfilled(view, p):
+        alloc = original(view, p)
+        if view.center != 0 or 1 not in view.center_state:
+            return alloc
+        return Allocation.of({**dict(alloc.symbols), 1: p.c + 3}, alloc.granularity)
+
+    def overfilled_block(scheme, masks, p):
+        counts, latest = block_allocations(scheme, masks, p)
+        if scheme is Scheme.C1:
+            counts[:, 0, 0] = np.where(masks[:, 0] & 1, p.c + 3, counts[:, 0, 0])
+        return counts, latest
+
+    monkeypatch.setattr(allocation, "alloc_c1", overfilled)
+    monkeypatch.setattr(verifier, "block_allocations", overfilled_block)
+
+
+@pytest.mark.parametrize("inject", [_drop_one_symbol_at_server_0, _overfill_server_0])
+def test_the_fault_reaches_both_rules(monkeypatch, inject):
+    inject(monkeypatch)
+    counts, _ = verifier.block_allocations(Scheme.C1, rank_masks(P6, 0, state_count(P6)), P6)
+    for b, S in enumerate(enumerate_states(P6)):
+        rows = [[allocation_for(Scheme.C1, S, i, P6).count(u) for u in P6.versions]
+                for i in range(P6.n)]
+        assert counts[b].tolist() == rows
 
 
 def _kernel_and_reference(scheme, p, states, seeds):
@@ -114,25 +157,14 @@ class TestReports:
 
 
 class TestBoundaryChecks:
-    def _overfill_server_0(self, monkeypatch):
-        original = allocation.alloc_c1
-
-        def overfilled(view, p):
-            alloc = original(view, p)
-            if view.center != 0 or 1 not in view.center_state:
-                return alloc
-            return Allocation.of({**dict(alloc.symbols), 1: p.c + 3}, alloc.granularity)
-
-        monkeypatch.setattr(allocation, "alloc_c1", overfilled)
-
     def test_count_over_slots_raises_through_verify(self, monkeypatch):
         # the first state hit (rank 1) has no complete version
-        self._overfill_server_0(monkeypatch)
+        _overfill_server_0(monkeypatch)
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
             verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1))
 
     def test_count_over_slots_raises_without_a_complete_version(self, monkeypatch):
-        self._overfill_server_0(monkeypatch)
+        _overfill_server_0(monkeypatch)
         S = SystemState.of(P6, [{1}] + [set()] * 5)
         allocs = [[allocation_for(Scheme.C1, S, i, P6) for i in range(P6.n)]]
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):

@@ -1,7 +1,13 @@
 """CLI subcommands: happy paths, exit-code contract, determinism, config."""
 
 import json
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
+from mvcode import verifier
 from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 
@@ -234,3 +240,47 @@ class TestOracleCommand:
 class TestDispatch:
     def test_unknown_subcommand_is_config_error(self):
         assert run(["frobnicate"]) == EXIT_CONFIG
+
+    def test_scipy_loads_only_for_the_oracle(self):
+        script = """if True:
+            import sys
+            import mvcode
+            assert "scipy" not in sys.modules, "import mvcode"
+            from mvcode import cli
+            code = cli.main(["verify", "--scheme", "c1", "--n", "4", "--cw", "3",
+                             "--cr", "3", "--h", "1", "--K", "64"])
+            assert code == 0 and "scipy" not in sys.modules, "verify"
+            from mvcode import oracle_min_cost
+            assert "scipy" in sys.modules and callable(oracle_min_cost)
+        """
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
+class _CrashingPool:
+    """Stands in for ProcessPoolExecutor: a worker dies during map."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+
+def test_a_crashed_worker_is_a_config_error(monkeypatch, capsys):
+    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _CrashingPool)
+    code = run(["verify", "--scheme", "c1", "--n", "4", "--cw", "3", "--cr", "3",
+                "--h", "1", "--K", "64", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err == ("error: a verification worker stopped abnormally: "
+                            "A process in the process pool was terminated abruptly\n")
