@@ -159,15 +159,15 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     """Brute-force decodability check of a fixed strategy, independent of
     the solver: every complete state, every read set, some fresh-enough
     version reaching g units."""
-    states = enumerate_states(p)
-    while block := list(islice(states, _BLOCK)):
+    complete = ((S, top) for S in enumerate_states(p)
+                if (top := latest_complete(S, p)) is not None)
+    while block := list(islice(complete, _BLOCK)):
         holdings = np.zeros((len(block), p.n, p.nu), dtype=np.int32)
-        latest = np.zeros(len(block), dtype=np.int32)
-        for b, S in enumerate(block):
-            latest[b] = latest_complete(S, p) or 0
+        for b, (S, _) in enumerate(block):
             for i in range(p.n):
                 for u, units in strategy.get(side_view(S, i, p), {}).items():
                     holdings[b, i, u - 1] = units
+        latest = np.array([top for _, top in block])
         if short_states(holdings, latest, p, g).any():
             return False
     return True

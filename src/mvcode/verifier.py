@@ -46,7 +46,8 @@ from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
                      InconsistentSymbolsError, WorkerError)
 from .model import (Params, SystemState, latest_complete, random_masks,
-                    rank_masks, state_count, state_from_masks, work_budget)
+                    rank_masks, state_at, state_count, state_from_masks,
+                    work_budget)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
@@ -281,9 +282,9 @@ def _decode_choice(holdings: Sequence[Mapping[int, int]], T: tuple[int, ...],
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
                    allocs: Sequence[Sequence[Allocation]], seeds: Sequence[int],
-                   latest: Sequence[int] | None = None) -> list[Violation | None]:
-    """check_state_bitexact for a block of states with their allocations,
-    and their latest complete versions (0 for none) when the caller has them.
+                   latest: Sequence[int]) -> list[Violation | None]:
+    """check_state_bitexact for a block of states with their allocations
+    and their latest complete versions (0 for none).
 
     The states with a complete version are encoded together, one matmul per
     version, and every (state, read set) is decoded in groups that read the
@@ -297,8 +298,6 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     denom = scheme_granularity(scheme, p).denom
     slots = {u: slots_per_server(scheme, u, p) for u in p.versions}
     reads = read_sets(p)
-    if latest is None:
-        latest = [latest_complete(S, p) or 0 for S in states]
     redo = [False] * len(states)
     live: list[int] = []  # block positions of states with a complete version
     groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
@@ -345,6 +344,13 @@ def _block_masks(p: Params, mode: VerifyMode, lo: int, hi: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(hi - lo, p.n)
 
 
+def _state(p: Params, mode: VerifyMode, masks: np.ndarray, idx: int, b: int) -> SystemState:
+    """The SystemState of state `idx`, row b of its block's masks."""
+    if mode.kind == "exhaustive":
+        return state_at(p, idx)
+    return state_from_masks(masks[b].tolist())
+
+
 @lru_cache(maxsize=1024)
 def _allocation(row: tuple[int, ...], gran: Granularity) -> Allocation:
     return Allocation.of(dict(enumerate(row, 1)), gran)
@@ -373,10 +379,10 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
         found: list[tuple[int, Violation | None]] = []  # (block position, violation)
         if COUNTING in layers:
             for b in np.flatnonzero(short_states(counts, latest, p, gran.denom)).tolist():
-                S = state_from_masks(masks[b].tolist())
+                S = _state(p, mode, masks, lo + b, b)
                 found.append((b, check_state_counting(scheme, S, p, _allocations(counts[b], gran))))
         if BITEXACT in layers:
-            states = [state_from_masks(row) for row in masks.tolist()]
+            states = [_state(p, mode, masks, lo + b, b) for b in range(hi - lo)]
             allocs = [_allocations(rows, gran) for rows in counts]
             payload_seed = mode.seed if mode.kind == "exhaustive" else mode.seed + 1
             seeds = [payload_seed * _SEED_STRIDE + idx for idx in range(lo, hi)]

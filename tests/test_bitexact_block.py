@@ -15,7 +15,8 @@ import pytest
 from mvcode import CodecError, Params, Scheme, SystemState, allocation, verifier
 from mvcode.allocation import Allocation, allocation_for, block_allocations
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import enumerate_states, random_state, rank_masks, state_count
+from mvcode.model import (enumerate_states, latest_complete, random_state, rank_masks,
+                          state_count)
 from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block,
                              check_state_bitexact, verify)
 
@@ -86,7 +87,8 @@ def test_the_fault_reaches_both_rules(monkeypatch, inject):
 
 def _kernel_and_reference(scheme, p, states, seeds):
     allocs = [[allocation_for(scheme, S, i, p) for i in range(p.n)] for S in states]
-    kernel = bitexact_block(scheme, p, states, allocs, seeds)
+    latest = [latest_complete(S, p) or 0 for S in states]
+    kernel = bitexact_block(scheme, p, states, allocs, seeds, latest)
     reference = [check_state_bitexact(scheme, S, p, seed) for S, seed in zip(states, seeds)]
     return kernel, reference
 
@@ -134,7 +136,7 @@ class TestDifferential:
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         states = [full, full, full]
         allocs = [[allocation_for(Scheme.C1, full, i, P6) for i in range(P6.n)]] * 3
-        assert bitexact_block(Scheme.C1, P6, states, allocs, [1, 2, 3]) == [None] * 3
+        assert bitexact_block(Scheme.C1, P6, states, allocs, [1, 2, 3], [2] * 3) == [None] * 3
         assert asked == [full]
 
 
@@ -168,7 +170,7 @@ class TestBoundaryChecks:
         S = SystemState.of(P6, [{1}] + [set()] * 5)
         allocs = [[allocation_for(Scheme.C1, S, i, P6) for i in range(P6.n)]]
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
-            bitexact_block(Scheme.C1, P6, [S], allocs, [0])
+            bitexact_block(Scheme.C1, P6, [S], allocs, [0], [0])
 
     def test_unaligned_k_raises_through_verify(self):
         p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=65)
