@@ -22,9 +22,8 @@ from .fixtures import (FixturePair, check_indistinguishable, fixture_thm3,
                        fixture_thm4, make_thm3_params, make_thm4_params,
                        thm3_read_sets, thm4_l_choices, thm4_read_sets)
 from .model import (Params, SideView, SystemState, complete_versions,
-                    enumerate_states, latest_complete, local_candidate,
-                    neighborhood, random_state, receivers, side_view,
-                    state_at, state_count, state_index)
+                    enumerate_states, latest_complete, neighborhood,
+                    random_state, receivers, side_view, state_at, state_count)
 from .verifier import (VerifyMode, VerifyReport, Violation,
                        check_state_bitexact, check_state_counting, verify)
 

@@ -40,7 +40,6 @@ class Granularity:
     """How finely a message is split: denom symbols of k_bits/denom each."""
 
     denom: int
-    scheme: Scheme
 
     def __post_init__(self) -> None:
         if self.denom < 1:
@@ -68,20 +67,6 @@ class Allocation:
                 return s
         return 0
 
-    @property
-    def total_symbols(self) -> int:
-        return sum(s for _, s in self.symbols)
-
-    @property
-    def versions(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.symbols)
-
-    def bits(self, k_bits: int) -> Fraction:
-        return self.total_symbols * self.granularity.symbol_bits(k_bits)
-
-    def bits_of(self, u: int, k_bits: int) -> Fraction:
-        return self.count(u) * self.granularity.symbol_bits(k_bits)
-
 
 def validate_regime(scheme: Scheme, p: Params) -> None:
     """Raise RegimeError unless p satisfies the scheme's preconditions."""
@@ -106,10 +91,10 @@ def validate_regime(scheme: Scheme, p: Params) -> None:
 def scheme_granularity(scheme: Scheme, p: Params) -> Granularity:
     validate_regime(scheme, p)
     if scheme is Scheme.C1:
-        return Granularity(p.c * p.c, scheme)
+        return Granularity(p.c * p.c)
     if scheme is Scheme.C2:
-        return Granularity(p.c - 2 * (p.nu - 1), scheme)
-    return Granularity(p.c, scheme)
+        return Granularity(p.c - 2 * (p.nu - 1))
+    return Granularity(p.c)
 
 
 def alpha_symbols(scheme: Scheme, p: Params) -> int:
@@ -215,14 +200,3 @@ def block_allocations(scheme: Scheme, masks: np.ndarray, p: Params
     # versions outermost in memory, so sums over versions add whole planes
     return np.stack(per_version).astype(np.int32).transpose(1, 2, 0), latest
 
-
-def allocation_rows(scheme: Scheme, S: SystemState, p: Params,
-                    state_id: int | str) -> list[tuple]:
-    """Audit rows (state_id, server, version, symbols, bits) for one state."""
-    rows = []
-    for i in range(p.n):
-        alloc = allocation_for(scheme, S, i, p)
-        for u, s in alloc.symbols:
-            bits = float(alloc.bits_of(u, p.k_bits))
-            rows.append((state_id, i, u, s, bits))
-    return rows

@@ -3,8 +3,8 @@
 Each version is coded independently with the evaluation code of dimension
 `denom` (the scheme's granularity), so a version is recoverable exactly when
 a read set holds `denom` distinct symbols of it. Global symbol indices are
-reserved per server (index = server * slots + slot), which keeps every
-(version, index) pair unique across the system.
+reserved per server (`slot_indices`: index = server * slots + slot), which
+keeps every (version, index) pair unique across the system.
 
 Messages are byte strings of k_bits/8 bytes (k_bits must be a multiple of
 8). Internally each message is zero-padded so that every base symbol is a
@@ -138,10 +138,16 @@ def slots_per_server(scheme: Scheme, version: int, p: Params) -> int:
     return 1
 
 
+def slot_indices(server: int, count: int, slots: int) -> range:
+    """Global indices of a server's first `count` symbols of a version of
+    which every server reserves `slots`: slot t of server i is i*slots + t."""
+    return range(server * slots, server * slots + count)
+
+
 @lru_cache(maxsize=64)
 def _slot_generator(scheme: Scheme, p: Params, version: int) -> np.ndarray:
-    """Generator rows of every server slot of `version`: row i*slots+t is the
-    symbol with the index server_encode gives server i's slot t."""
+    """Generator rows of every server slot of `version`, in slot_indices
+    order: row j is the symbol with global index j."""
     slots = slots_per_server(scheme, version, p)
     denom = scheme_granularity(scheme, p).denom
     return gf.generator_matrix(denom, tuple(range(p.n * slots)))
@@ -195,7 +201,7 @@ def server_encode(scheme: Scheme, S: SystemState, i: int,
             raise CodecError(f"allocation of {count} symbols exceeds {slots} slots")
         if p.n * slots > gf.ORDER:
             raise CodecError("global index universe exhausted")
-        indices = [i * slots + t for t in range(count)]
+        indices = slot_indices(i, count, slots)
         payloads = mds_encode(_pad(messages[u], p.k_bits, denom), spec, indices)
         coded.extend(CodedSymbol(u, idx, pl) for idx, pl in zip(indices, payloads))
     return ServerStore(server=i, symbols=tuple(coded))
@@ -259,11 +265,16 @@ def stores_from_json(text: str) -> dict[int, ServerStore]:
         raise CodecError("store file must be a JSON object keyed by server id")
     stores = {}
     for key, entries in doc.items():
+        if not isinstance(entries, list):
+            raise CodecError(f"store of server {key} must be a list of entries, got {entries!r}")
         symbols = []
         for entry in entries:
-            if not (isinstance(entry, list) and len(entry) == 3):
+            # [version, index, hex payload]; bools are not integers here
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and type(entry[0]) is int and type(entry[1]) is int
+                    and isinstance(entry[2], str)):
                 raise CodecError(f"bad store entry for server {key}: {entry!r}")
             version, index, hexpayload = entry
-            symbols.append(CodedSymbol(int(version), int(index), bytes.fromhex(hexpayload)))
+            symbols.append(CodedSymbol(version, index, bytes.fromhex(hexpayload)))
         stores[int(key)] = ServerStore(server=int(key), symbols=tuple(symbols))
     return stores

@@ -116,8 +116,10 @@ class SystemState:
     @classmethod
     def from_json(cls, text: str, p: Params) -> "SystemState":
         data = json.loads(text)
-        if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
-            raise ValueError("state JSON must be an array of arrays of version ids")
+        # bools are not integers here
+        if not (isinstance(data, list) and all(
+                isinstance(s, list) and all(type(u) is int for u in s) for s in data)):
+            raise ValueError("state JSON must be an array of arrays of integer version ids")
         return cls.of(p, data)
 
 
@@ -139,12 +141,6 @@ class SideView:
             if sid == self.center:
                 return st
         raise AssertionError("window must contain the center")
-
-    def state_of(self, server: int) -> frozenset[int]:
-        for sid, st in self.window:
-            if sid == server:
-                return st
-        raise KeyError(server)
 
     def receiver_count(self, u: int) -> int:
         """How many visible servers hold version u."""
@@ -209,11 +205,6 @@ def view_local_candidate(view: SideView, p: Params) -> int | None:
     return best
 
 
-def local_candidate(S: SystemState, i: int, p: Params) -> int | None:
-    """view_local_candidate computed from the full state at server i."""
-    return view_local_candidate(side_view(S, i, p), p)
-
-
 def state_count(p: Params) -> int:
     """Size of the full state space: (2^nu)^n."""
     return (1 << p.nu) ** p.n
@@ -243,17 +234,6 @@ def rank_masks(p: Params, start: int, stop: int) -> np.ndarray:
     ranks = np.arange(start, stop, dtype=np.int64)
     shifts = np.arange(p.n, dtype=np.int64) * p.nu
     return (ranks[:, None] >> shifts) & ((1 << p.nu) - 1)
-
-
-def state_index(p: Params, S: SystemState) -> int:
-    """Inverse of state_at."""
-    idx = 0
-    for i in range(p.n):
-        m = 0
-        for u in S[i]:
-            m |= 1 << (u - 1)
-        idx |= m << (i * p.nu)
-    return idx
 
 
 def enumerate_states(p: Params, start: int = 0, stop: int | None = None,

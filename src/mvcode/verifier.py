@@ -9,13 +9,16 @@ Two layers with independent failure modes:
             through every read set; the returned bytes must equal the
             original message of the returned version.
 
-Both layers run on blocks of states. The counting layer takes a block's
-allocations from `block_allocations` and checks every read set of every
-state at once (`short_states`); the bit-exact layer makes one encode per
-version for the whole block and one decode per group of read sets that
-pick the same symbols (`bitexact_block`). A state either block check cannot
-clear goes back through its per-state reference, `check_state_counting` or
-`check_state_bitexact`, which reports its violation.
+Both layers run on blocks of states and take the block's symbol counts
+from `block_allocations` as one (states, n, nu) array. `decode_versions`
+gives, for every read set of every state, the version the counting rule
+decodes there: the counting layer flags the states where some read set has
+none (`short_states`), and the bit-exact layer makes one encode per version
+for the whole block and one decode per group of read sets that pick the
+same symbols of that version (`bitexact_block`). A state either block check
+cannot clear goes back through its per-state reference,
+`check_state_counting` or `check_state_bitexact`, which reports its
+violation.
 
 Worst-case cost is measured over every (state, server) pair as an exact
 fraction of k_bits, so it can be compared against the scheme budget with
@@ -38,11 +41,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import gf65536 as gf
-from .allocation import (Allocation, Granularity, Scheme, allocation_for,
-                         alpha_bits, block_allocations, scheme_granularity,
-                         validate_regime)
+from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
+                         block_allocations, scheme_granularity, validate_regime)
 from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
-                    slots_per_server)
+                    slot_indices, slots_per_server)
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
                      InconsistentSymbolsError, WorkerError)
 from .model import (Params, SystemState, latest_complete, random_masks,
@@ -66,6 +68,10 @@ class VerifyMode:
     kind: str  # "exhaustive" | "sampled"
     count: int = 0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"sample count must be >= 0, got {self.count}")
 
     @classmethod
     def exhaustive(cls, seed: int = 0) -> "VerifyMode":
@@ -172,19 +178,29 @@ def _read_set_matrix(p: Params) -> np.ndarray:
     return R
 
 
-def short_states(holdings: np.ndarray, latest: np.ndarray, p: Params,
-                 threshold: int) -> np.ndarray:
-    """short_read_set for a block of states. `holdings[b, i, u-1]` is the
-    symbols server i stores of version u in state b, and `latest[b]` that
-    state's latest complete version, 0 when none is. True where some read
-    set has no version in [latest, nu] reaching `threshold` symbols."""
+def decode_versions(holdings: np.ndarray, latest: np.ndarray, p: Params,
+                    threshold: int) -> np.ndarray:
+    """The counting rule of decodability for a block of states.
+    `holdings[b, i, u-1]` is the symbols server i stores of version u in
+    state b, and `latest[b]` that state's latest complete version, 0 when
+    none is. Entry [b, r] is the newest version in [latest, nu] that reaches
+    `threshold` symbols in the r-th read set of read_sets(p), 0 when none
+    does."""
     R = _read_set_matrix(p)
-    decodable = np.zeros((len(latest), R.shape[1]), dtype=bool)
+    versions = np.zeros((len(latest), R.shape[1]), dtype=np.int32)
     for u in p.versions:
         # read-set totals of integer counts, summed exactly in float64 by BLAS
         reaches = holdings[:, :, u - 1].astype(np.float64) @ R >= threshold
-        decodable |= reaches & (u >= latest)[:, None]
-    return (latest > 0) & ~decodable.all(1)
+        versions[reaches & (u >= latest)[:, None]] = u
+    return versions
+
+
+def short_states(holdings: np.ndarray, latest: np.ndarray, p: Params,
+                 threshold: int) -> np.ndarray:
+    """short_read_set for a block of states, with the arguments of
+    decode_versions: True where a version is complete and some read set
+    decodes none at or above it."""
+    return (latest > 0) & (decode_versions(holdings, latest, p, threshold) == 0).any(1)
 
 
 def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
@@ -255,36 +271,35 @@ def check_state_bitexact(scheme: Scheme, S: SystemState, p: Params,
     return bitexact_violations(scheme, S, stores, messages, p)
 
 
-def _encodable(S: SystemState, allocs: Sequence[Allocation],
-               slots: Mapping[int, int], p: Params) -> bool:
-    """True when server_encode accepts every allocation of S: each server
-    stores versions it received, within its slots of the index universe.
-    Otherwise the reference path raises server_encode's error."""
-    for i, alloc in enumerate(allocs):
-        for u, count in alloc.symbols:
-            if u not in S[i] or not 1 <= count <= slots[u] or p.n * slots[u] > gf.ORDER:
-                return False
-    return True
-
-
-def _decode_choice(holdings: Sequence[Mapping[int, int]], T: tuple[int, ...],
-                   slots: Mapping[int, int], latest: int, denom: int,
-                   p: Params) -> tuple[int, tuple[int, ...]] | None:
-    """The (version, indices) quorum_decode reads through T: the newest
-    version in [latest, nu] with `denom` symbols there, and its `denom`
-    smallest indices. None when no such version exists."""
-    for m in range(p.nu, latest - 1, -1):
-        held = [t * slots[m] + r for t in T for r in range(holdings[t].get(m, 0))]
-        if len(held) >= denom:
-            return m, tuple(held[:denom])
-    return None
+def _decode_groups(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
+                   p: Params, denom: int) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
+    """The states of a block grouped by what quorum_decode reads: for each
+    (version, indices) that some read set of some state decodes from, the
+    block positions of those states. Server t of read set r contributes
+    its counts[b, t, m-1] slots of version m = versions[b, r], and the
+    decode reads the `denom` smallest of those indices."""
+    states, reads = versions.shape
+    in_read = _read_set_matrix(p).T.astype(counts.dtype)  # (reads, n)
+    at = np.take_along_axis(counts, np.broadcast_to(versions[:, None, :] - 1,
+                                                    (states, p.n, reads)), axis=2)
+    keys = np.concatenate([versions[:, :, None], at.transpose(0, 2, 1) * in_read], axis=2)
+    unique, inverse = np.unique(keys.reshape(-1, p.n + 1), axis=0, return_inverse=True)
+    owner = np.arange(states).repeat(reads)
+    inverse = inverse.reshape(-1)
+    parts: dict[tuple[int, tuple[int, ...]], list[np.ndarray]] = {}
+    for k, (m, *held) in enumerate(unique.tolist()):
+        chosen = tuple(j for t, count in enumerate(held)
+                       for j in slot_indices(t, count, int(slots[m - 1])))[:denom]
+        parts.setdefault((m, chosen), []).append(owner[inverse == k])
+    return {key: np.unique(np.concatenate(members)) for key, members in parts.items()}
 
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
-                   allocs: Sequence[Sequence[Allocation]], seeds: Sequence[int],
-                   latest: Sequence[int]) -> list[Violation | None]:
-    """check_state_bitexact for a block of states with their allocations
-    and their latest complete versions (0 for none).
+                   counts: np.ndarray, seeds: Sequence[int],
+                   latest: Sequence[int] | np.ndarray) -> list[Violation | None]:
+    """check_state_bitexact for a block of states, given their symbol counts
+    as block_allocations returns them and their latest complete versions
+    (0 for none).
 
     The states with a complete version are encoded together, one matmul per
     version, and every (state, read set) is decoded in groups that read the
@@ -296,28 +311,22 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     if states:
         _require_byte_aligned(p)
     denom = scheme_granularity(scheme, p).denom
-    slots = {u: slots_per_server(scheme, u, p) for u in p.versions}
-    reads = read_sets(p)
-    redo = [False] * len(states)
-    live: list[int] = []  # block positions of states with a complete version
-    groups: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-    for b, S in enumerate(states):
-        if not _encodable(S, allocs[b], slots, p):
-            redo[b] = True
-            continue
-        if not latest[b]:
-            continue  # every read set returns None without reading a store
-        holdings = [dict(a.symbols) for a in allocs[b]]
-        choices = [_decode_choice(holdings, T, slots, latest[b], denom, p) for T in reads]
-        if None in choices:
-            redo[b] = True
-            continue
-        for key in choices:
-            groups.setdefault(key, []).append(len(live))
-        live.append(b)
+    counts, latest = np.asarray(counts), np.asarray(latest)
+    ids = p.versions
+    slots = np.array([slots_per_server(scheme, u, p) for u in ids])
+    held = np.array([u in s for S in states for s in S.subsets for u in ids],
+                    dtype=bool).reshape(counts.shape)
+    # what server_encode accepts: only versions the server received, within
+    # their slots, and every version's slots inside the index universe
+    encodable = ((counts == 0) | (held & (counts > 0) & (counts <= slots)
+                                  & (p.n * slots <= gf.ORDER))).all(axis=(1, 2))
+    versions = decode_versions(counts, latest, p, denom)
+    redo = ~encodable | ((latest > 0) & (versions == 0).any(1))
+    live = np.flatnonzero(~redo & (latest > 0))  # every read set returns None elsewhere
 
-    if live:
-        payloads = [random_payloads(p, seeds[b]) for b in live]
+    if live.size:
+        payloads = [random_payloads(p, seeds[b]) for b in live.tolist()]
+        groups = _decode_groups(counts[live], versions[live], slots, p, denom)
         messages, coded = {}, {}
         for m in sorted({m for m, _ in groups}):
             messages[m] = message_elements([pl[m] for pl in payloads], p, denom)
@@ -330,11 +339,10 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
                 decoded = gf.matmul(gf.decode_matrix(denom, chosen),
                                     rows.reshape(denom, -1)).reshape(rows.shape)
             wrong = (decoded != messages[m][:, members]).any(axis=(0, 2))
-            for pos in np.flatnonzero(wrong):
-                redo[live[members[pos]]] = True
+            redo[live[members[wrong]]] = True
 
     return [check_state_bitexact(scheme, S, p, seed) if again else None
-            for S, seed, again in zip(states, seeds, redo)]
+            for S, seed, again in zip(states, seeds, redo.tolist())]
 
 
 def _block_masks(p: Params, mode: VerifyMode, lo: int, hi: int) -> np.ndarray:
@@ -349,16 +357,6 @@ def _state(p: Params, mode: VerifyMode, masks: np.ndarray, idx: int, b: int) -> 
     if mode.kind == "exhaustive":
         return state_at(p, idx)
     return state_from_masks(masks[b].tolist())
-
-
-@lru_cache(maxsize=1024)
-def _allocation(row: tuple[int, ...], gran: Granularity) -> Allocation:
-    return Allocation.of(dict(enumerate(row, 1)), gran)
-
-
-def _allocations(counts: np.ndarray, gran: Granularity) -> list[Allocation]:
-    """One state's kernel rows as Allocations, one per server."""
-    return [_allocation(tuple(row), gran) for row in counts.tolist()]
 
 
 def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
@@ -380,14 +378,12 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
         if COUNTING in layers:
             for b in np.flatnonzero(short_states(counts, latest, p, gran.denom)).tolist():
                 S = _state(p, mode, masks, lo + b, b)
-                found.append((b, check_state_counting(scheme, S, p, _allocations(counts[b], gran))))
+                found.append((b, check_state_counting(scheme, S, p)))
         if BITEXACT in layers:
             states = [_state(p, mode, masks, lo + b, b) for b in range(hi - lo)]
-            allocs = [_allocations(rows, gran) for rows in counts]
             payload_seed = mode.seed if mode.kind == "exhaustive" else mode.seed + 1
             seeds = [payload_seed * _SEED_STRIDE + idx for idx in range(lo, hi)]
-            found.extend(enumerate(bitexact_block(scheme, p, states, allocs, seeds,
-                                                  latest.tolist())))
+            found.extend(enumerate(bitexact_block(scheme, p, states, counts, seeds, latest)))
         # in state order, a state's counting violation before its bit-exact one
         for _, violation in sorted(found, key=lambda pair: pair[0]):
             if violation is not None:
@@ -413,6 +409,8 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     range order.
     """
     validate_regime(scheme, p)
+    if max_violations < 0:
+        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
     for layer in layers:
         if layer not in (COUNTING, BITEXACT):
             raise ValueError(f"unknown layer {layer!r}")

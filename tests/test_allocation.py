@@ -6,7 +6,6 @@ from mvcode import (Params, RegimeError, Scheme, SystemState, alloc_c1, alloc_c2
                     alloc_centralized, allocation_for, alpha_bits, alpha_symbols,
                     enumerate_states, latest_complete, receivers, scheme_granularity,
                     side_view)
-from mvcode.allocation import allocation_rows
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.model import neighborhood
 
@@ -56,8 +55,8 @@ class TestAllocC1:
         view = view_of([{1, 2}] * 5 + [set()], 0, P6)
         alloc = alloc_c1(view, P6)
         assert dict(alloc.symbols) == {2: 4, 1: 2}
-        assert alloc.bits_of(2, 1024) == 256   # K/c
-        assert alloc.bits_of(1, 1024) == 128   # alpha - K/c
+        assert alloc.count(2) == P6.c                       # K/c in symbols of K/c^2
+        assert alloc.count(1) == alpha_symbols(Scheme.C1, P6) - P6.c
 
     def test_threshold_missed_gives_all_to_version_1(self):
         # only three visible receivers of version 2
@@ -65,7 +64,7 @@ class TestAllocC1:
         assert view.receiver_count(2) == 3
         alloc = alloc_c1(view, P6)
         assert dict(alloc.symbols) == {1: 6}
-        assert alloc.bits(1024) == 384
+        assert alloc.count(1) == alpha_symbols(Scheme.C1, P6)
 
     def test_received_only_drops_version_1_share(self):
         view = view_of([{2}, {2}, {2}, {2}, {2}, set()], 0, P6)
@@ -77,7 +76,7 @@ class TestAllocC1:
         seen_cap = False
         for S in enumerate_states(P6):
             for i in range(P6.n):
-                total = allocation_for(Scheme.C1, S, i, P6).total_symbols
+                total = sum(s for _, s in allocation_for(Scheme.C1, S, i, P6).symbols)
                 assert total <= cap
                 seen_cap = seen_cap or total == cap
         assert seen_cap
@@ -98,19 +97,19 @@ class TestAllocC2:
         S = SystemState.of(P8, [{1, 2, 3}] * 7 + [set()])
         alloc = alloc_c2(side_view(S, 0, P8), P8)
         assert dict(alloc.symbols) == {3: 1}
-        assert alloc.bits(1024) == 512
+        assert alloc.count(3) == alpha_symbols(Scheme.C2, P8)
 
     def test_empty_server_stores_nothing(self):
         S = SystemState.of(P6, [set()] + [{1}] * 5)
         alloc = alloc_c2(side_view(S, 0, P6), P6)
         assert alloc.symbols == ()
-        assert alloc.bits(1024) == 0
+        assert alloc.count(1) == alloc.count(2) == 0
 
     def test_local_latest_from_threshold_count(self):
         S = SystemState.of(P6, [{1}] * 6)
         alloc = alloc_c2(side_view(S, 0, P6), P6)
         assert dict(alloc.symbols) == {1: 1}
-        assert alloc.bits(1024) == 512
+        assert alloc.count(1) == alpha_symbols(Scheme.C2, P6)
 
 
 class TestAllocCentral:
@@ -120,7 +119,7 @@ class TestAllocCentral:
         S = SystemState.of(self.FULL, [{1, 2}] * 5 + [set()])
         alloc = alloc_centralized(S, 0, self.FULL)
         assert dict(alloc.symbols) == {2: 1}
-        assert alloc.bits(1024) == 256
+        assert alloc.count(2) == alpha_symbols(Scheme.CENTRAL, self.FULL)
 
     def test_empty_when_nothing_complete(self):
         S = SystemState.of(self.FULL, [{1}] * 3 + [set()] * 3)
@@ -143,10 +142,3 @@ class TestSideViewDeterminism:
         assert alloc_c1(v1, P6) == alloc_c1(v2, P6)
         assert alloc_c2(v1, P6) == alloc_c2(v2, P6)
 
-
-def test_allocation_rows_export():
-    S = SystemState.of(P6, [{1, 2}] * 5 + [set()])
-    rows = allocation_rows(Scheme.C1, S, P6, state_id=7)
-    assert (7, 0, 2, 4, 256.0) in rows
-    assert (7, 0, 1, 2, 128.0) in rows
-    assert all(row[0] == 7 and 0 <= row[1] < 6 for row in rows)

@@ -12,13 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvcode import CodecError, Params, Scheme, SystemState, allocation, verifier
-from mvcode.allocation import Allocation, allocation_for, block_allocations
+from mvcode import (CodecError, DecodeContractError, Params, Scheme, SystemState,
+                    allocation, verifier)
+from mvcode.allocation import (Allocation, allocation_for, block_allocations,
+                               scheme_granularity)
+from mvcode.codec import encode_all, quorum_decode
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import (enumerate_states, latest_complete, random_state, rank_masks,
                           state_count)
-from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block,
-                             check_state_bitexact, verify)
+from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block, check_state_bitexact,
+                             decode_versions, random_payloads, read_sets, verify)
 
 DATA = Path(__file__).parent / "data"
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
@@ -85,10 +88,35 @@ def test_the_fault_reaches_both_rules(monkeypatch, inject):
         assert counts[b].tolist() == rows
 
 
+def _counts(scheme, p, states):
+    """The per-state allocations of `states` as a block_allocations array."""
+    return np.array([[[allocation_for(scheme, S, i, p).count(u) for u in p.versions]
+                      for i in range(p.n)] for S in states], dtype=np.int32)
+
+
+def _decoded_version(scheme, S, T, stores, p):
+    """The version quorum_decode returns through T, 0 when it finds none."""
+    try:
+        return quorum_decode(scheme, S, T, stores, p)[0]
+    except DecodeContractError:
+        return 0
+
+
 def _kernel_and_reference(scheme, p, states, seeds):
-    allocs = [[allocation_for(scheme, S, i, p) for i in range(p.n)] for S in states]
+    """bitexact_block and check_state_bitexact on the same states; on the
+    way, decode_versions must pick, for every read set of every state with
+    a complete version, the version quorum_decode returns."""
+    counts = _counts(scheme, p, states)
     latest = [latest_complete(S, p) or 0 for S in states]
-    kernel = bitexact_block(scheme, p, states, allocs, seeds, latest)
+    complete = [b for b, top in enumerate(latest) if top]
+    messages = random_payloads(p, 0)
+    versions = decode_versions(counts, np.array(latest), p, scheme_granularity(scheme, p).denom)
+    expected = []
+    for b in complete:
+        stores = encode_all(scheme, states[b], messages, p)
+        expected.append([_decoded_version(scheme, states[b], T, stores, p) for T in read_sets(p)])
+    assert versions[complete].tolist() == expected
+    kernel = bitexact_block(scheme, p, states, counts, seeds, latest)
     reference = [check_state_bitexact(scheme, S, p, seed) for S, seed in zip(states, seeds)]
     return kernel, reference
 
@@ -135,9 +163,28 @@ class TestDifferential:
         monkeypatch.setattr(verifier, "check_state_bitexact", reference)
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         states = [full, full, full]
-        allocs = [[allocation_for(Scheme.C1, full, i, P6) for i in range(P6.n)]] * 3
-        assert bitexact_block(Scheme.C1, P6, states, allocs, [1, 2, 3], [2] * 3) == [None] * 3
+        counts = _counts(Scheme.C1, P6, states)
+        assert bitexact_block(Scheme.C1, P6, states, counts, [1, 2, 3], [2] * 3) == [None] * 3
         assert asked == [full]
+
+    @pytest.mark.parametrize("version,count", [(2, 1), (1, 7)])
+    def test_a_state_server_encode_refuses_goes_to_the_reference(self, monkeypatch,
+                                                                 version, count):
+        # server 0 stores a version it never received, or more symbols than
+        # its slots: the reference alone knows what server_encode says
+        asked = []
+
+        def reference(scheme, S, p, seed):
+            asked.append(S)
+            return None
+
+        monkeypatch.setattr(verifier, "check_state_bitexact", reference)
+        odd = SystemState.of(P6, [{1}] + [{1, 2}] * 5)
+        full = SystemState.of(P6, [{1, 2}] * P6.n)
+        counts = _counts(Scheme.C1, P6, [odd, full])
+        counts[0, 0, version - 1] = count
+        assert bitexact_block(Scheme.C1, P6, [odd, full], counts, [1, 2], [2, 2]) == [None] * 2
+        assert asked == [odd]
 
 
 class TestReports:
@@ -150,6 +197,16 @@ class TestReports:
         _drop_one_symbol_at_server_0(monkeypatch)
         report = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1), max_violations=100)
         assert report.to_json() == (DATA / "verify_c1_n6_injected.json").read_text()
+
+    def test_verify_passes_without_building_an_allocation(self, monkeypatch):
+        # both layers run on the count arrays; only a state a block check
+        # cannot clear goes through the Allocation-based reference
+        def refuse(cls, counts, granularity):
+            raise AssertionError("an Allocation was built")
+
+        monkeypatch.setattr(Allocation, "of", classmethod(refuse))
+        text = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
 
     def test_jobs_do_not_change_the_report(self):
         one = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=1).to_dict()
@@ -168,9 +225,9 @@ class TestBoundaryChecks:
     def test_count_over_slots_raises_without_a_complete_version(self, monkeypatch):
         _overfill_server_0(monkeypatch)
         S = SystemState.of(P6, [{1}] + [set()] * 5)
-        allocs = [[allocation_for(Scheme.C1, S, i, P6) for i in range(P6.n)]]
+        counts = _counts(Scheme.C1, P6, [S])
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
-            bitexact_block(Scheme.C1, P6, [S], allocs, [0], [0])
+            bitexact_block(Scheme.C1, P6, [S], counts, [0], [0])
 
     def test_unaligned_k_raises_through_verify(self):
         p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=65)

@@ -7,12 +7,22 @@ import sys
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import pytest
+
 from mvcode import verifier
 from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 
 def run(argv):
     return main(argv)
+
+
+def _config_error(code, capsys):
+    """Assert the run exited 2 with no output and one error line; return it."""
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 class TestVerifyCommand:
@@ -44,6 +54,15 @@ class TestVerifyCommand:
                     "--nu", "3", "--h", "3", "--K", "1024", "--mode", "exhaustive",
                     "--budget", "1000"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--mode", "sampled", "--samples", "-5"], "sample count must be >= 0, got -5"),
+        (["--max-violations", "-1"], "max_violations must be >= 0, got -1"),
+    ])
+    def test_negative_counts_are_config_errors(self, capsys, flags, message):
+        code = run(["verify", "--scheme", "c1", "--n", "4", "--cw", "3", "--cr", "3",
+                    "--h", "1", "--K", "64"] + flags)
+        assert _config_error(code, capsys) == f"error: {message}\n"
 
     def test_deterministic_report_files(self, tmp_path):
         args = ["verify", "--scheme", "c2", "--n", "6", "--cw", "5", "--cr", "5",
@@ -186,6 +205,24 @@ class TestRoundtripCommand:
         code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
                                 "--stores-in", str(broken)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc", ['{"0": 5}', '{"0": [[[1], 0, "00"]]}'])
+    def test_malformed_store_file(self, tmp_path, capsys, doc):
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        stores = tmp_path / "stores.json"
+        stores.write_text(doc)
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--stores-in", str(stores)])
+        assert "server 0" in _config_error(code, capsys)
+
+    @pytest.mark.parametrize("first", ['[1, "a"]', "[[1]]", "[1.5]", "[true]"])
+    def test_state_version_ids_must_be_integers(self, tmp_path, capsys, first):
+        state = tmp_path / "state.json"
+        state.write_text(f"[{first}, [1], [1], [1], [1], []]")
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1"])
+        assert _config_error(code, capsys) == (
+            "error: state JSON must be an array of arrays of integer version ids\n")
 
     def test_wrong_payload_size(self, tmp_path):
         state = tmp_path / "state.json"

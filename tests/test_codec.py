@@ -10,13 +10,16 @@ from mvcode import (CodecError, DecodeContractError, InconsistentSymbolsError,
                     InsufficientSymbolsError, MdsSpec, Params, Scheme, SystemState,
                     allocation_for, encode_all, latest_complete, mds_decode,
                     mds_encode, quorum_decode, server_encode)
-from mvcode.codec import padded_len_bytes, slots_per_server, stores_from_json, stores_to_json
+from mvcode.allocation import scheme_granularity
+from mvcode.codec import (encode_slots, message_elements, padded_len_bytes, slot_indices,
+                          slots_per_server, stores_from_json, stores_to_json)
 from mvcode import gf65536 as gf
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import random_payloads
 
 P6 = make_thm3_params(6, 1024)
 P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
+P6_FULL = Params(n=6, cw=5, cr=5, nu=2, h=3, k_bits=1024)  # full information, for central
 
 
 class TestField:
@@ -164,6 +167,25 @@ class TestServerEncode:
         assert [(cs.version, cs.index) for cs in store.symbols] == [(2, 0)]
         assert store.total_bits == 512
 
+    @pytest.mark.parametrize("scheme,p", [(Scheme.C1, P6), (Scheme.C2, P8),
+                                          (Scheme.CENTRAL, P6_FULL)])
+    def test_slot_indices_are_what_server_encode_writes(self, scheme, p):
+        # and encode_slots, the block encoder, holds each symbol at its index
+        S = SystemState.of(p, [p.versions] * p.n)
+        msgs = random_payloads(p, 4)
+        denom = scheme_granularity(scheme, p).denom
+        coded = {u: encode_slots(scheme, p, u, message_elements([msgs[u]], p, denom))
+                 for u in p.versions}
+        for i, store in encode_all(scheme, S, msgs, p).items():
+            assert store.symbols
+            alloc = allocation_for(scheme, S, i, p)
+            for u in p.versions:
+                mine = [cs for cs in store.symbols if cs.version == u]
+                indices = slot_indices(i, alloc.count(u), slots_per_server(scheme, u, p))
+                assert [cs.index for cs in mine] == list(indices)
+                assert [cs.payload for cs in mine] == [
+                    coded[u][j, 0].astype(">u2").tobytes() for j in indices]
+
     def test_message_set_must_match_state(self):
         S = SystemState.of(P6, [{1}] * 5 + [set()])
         msgs = random_payloads(P6, 3)
@@ -179,7 +201,9 @@ class TestServerEncode:
             for i in range(P6.n):
                 store = server_encode(Scheme.C1, S, i, {u: msgs[u] for u in S[i]}, P6)
                 alloc = allocation_for(Scheme.C1, S, i, P6)
-                assert store.total_bits == alloc.bits(P6.k_bits)
+                held = [(u, sum(cs.version == u for cs in store.symbols)) for u in P6.versions]
+                assert [(u, s) for u, s in held if s] == list(alloc.symbols)
+                assert store.total_bits == len(store.symbols) * P6.k_bits // 16  # K/c^2 each
 
     def test_global_index_disjointness(self):
         msgs = random_payloads(P6, 5)
@@ -268,5 +292,7 @@ def test_store_json_round_trip():
     stores = encode_all(Scheme.C1, S, msgs, P6)
     again = stores_from_json(stores_to_json(stores))
     assert again == stores
-    with pytest.raises(CodecError):
-        stores_from_json('{"0": [[1, 2]]}')
+    for bad in ('{"0": [[1, 2]]}', '{"0": 5}', '{"0": [[[1], 0, "00"]]}',
+                '{"0": [[1, 1.5, "00"]]}', '{"0": [[true, 0, "00"]]}', '{"0": [[1, 0, 7]]}'):
+        with pytest.raises(CodecError):
+            stores_from_json(bad)

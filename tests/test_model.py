@@ -3,10 +3,10 @@
 import pytest
 
 from mvcode import (BudgetExceededError, Params, SystemState, complete_versions,
-                    enumerate_states, latest_complete, local_candidate,
-                    neighborhood, random_state, receivers, side_view, state_at,
-                    state_count, state_index)
+                    enumerate_states, latest_complete, neighborhood, random_state,
+                    receivers, side_view, state_count)
 from mvcode.fixtures import fixture_thm3, fixture_thm4, make_thm3_params, make_thm4_params
+from mvcode.model import view_local_candidate
 
 
 def params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024):
@@ -69,7 +69,7 @@ class TestSideView:
         S = random_state(p, 5)
         view = side_view(S, 2, p)
         assert sorted(view.servers) == list(range(6))
-        assert all(view.state_of(i) == S[i] for i in range(6))
+        assert dict(view.window) == dict(enumerate(S.subsets))
 
     def test_depends_only_on_the_window(self):
         p = params()
@@ -133,25 +133,25 @@ class TestLocalCandidate:
     def test_picks_widely_seen_latest(self):
         p = params()
         S = SystemState.of(p, [{1, 2}] * 5 + [set()])
-        assert local_candidate(S, 0, p) == 2
+        assert view_local_candidate(side_view(S, 0, p), p) == 2
 
     def test_none_when_server_is_empty(self):
         p = params()
         S = SystemState.of(p, [set()] + [{1, 2}] * 5)
-        assert local_candidate(S, 0, p) is None
+        assert view_local_candidate(side_view(S, 0, p), p) is None
 
     def test_threshold_counts_window_receivers(self):
         # H_0 = {4,5,0,1,2} holds three receivers of version 2: below n-2 = 4
         p = params()
         S = SystemState.of(p, [{2}, {2}, {2}, {2}, set(), set()])
         assert sum(1 for j in neighborhood(0, p) if 2 in S[j]) == 3
-        assert local_candidate(S, 0, p) is None
+        assert view_local_candidate(side_view(S, 0, p), p) is None
 
     def test_requires_membership(self):
         # every neighbor holds version 2 but the center does not
         p = params()
         S = SystemState.of(p, [{1}] + [{2}] * 5)
-        assert local_candidate(S, 0, p) != 2
+        assert view_local_candidate(side_view(S, 0, p), p) != 2
 
 
 class TestEnumeration:
@@ -177,11 +177,6 @@ class TestEnumeration:
         for lo in range(0, 256, 100):
             pieces.extend(enumerate_states(p, start=lo, stop=min(lo + 100, 256)))
         assert pieces == whole
-
-    def test_index_round_trip(self):
-        p = params(n=4, cw=4, cr=4, nu=3, h=1)
-        for idx in (0, 1, 17, 4095):
-            assert state_index(p, state_at(p, idx)) == idx
 
     def test_budget(self):
         p = params(n=8, cw=7, cr=7, nu=3, h=3)

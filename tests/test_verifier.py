@@ -24,7 +24,7 @@ class TestCounting:
 
     def test_disabled_branch_is_caught(self):
         pair = fixture_thm3(P6)
-        gran = Granularity(16, Scheme.C1)
+        gran = Granularity(16)
         # strip every version-2 share: version 2 can no longer be decoded
         crippled = []
         for i in range(P6.n):
@@ -105,7 +105,7 @@ class TestVerify:
         # halve the version-2 shares so state s1 cannot assemble a message;
         # the violation must carry the state, the read set and the counts
         pair = fixture_thm3(P6)
-        gran = Granularity(16, Scheme.C1)
+        gran = Granularity(16)
         allocs = []
         for i in range(P6.n):
             alloc = allocation_for(Scheme.C1, pair.s1, i, P6)
