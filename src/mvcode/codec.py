@@ -14,6 +14,7 @@ whole number of 16-bit field elements; decode slices the padding back off.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -196,6 +197,9 @@ def server_encode(scheme: Scheme, S: SystemState, i: int,
     spec = MdsSpec(denom)
     coded: list[CodedSymbol] = []
     for u, count in alloc.symbols:
+        if u not in messages:
+            raise CodecError(
+                f"allocation gives server {i} symbols of version {u}, which it never received")
         slots = slots_per_server(scheme, u, p)
         if count > slots:
             raise CodecError(f"allocation of {count} symbols exceeds {slots} slots")
@@ -259,12 +263,26 @@ def stores_to_json(stores: Mapping[int, ServerStore]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook for store files: a server named twice is an error,
+    not a silent overwrite."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise CodecError(f"store file names server {key} twice")
+        doc[key] = value
+    return doc
+
+
 def stores_from_json(text: str) -> dict[int, ServerStore]:
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_unique_keys)
     if not isinstance(doc, dict):
         raise CodecError("store file must be a JSON object keyed by server id")
     stores = {}
     for key, entries in doc.items():
+        # as stores_to_json writes them, so no two keys name the same server
+        if not re.fullmatch("0|[1-9][0-9]*", key):
+            raise CodecError(f"store file key {key!r} is not a canonical server id")
         if not isinstance(entries, list):
             raise CodecError(f"store of server {key} must be a list of entries, got {entries!r}")
         symbols = []

@@ -8,6 +8,12 @@ never needs a modular reduction, and the log of 0 is a sentinel that lands
 every product with 0 in a zero tail of the antilog table, so `mul` needs no
 zero mask.
 
+`matmul` is systematic-aware: a unit row of the left matrix is a row copy,
+not a product. The remaining rows go through one log/antilog kernel that
+takes the logs of each operand once and walks the columns of the right
+matrix in chunks of CHUNK, reusing one set of index, product and
+accumulator buffers, so no temporary grows with the message width.
+
 The code realized here is a polynomial evaluation code with a systematic
 prefix: message symbols are the values of a degree-< k polynomial at the
 anchor points 0..k-1, and the coded symbol with global index j is the value
@@ -24,6 +30,7 @@ import numpy as np
 ORDER = 1 << 16
 _PRIM_POLY = 0x1100B
 _LOG_ZERO = 2 * (ORDER - 1)  # sum with any log indexes the zero tail of _EXP
+CHUNK = 4096  # columns of B per pass of the log/antilog kernel
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -68,14 +75,55 @@ def div_s(a: int, b: int) -> int:
 
 
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(m x k) @ (k x w) over the field; XOR-accumulated column products."""
+    """(m x k) @ (k x w) over the field.
+
+    A unit row of A (one nonzero entry, equal to 1, in column t) is a copy
+    of row t of B: the systematic generator rows, and the decode-matrix rows
+    of message symbols that were read verbatim. Every other row, a single
+    nonzero other than 1 included, goes through `_accumulate`.
+    """
     m, k = A.shape
     k2, w = B.shape
     assert k == k2, (A.shape, B.shape)
-    out = np.zeros((m, w), dtype=np.uint16)
-    for t in range(k):
-        out ^= mul(A[:, t][:, None], B[t][None, :])
+    out = np.empty((m, w), dtype=np.uint16)
+    ones = A == 1
+    unit = (np.count_nonzero(A, axis=1) == 1) & ones.any(axis=1)
+    for r in np.flatnonzero(unit).tolist():
+        out[r] = B[ones[r].argmax()]
+    rest = np.flatnonzero(~unit)
+    if rest.size:
+        _accumulate(A[rest], B, out, rest)
     return out
+
+
+def _accumulate(A: np.ndarray, B: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
+    """out[rows] = A @ B by log/antilog lookups, CHUNK columns at a time.
+
+    The logs of A are taken once, and the logs of each chunk of B once per
+    chunk. Each column t of A then adds one block of products to the
+    chunk's accumulator: index = log A[:, t] + log B[t], product =
+    _EXP[index], accumulator ^= product. The three buffers are allocated
+    once, at one chunk's size, and reused by every chunk.
+    """
+    r, k = A.shape
+    w = B.shape[1]
+    log_a = _LOG[A]
+    size = min(w, CHUNK)
+    log_b = np.empty(k * size, dtype=np.int32)
+    index = np.empty(r * size, dtype=np.int32)
+    product = np.empty(r * size, dtype=np.uint16)
+    acc = np.empty(r * size, dtype=np.uint16)
+    for lo in range(0, w, CHUNK):
+        cw = min(CHUNK, w - lo)
+        lb = log_b[:k * cw].reshape(k, cw)
+        idx, prod, total = (buf[:r * cw].reshape(r, cw) for buf in (index, product, acc))
+        np.take(_LOG, B[:, lo:lo + cw], out=lb, mode="clip")
+        total.fill(0)
+        for t in range(k):
+            np.add(log_a[:, t:t + 1], lb[t], out=idx)
+            np.take(_EXP, idx, out=prod, mode="clip")
+            np.bitwise_xor(total, prod, out=total)
+        out[rows, lo:lo + cw] = total
 
 
 def mat_inv(A: np.ndarray) -> np.ndarray:

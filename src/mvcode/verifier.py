@@ -333,11 +333,8 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
             coded[m] = encode_slots(scheme, p, m, messages[m])
         for (m, chosen), members in groups.items():
             rows = coded[m][np.ix_(chosen, members)]
-            if chosen == tuple(range(denom)):
-                decoded = rows
-            else:
-                decoded = gf.matmul(gf.decode_matrix(denom, chosen),
-                                    rows.reshape(denom, -1)).reshape(rows.shape)
+            decoded = gf.matmul(gf.decode_matrix(denom, chosen),
+                                rows.reshape(denom, -1)).reshape(rows.shape)
             wrong = (decoded != messages[m][:, members]).any(axis=(0, 2))
             redo[live[members[wrong]]] = True
 

@@ -16,6 +16,7 @@ from mvcode import (CodecError, DecodeContractError, Params, Scheme, SystemState
                     allocation, verifier)
 from mvcode.allocation import (Allocation, allocation_for, block_allocations,
                                scheme_granularity)
+from mvcode.cli import EXIT_CONFIG, main
 from mvcode.codec import encode_all, quorum_decode
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import (enumerate_states, latest_complete, random_state, rank_masks,
@@ -78,7 +79,28 @@ def _overfill_server_0(monkeypatch):
     monkeypatch.setattr(verifier, "block_allocations", overfilled_block)
 
 
-@pytest.mark.parametrize("inject", [_drop_one_symbol_at_server_0, _overfill_server_0])
+def _store_unreceived_at_server_0(monkeypatch):
+    """Give server 0 of c1 one symbol of version 2 whenever it lacks version 2."""
+    original = allocation.alloc_c1
+
+    def unreceived(view, p):
+        alloc = original(view, p)
+        if view.center != 0 or 2 in view.center_state:
+            return alloc
+        return Allocation.of({**dict(alloc.symbols), 2: 1}, alloc.granularity)
+
+    def unreceived_block(scheme, masks, p):
+        counts, latest = block_allocations(scheme, masks, p)
+        if scheme is Scheme.C1:
+            counts[:, 0, 1] = np.where(masks[:, 0] & 2, counts[:, 0, 1], 1)
+        return counts, latest
+
+    monkeypatch.setattr(allocation, "alloc_c1", unreceived)
+    monkeypatch.setattr(verifier, "block_allocations", unreceived_block)
+
+
+@pytest.mark.parametrize("inject", [_drop_one_symbol_at_server_0, _overfill_server_0,
+                                    _store_unreceived_at_server_0])
 def test_the_fault_reaches_both_rules(monkeypatch, inject):
     inject(monkeypatch)
     counts, _ = verifier.block_allocations(Scheme.C1, rank_masks(P6, 0, state_count(P6)), P6)
@@ -228,6 +250,15 @@ class TestBoundaryChecks:
         counts = _counts(Scheme.C1, P6, [S])
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
             bitexact_block(Scheme.C1, P6, [S], counts, [0], [0])
+
+    def test_an_unreceived_version_is_a_config_error_in_the_cli(self, monkeypatch, capsys):
+        _store_unreceived_at_server_0(monkeypatch)
+        code = main(["verify", "--scheme", "c1", "--n", "6", "--cw", "5", "--cr", "5",
+                     "--nu", "2", "--h", "2", "--K", "1024", "--mode", "exhaustive"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG and captured.out == ""
+        assert captured.err == ("error: allocation gives server 0 symbols of version 2, "
+                                "which it never received\n")
 
     def test_unaligned_k_raises_through_verify(self):
         p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=65)

@@ -216,6 +216,22 @@ class TestRoundtripCommand:
                                 "--stores-in", str(stores)])
         assert "server 0" in _config_error(code, capsys)
 
+    def test_a_second_name_for_a_server_is_a_config_error(self, tmp_path, capsys):
+        # "00" would otherwise replace server 0's store with an empty one
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        stores = tmp_path / "stores.json"
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--stores-out", str(stores)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        doc = json.loads(stores.read_text())
+        stores.write_text(json.dumps({**doc, "00": []}))
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--read-set", "0,1,2,3,4", "--stores-in", str(stores)])
+        assert _config_error(code, capsys) == (
+            "error: store file key '00' is not a canonical server id\n")
+
     @pytest.mark.parametrize("first", ['[1, "a"]', "[[1]]", "[1.5]", "[true]"])
     def test_state_version_ids_must_be_integers(self, tmp_path, capsys, first):
         state = tmp_path / "state.json"

@@ -10,7 +10,8 @@ from mvcode import (CodecError, DecodeContractError, InconsistentSymbolsError,
                     InsufficientSymbolsError, MdsSpec, Params, Scheme, SystemState,
                     allocation_for, encode_all, latest_complete, mds_decode,
                     mds_encode, quorum_decode, server_encode)
-from mvcode.allocation import scheme_granularity
+from mvcode import codec
+from mvcode.allocation import Allocation, scheme_granularity
 from mvcode.codec import (encode_slots, message_elements, padded_len_bytes, slot_indices,
                           slots_per_server, stores_from_json, stores_to_json)
 from mvcode import gf65536 as gf
@@ -194,6 +195,23 @@ class TestServerEncode:
         with pytest.raises(CodecError):
             server_encode(Scheme.C1, S, 0, {}, P6)
 
+    def test_an_unreceived_version_in_the_allocation_is_a_codec_error(self, monkeypatch):
+        # a faulty rule gives server 0, which holds only version 1, a symbol
+        # of version 2: encode_all must refuse it, naming server and version
+        original = codec.allocation_for
+
+        def faulty(scheme, S, i, p):
+            alloc = original(scheme, S, i, p)
+            if i != 0:
+                return alloc
+            return Allocation.of({**dict(alloc.symbols), 2: 1}, alloc.granularity)
+
+        monkeypatch.setattr(codec, "allocation_for", faulty)
+        S = SystemState.of(P6, [{1}] + [{1, 2}] * 5)
+        with pytest.raises(CodecError, match=r"^allocation gives server 0 symbols of version 2, "
+                                             r"which it never received$"):
+            encode_all(Scheme.C1, S, random_payloads(P6, 3), P6)
+
     def test_store_bits_equal_allocation_bits(self):
         msgs = random_payloads(P6, 11)
         for seed in range(20):
@@ -293,6 +311,9 @@ def test_store_json_round_trip():
     again = stores_from_json(stores_to_json(stores))
     assert again == stores
     for bad in ('{"0": [[1, 2]]}', '{"0": 5}', '{"0": [[[1], 0, "00"]]}',
-                '{"0": [[1, 1.5, "00"]]}', '{"0": [[true, 0, "00"]]}', '{"0": [[1, 0, 7]]}'):
+                '{"0": [[1, 1.5, "00"]]}', '{"0": [[true, 0, "00"]]}', '{"0": [[1, 0, 7]]}',
+                # server ids as stores_to_json writes them, each named once
+                '{"0": [], "00": []}', '{"00": []}', '{"+0": []}', '{" 0": []}', '{"0 ": []}',
+                '{"-1": []}', '{"\\u0661": []}', '{"0": [], "0": []}'):
         with pytest.raises(CodecError):
             stores_from_json(bad)
