@@ -6,12 +6,18 @@ feasible when every state with a complete version lets every read set
 assemble g units of some version at or above the latest complete one:
 the counting model of decodability for per-version MDS coding.
 
-The minimum worst-case per-server total is found with an integer program:
-the decode requirement per (state, read set) is a disjunction over
-candidate versions, linearized with one binary per candidate. The solver
-proves optimality, so the result equals what exhaustive strategy
-enumeration would return, at desk scale where that enumeration is
-intractable.
+The minimum worst-case per-server total B is found with an integer
+program: the decode requirement per (state, read set) is a disjunction
+over candidate versions, linearized with one binary per candidate.
+Optimality is proven in two steps. The LP relaxation of the model gives a
+lower bound on B. The integer program is then solved with B capped at
+that bound, rounded up; while HiGHS proves the capped problem infeasible,
+the cap rises by one unit, up to nu*g. A cap never removes a strategy
+cheaper than itself, so the first feasible capped solve returns the
+global optimum whatever the LP tolerance: a cap set too high costs time,
+one set too low costs an infeasible solve. The result equals what
+exhaustive strategy enumeration would return, at desk scale where that
+enumeration is intractable.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import ceil
 from typing import Mapping
 
 import numpy as np
@@ -133,20 +140,30 @@ def _solve(p: Params, g: int) -> tuple[int, Strategy]:
         add(cover, 1.0, np.inf)
 
     A = sparse.csc_matrix((vals, (rows, cols)), shape=(row, n_vars))
+    constraint = LinearConstraint(A, np.array(lbs), np.array(ubs))
     lo = np.zeros(n_vars)
     hi = np.empty(n_vars)
-    hi[0] = p.nu * g
     hi[1:z_base] = g
     hi[z_base:] = 1
     objective = np.zeros(n_vars)
     objective[0] = 1.0
-    res = milp(objective,
-               constraints=LinearConstraint(A, np.array(lbs), np.array(ubs)),
-               integrality=np.ones(n_vars),
-               bounds=Bounds(lo, hi),
-               options={"mip_rel_gap": 0.0})
-    if res.status != 0:
-        raise SolverError(f"strategy search failed: {res.message}")
+
+    def solve(cap: int, integral: bool):
+        hi[0] = cap
+        res = milp(objective, constraints=constraint,
+                   integrality=np.full(n_vars, float(integral)),
+                   bounds=Bounds(lo, hi.copy()), options={"mip_rel_gap": 0.0})
+        # status 2 (infeasible) is an answer only for a capped solve below nu*g
+        if res.status != 0 and not (res.status == 2 and integral and cap < p.nu * g):
+            raise SolverError(f"strategy search failed: {res.message}")
+        return res
+
+    # the relaxation's optimum is a lower bound on B; a cap at or above the
+    # integer optimum keeps every cheapest strategy, so the first feasible
+    # capped solve is optimal, and a cap below it is proven infeasible
+    cap = ceil(solve(p.nu * g, False).fun - 1e-6)
+    while (res := solve(cap, True)).status == 2:
+        cap += 1
     best = round(res.x[0])
     strategy: Strategy = {}
     for view, cid in class_ids.items():

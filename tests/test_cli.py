@@ -289,6 +289,22 @@ class TestOracleCommand:
         assert captured.err == ("error: strategy search failed: "
                                 "Time limit reached. (HiGHS Status 13)\n")
 
+    def test_failed_capped_solve_is_a_config_error(self, monkeypatch, capsys):
+        # the LP relaxation solves; the capped integer solve that follows does not
+        import types
+        import mvcode.oracle
+        solve = mvcode.oracle.milp
+        limit = types.SimpleNamespace(status=1, message="Time limit reached. (HiGHS Status 13)")
+        monkeypatch.setattr(mvcode.oracle, "milp", lambda *args, **kwargs:
+                            limit if kwargs["integrality"].any() else solve(*args, **kwargs))
+        code = run(["oracle", "--n", "4", "--cw", "4", "--cr", "4", "--nu", "2",
+                    "--h", "0", "--K", "1024", "--G", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err == ("error: strategy search failed: "
+                                "Time limit reached. (HiGHS Status 13)\n")
+
 
 class TestDispatch:
     def test_unknown_subcommand_is_config_error(self):

@@ -1,13 +1,20 @@
-"""Strategy-search oracle: known values, feasibility witnesses, monotonicity."""
+"""Strategy-search oracle: known values, feasibility witnesses, monotonicity,
+and the relaxation-then-capped solve against a single uncapped solve."""
 
+import random
 from fractions import Fraction
+from math import ceil
 
+import numpy as np
 import pytest
+from scipy.optimize import milp
 
+import mvcode.oracle
 from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, allocation_for,
                     check_state_counting, enumerate_states, latest_complete,
                     oracle_min_cost, scheme_granularity, side_view)
 from mvcode.allocation import Allocation
+from mvcode.bounds import cost_baseline, cost_c1
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets
@@ -146,3 +153,80 @@ class TestSharedCountingRule:
                     assert not self.agree(scheme, {**strategy, view: cut})
                     return
         pytest.fail("no read set meets the threshold exactly")
+
+
+def _sweep():
+    """Seeded instances with n <= 5 and G <= 4, plus one whose cap must rise:
+    its relaxation bound is 2 units, its optimum 3."""
+    rng = random.Random(8)
+    cases = [(Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=K), 4)]
+    while len(cases) < 12:
+        n = rng.randint(2, 5)
+        cw = rng.randint(1, n)
+        p = Params(n=n, cw=cw, cr=rng.randint(n - cw + 1, n), nu=rng.randint(1, 2),
+                   h=rng.randint(0, 2), k_bits=K)
+        cases.append((p, rng.randint(1, 4)))
+    return cases
+
+
+SWEEP = _sweep()
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every call the oracle makes to milp, as (args, kwargs, result)."""
+    calls = []
+
+    def record(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        calls.append((args, kwargs, res))
+        return res
+
+    monkeypatch.setattr(mvcode.oracle, "milp", record)
+    return calls
+
+
+@pytest.mark.parametrize("p,g", SWEEP, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                             for p, g in SWEEP])
+class TestCappedSolve:
+    def test_matches_one_uncapped_solve(self, p, g, solves):
+        value, strategy = oracle_min_cost_with_witness(p, g)
+        # the relaxation's call carries the model with B's full box, nu*g
+        (c,), model, _ = solves[0]
+        assert model["bounds"].ub[0] == p.nu * g
+        uncapped = milp(c, constraints=model["constraints"], integrality=np.ones(len(c)),
+                        bounds=model["bounds"], options={"mip_rel_gap": 0.0})
+        assert uncapped.status == 0
+        assert value == oracle_min_cost(p, g) == Fraction(round(uncapped.fun) * K, g)
+        assert strategy_feasible(p, g, strategy)
+        assert Fraction(strategy_worst_units(strategy) * K, g) == value
+
+    def test_relaxation_then_rising_caps(self, p, g, solves):
+        best = oracle_min_cost(p, g) * g / K
+        (_, relaxation, lp), *capped = solves
+        assert not relaxation["integrality"].any()
+        assert all(kwargs["integrality"].all() for _, kwargs, _ in capped)
+        caps = [kwargs["bounds"].ub[0] for _, kwargs, _ in capped]
+        start = ceil(lp.fun - 1e-6)
+        assert caps == list(range(start, start + len(caps)))
+        assert caps[-1] == best
+        assert len(capped) == best - start + 1
+
+
+def test_cap_below_the_optimum_rises_by_one(solves):
+    p, g = SWEEP[0]
+    assert oracle_min_cost(p, g) == Fraction(3 * K, g)
+    assert len(solves) == 3 and solves[0][2].fun == pytest.approx(2.0)
+
+
+def test_side_information_beats_the_baseline_at_n6(monkeypatch):
+    # the paper's regime: n=6, c=4, h=2 shows each server n-2 others.
+    # c1's (c+2)K/c^2 = 3K/8 is optimal on the K/8 grid, and strictly below
+    # the cost without side information, 5K/12
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+    p = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
+    value, strategy = oracle_min_cost_with_witness(p, 8, budget=OracleBudget(max_g=8))
+    assert value == cost_c1(K, p.c) == Fraction(3 * K, 8)
+    assert value < cost_baseline(K, p.nu, p.c) == Fraction(5 * K, 12)
+    assert strategy_feasible(p, 8, strategy)
+    assert Fraction(strategy_worst_units(strategy) * K, 8) == value
