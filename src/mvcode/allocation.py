@@ -170,6 +170,13 @@ def _newest(flags: list[np.ndarray]) -> np.ndarray:
     return newest
 
 
+def block_latest(masks: np.ndarray, p: Params) -> np.ndarray:
+    """latest_complete for a (states, n) block of per-server version
+    bitmasks, 0 where no version is complete."""
+    return _newest([((masks >> (u - 1)) & 1).astype(np.float64) @ np.ones(p.n) >= p.cw
+                    for u in p.versions])
+
+
 def block_allocations(scheme: Scheme, masks: np.ndarray, p: Params
                       ) -> tuple[np.ndarray, np.ndarray]:
     """allocation_for for every server of a block of states at once.
@@ -184,7 +191,7 @@ def block_allocations(scheme: Scheme, masks: np.ndarray, p: Params
     # held[u-1][b, i] = 1 when server i holds version u in state b; sums of
     # these 0/1 floats are exact and go through BLAS
     held = [((masks >> (u - 1)) & 1).astype(np.float64) for u in p.versions]
-    latest = _newest([h @ np.ones(p.n) >= p.cw for h in held])
+    latest = block_latest(masks, p)
     W = _window_matrix(p.n, p.h)
     if scheme is Scheme.C1:
         # a server that sees version 2 (bit 1) at >= n-2 servers splits

@@ -236,6 +236,39 @@ def rank_masks(p: Params, start: int, stop: int) -> np.ndarray:
     return (ranks[:, None] >> shifts) & ((1 << p.nu) - 1)
 
 
+def view_codes(masks: np.ndarray, p: Params) -> np.ndarray:
+    """One integer per (state, server) of a (states, n) mask block: the masks
+    of the server's ring window in ring_window order, nu bits each, then the
+    center id. Two codes are equal exactly when side_view gives equal
+    SideViews, since a center fixes its window's server ids."""
+    windows = np.array([ring_window(i, p.n, p.h) for i in range(p.n)])
+    codes = np.zeros(masks.shape, dtype=np.int64)
+    for k in range(windows.shape[1]):
+        codes = codes << p.nu | masks[:, windows[:, k]]
+    return codes * p.n + np.arange(p.n)
+
+
+def view_code(view: SideView, p: Params) -> int | None:
+    """view_codes of one SideView, or None when no state of p has this view:
+    its window is not a ring window of p or names a version outside [1, nu]."""
+    if not (0 <= view.center < p.n and view.servers == ring_window(view.center, p.n, p.h)):
+        return None
+    code = 0
+    for _, st in view.window:
+        if not all(1 <= u <= p.nu for u in st):
+            return None
+        code = code << p.nu | sum(1 << (u - 1) for u in st)
+    return code * p.n + view.center
+
+
+def check_state_budget(count: int, budget: int | None = None) -> None:
+    """Raise BudgetExceededError when `count` states exceed the work budget."""
+    if count > work_budget(budget):
+        raise BudgetExceededError(
+            f"{count} states exceed budget {work_budget(budget)}; "
+            "set MVCODE_BUDGET to override")
+
+
 def enumerate_states(p: Params, start: int = 0, stop: int | None = None,
                      budget: int | None = None) -> Iterator[SystemState]:
     """Yield each state exactly once, in state_at order.
@@ -249,10 +282,7 @@ def enumerate_states(p: Params, start: int = 0, stop: int | None = None,
         stop = total
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad range [{start}, {stop}) for {total} states")
-    if stop - start > work_budget(budget):
-        raise BudgetExceededError(
-            f"{stop - start} states exceed budget {work_budget(budget)}; "
-            "set MVCODE_BUDGET to override")
+    check_state_budget(stop - start, budget)
     for idx in range(start, stop):
         yield state_at(p, idx)
 

@@ -18,13 +18,17 @@ global optimum whatever the LP tolerance: a cap set too high costs time,
 one set too low costs an infeasible solve. The result equals what
 exhaustive strategy enumeration would return, at desk scale where that
 enumeration is intractable.
+
+The model and the witness check run on arrays of state masks: each
+(state, server) side view is one integer code (model.view_codes), and
+SideView objects appear only as the keys of a witness or of a strategy
+to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import ceil
 from typing import Mapping
 
@@ -33,8 +37,9 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
-from .model import (Params, SideView, enumerate_states, latest_complete,
-                    side_view, state_count, work_budget)
+from .allocation import block_latest
+from .model import (Params, SideView, check_state_budget, rank_masks, side_view,
+                    state_at, state_count, view_code, view_codes, work_budget)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
@@ -65,82 +70,76 @@ def _check_budget(p: Params, g: int, budget: OracleBudget) -> None:
         raise BudgetExceededError("oracle instance exceeds the work budget")
 
 
+def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int,
+                                      list[SideView], np.ndarray]:
+    """The integer program of (p, g): its constraint matrix with row bounds,
+    the first z column, and per view class (numbered in order of first
+    appearance, state by state, server by server) its SideView and the
+    column of a[class, u] for each version u, -1 where u is not received.
+
+    Variables are [B] [a...] [z...]: a in class-then-version order, z in
+    decode-key order, one per fresh-enough version. Rows are one cap per
+    class that receives something, sum_u a[class, u] - B <= 0, then per
+    decode key (the sorted classes of a read set, and the latest complete
+    version) one row sum_t a[class_t, m] - g z[key, m] >= 0 per m in
+    [latest, nu], and the cover row sum_m z[key, m] >= 1."""
+    masks = rank_masks(p, 0, state_count(p))
+    _, first, inverse = np.unique(view_codes(masks, p), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    class_of = np.empty_like(order)
+    class_of[order] = np.arange(len(order))
+    classes = class_of[inverse].reshape(masks.shape)
+    first = first[order]  # flat (state, server) position of each class's first view
+    received = (masks.reshape(-1)[first, None] >> np.arange(p.nu)) & 1 == 1
+    a_cols = np.full(received.shape, -1)
+    a_cols[received] = 1 + np.arange(received.sum())
+    z_base = 1 + int(received.sum())
+
+    latest = block_latest(masks, p)
+    reads = np.array(read_sets(p))
+    keys = np.sort(classes[latest > 0][:, reads], axis=2).reshape(-1, p.cr)
+    keys = np.unique(np.column_stack([keys, np.repeat(latest[latest > 0], len(reads))]),
+                     axis=0)
+    sets, top = keys[:, :-1], keys[:, -1]
+    span = p.nu + 1 - top  # z variables per key; the key's rows are span + 1
+    z_first = z_base + np.cumsum(span) - span
+    capped = np.flatnonzero(received.any(1))
+    row_first = len(capped) + np.cumsum(span + 1) - (span + 1)
+    n_rows = len(capped) + int((span + 1).sum())
+    # a class repeated in a read set enters its row once, with its multiplicity
+    lead = np.ones(sets.shape, dtype=bool)
+    lead[:, 1:] = sets[:, 1:] != sets[:, :-1]
+    mult = (sets[:, :, None] == sets[:, None, :]).sum(2)
+
+    cap_row, cap_u = np.nonzero(received[capped])
+    rows = [cap_row, np.arange(len(capped))]
+    cols = [a_cols[capped[cap_row], cap_u], np.zeros(len(capped), dtype=np.int64)]
+    vals = [np.ones(len(cap_row)), np.full(len(capped), -1.0)]
+    for m in p.versions:
+        key = np.flatnonzero(top <= m)
+        row, z = row_first[key] + m - top[key], z_first[key] + m - top[key]
+        k, t = np.nonzero(lead[key] & received[sets[key], m - 1])
+        rows += [row, row[k], row_first[key] + span[key]]
+        cols += [z, a_cols[sets[key][k, t], m - 1], z]
+        vals += [np.full(len(key), -float(g)), mult[key][k, t].astype(float),
+                 np.ones(len(key))]
+    A = sparse.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(n_rows, z_base + int(span.sum())))
+    lb = np.zeros(n_rows)
+    ub = np.full(n_rows, np.inf)
+    lb[:len(capped)], ub[:len(capped)] = -np.inf, 0.0
+    lb[row_first + span] = 1.0
+    views = [side_view(state_at(p, b), i, p)
+             for b, i in (divmod(f, p.n) for f in first.tolist())]
+    return A, lb, ub, z_base, views, a_cols
+
+
 def _solve(p: Params, g: int) -> tuple[int, Strategy]:
     """Minimum feasible worst-case total in symbol units, plus a witness."""
-    reads = read_sets(p)
-
-    class_ids: dict[SideView, int] = {}
-    class_views: list[SideView] = []
-    # variable ids for (class, version); only received versions get one
-    avar: dict[tuple[int, int], int] = {}
-
-    def class_of(view: SideView) -> int:
-        if view not in class_ids:
-            cid = len(class_views)
-            class_ids[view] = cid
-            class_views.append(view)
-        return class_ids[view]
-
-    # (sorted class-id tuple with multiplicity, latest) -> dedup decode constraints
-    constraints: set[tuple[tuple[int, ...], int]] = set()
-    for S in enumerate_states(p):
-        latest = latest_complete(S, p)
-        views = [class_of(side_view(S, i, p)) for i in range(p.n)]
-        if latest is None:
-            continue
-        for T in reads:
-            key = (tuple(sorted(views[t] for t in T)), latest)
-            constraints.add(key)
-
-    for cid, view in enumerate(class_views):
-        for u in view.center_state:
-            avar[(cid, u)] = 0  # placeholder, numbered below
-
-    # variable layout: [B] [a...] [z...]
-    a_index = {key: 1 + pos for pos, key in enumerate(sorted(avar))}
-    n_a = len(a_index)
-    z_base = 1 + n_a
-    ordered = sorted(constraints)
-    z_index: dict[tuple[int, int], int] = {}
-    for ci, (classes, latest) in enumerate(ordered):
-        for m in range(latest, p.nu + 1):
-            z_index[(ci, m)] = z_base + len(z_index)
-    n_vars = z_base + len(z_index)
-
-    rows, cols, vals, lbs, ubs = [], [], [], [], []
-    row = 0
-
-    def add(entries: list[tuple[int, float]], lb: float, ub: float) -> None:
-        nonlocal row
-        for col, val in entries:
-            rows.append(row)
-            cols.append(col)
-            vals.append(val)
-        lbs.append(lb)
-        ubs.append(ub)
-        row += 1
-
-    # per-class cap: sum_u a[class, u] - B <= 0
-    for cid, view in enumerate(class_views):
-        entries = [(a_index[(cid, u)], 1.0) for u in view.center_state]
-        if entries:
-            add(entries + [(0, -1.0)], -np.inf, 0.0)
-
-    for ci, (classes, latest) in enumerate(ordered):
-        cover = []
-        for m in range(latest, p.nu + 1):
-            z = z_index[(ci, m)]
-            cover.append((z, 1.0))
-            entries = [(z, -float(g))]
-            for cid in set(classes):
-                if (cid, m) in a_index:
-                    entries.append((a_index[(cid, m)], float(classes.count(cid))))
-            # sum_i a[class_i, m] >= g when z = 1
-            add(entries, 0.0, np.inf)
-        add(cover, 1.0, np.inf)
-
-    A = sparse.csc_matrix((vals, (rows, cols)), shape=(row, n_vars))
-    constraint = LinearConstraint(A, np.array(lbs), np.array(ubs))
+    A, lb, ub, z_base, views, a_cols = _model(p, g)
+    n_vars = A.shape[1]
+    constraint = LinearConstraint(A, lb, ub)
     lo = np.zeros(n_vars)
     hi = np.empty(n_vars)
     hi[1:z_base] = g
@@ -165,27 +164,42 @@ def _solve(p: Params, g: int) -> tuple[int, Strategy]:
     while (res := solve(cap, True)).status == 2:
         cap += 1
     best = round(res.x[0])
+    units = np.rint(res.x[a_cols]).astype(int).tolist()
     strategy: Strategy = {}
-    for view, cid in class_ids.items():
-        alloc = {u: round(res.x[a_index[(cid, u)]]) for u in view.center_state}
-        strategy[view] = {u: s for u, s in alloc.items() if s > 0}
+    for view, cols, held in zip(views, a_cols.tolist(), units):
+        strategy[view] = {u: s for u, (col, s) in enumerate(zip(cols, held), 1)
+                          if col >= 0 and s > 0}
     return best, strategy
 
 
 def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int, int]]) -> bool:
     """Brute-force decodability check of a fixed strategy, independent of
     the solver: every complete state, every read set, some fresh-enough
-    version reaching g units."""
-    complete = ((S, top) for S in enumerate_states(p)
-                if (top := latest_complete(S, p)) is not None)
-    while block := list(islice(complete, _BLOCK)):
-        holdings = np.zeros((len(block), p.n, p.nu), dtype=np.int32)
-        for b, (S, _) in enumerate(block):
-            for i in range(p.n):
-                for u, units in strategy.get(side_view(S, i, p), {}).items():
-                    holdings[b, i, u - 1] = units
-        latest = np.array([top for _, top in block])
-        if short_states(holdings, latest, p, g).any():
+    version reaching g units. Views that no state of p has are ignored."""
+    if g < 1:
+        raise ValueError(f"granularity must be >= 1, got {g}")
+    total = state_count(p)
+    check_state_budget(total)
+    coded: dict[int, Mapping[int, int]] = {}
+    for view, alloc in strategy.items():
+        bad = [u for u in alloc if not 1 <= u <= p.nu]
+        if bad:
+            raise ValueError(f"allocation names version ids {bad} outside [1, {p.nu}]")
+        if (code := view_code(view, p)) is not None:
+            coded[code] = alloc
+    # known views in code order, then a sentinel no view code reaches, whose
+    # row of units stays zero for every view the strategy does not name
+    codes = np.array(sorted(coded) + [np.iinfo(np.int64).max])
+    units = np.zeros((len(codes), p.nu), dtype=np.int32)
+    for row, code in enumerate(codes[:-1].tolist()):
+        for u, s in coded[code].items():
+            units[row, u - 1] = s
+    for lo in range(0, total, _BLOCK):
+        masks = rank_masks(p, lo, min(lo + _BLOCK, total))
+        block = view_codes(masks, p)
+        pos = np.searchsorted(codes, block)
+        pos[codes[pos] != block] = len(codes) - 1
+        if short_states(units[pos], block_latest(masks, p), p, g).any():
             return False
     return True
 

@@ -6,7 +6,8 @@ from mvcode import (BudgetExceededError, Params, SystemState, complete_versions,
                     enumerate_states, latest_complete, neighborhood, random_state,
                     receivers, side_view, state_count)
 from mvcode.fixtures import fixture_thm3, fixture_thm4, make_thm3_params, make_thm4_params
-from mvcode.model import view_local_candidate
+from mvcode.model import (SideView, rank_masks, view_code, view_codes,
+                          view_local_candidate)
 
 
 def params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024):
@@ -86,6 +87,31 @@ class TestSideView:
         p = make_thm3_params(6, 1024)
         pair = fixture_thm3(p)
         assert side_view(pair.s1, 1, p) == side_view(pair.s2, 1, p)
+
+
+class TestViewCodes:
+    """view_codes numbers (state, server) pairs by their SideView, exactly."""
+
+    @pytest.mark.parametrize("p", [params(n=4, cw=4, cr=4, h=1), params(n=3, cw=3, cr=3, h=0),
+                                   params(n=3, cw=3, cr=3, h=2), params(n=5, cw=4, cr=4, nu=1, h=1)],
+                             ids=["n4h1", "n3h0", "n3h2-saturated", "n5nu1h1"])
+    def test_equal_codes_exactly_for_equal_views(self, p):
+        codes = view_codes(rank_masks(p, 0, state_count(p)), p)
+        seen = {}
+        for b, S in enumerate(enumerate_states(p)):
+            for i in range(p.n):
+                view = side_view(S, i, p)
+                assert view_code(view, p) == codes[b, i]
+                assert seen.setdefault(int(codes[b, i]), view) == view
+
+    def test_views_no_state_has_get_no_code(self):
+        p = params(n=4, cw=4, cr=4, h=1)
+        view = side_view(SystemState.of(p, [{1}, {2}, set(), {1, 2}]), 1, p)
+        assert view_code(view, p) is not None
+        assert view_code(view, params(n=4, cw=4, cr=4, h=0)) is None
+        assert view_code(view, params(n=4, cw=4, cr=4, nu=1, h=1)) is None
+        assert view_code(SideView(center=2, window=view.window), p) is None
+        assert view_code(SideView(center=4, window=view.window), p) is None
 
 
 class TestCompleteness:

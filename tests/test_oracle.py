@@ -1,5 +1,6 @@
 """Strategy-search oracle: known values, feasibility witnesses, monotonicity,
-and the relaxation-then-capped solve against a single uncapped solve."""
+the relaxation-then-capped solve against a single uncapped solve, and the
+array model build and witness check against their per-state references."""
 
 import random
 from fractions import Fraction
@@ -7,19 +8,116 @@ from math import ceil
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import milp
 
 import mvcode.oracle
 from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, allocation_for,
                     check_state_counting, enumerate_states, latest_complete,
-                    oracle_min_cost, scheme_granularity, side_view)
+                    oracle_min_cost, scheme_granularity, side_view, state_count)
 from mvcode.allocation import Allocation
 from mvcode.bounds import cost_baseline, cost_c1
+from mvcode.model import SideView
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
-from mvcode.verifier import read_sets
+from mvcode.verifier import read_sets, short_states
 
 K = 1024
+
+
+def reference_model(p, g):
+    """The readable reference of oracle._model: one SideView per (state,
+    server), hashed into classes; the array build must return exactly this."""
+    reads = read_sets(p)
+
+    class_ids = {}
+    class_views = []
+    # variable ids for (class, version); only received versions get one
+    avar = {}
+
+    def class_of(view):
+        if view not in class_ids:
+            cid = len(class_views)
+            class_ids[view] = cid
+            class_views.append(view)
+        return class_ids[view]
+
+    # (sorted class-id tuple with multiplicity, latest) -> dedup decode constraints
+    constraints = set()
+    for S in enumerate_states(p):
+        latest = latest_complete(S, p)
+        views = [class_of(side_view(S, i, p)) for i in range(p.n)]
+        if latest is None:
+            continue
+        for T in reads:
+            key = (tuple(sorted(views[t] for t in T)), latest)
+            constraints.add(key)
+
+    for cid, view in enumerate(class_views):
+        for u in view.center_state:
+            avar[(cid, u)] = 0  # placeholder, numbered below
+
+    # variable layout: [B] [a...] [z...]
+    a_index = {key: 1 + pos for pos, key in enumerate(sorted(avar))}
+    n_a = len(a_index)
+    z_base = 1 + n_a
+    ordered = sorted(constraints)
+    z_index = {}
+    for ci, (classes, latest) in enumerate(ordered):
+        for m in range(latest, p.nu + 1):
+            z_index[(ci, m)] = z_base + len(z_index)
+    n_vars = z_base + len(z_index)
+
+    rows, cols, vals, lbs, ubs = [], [], [], [], []
+    row = 0
+
+    def add(entries, lb, ub):
+        nonlocal row
+        for col, val in entries:
+            rows.append(row)
+            cols.append(col)
+            vals.append(val)
+        lbs.append(lb)
+        ubs.append(ub)
+        row += 1
+
+    # per-class cap: sum_u a[class, u] - B <= 0
+    for cid, view in enumerate(class_views):
+        entries = [(a_index[(cid, u)], 1.0) for u in view.center_state]
+        if entries:
+            add(entries + [(0, -1.0)], -np.inf, 0.0)
+
+    for ci, (classes, latest) in enumerate(ordered):
+        cover = []
+        for m in range(latest, p.nu + 1):
+            z = z_index[(ci, m)]
+            cover.append((z, 1.0))
+            entries = [(z, -float(g))]
+            for cid in set(classes):
+                if (cid, m) in a_index:
+                    entries.append((a_index[(cid, m)], float(classes.count(cid))))
+            # sum_i a[class_i, m] >= g when z = 1
+            add(entries, 0.0, np.inf)
+        add(cover, 1.0, np.inf)
+
+    A = sparse.csc_matrix((vals, (rows, cols)), shape=(row, n_vars))
+    a_cols = np.array([[a_index.get((cid, u), -1) for u in p.versions]
+                       for cid in range(len(class_views))]).reshape(-1, p.nu)
+    return A, np.array(lbs), np.array(ubs), z_base, class_views, a_cols
+
+
+def reference_feasible(p, g, strategy):
+    """The readable reference of strategy_feasible: every complete state's
+    holdings looked up through its per-server side views."""
+    complete = [(S, top) for S in enumerate_states(p)
+                if (top := latest_complete(S, p)) is not None]
+    holdings = np.zeros((len(complete), p.n, p.nu), dtype=np.int32)
+    for b, (S, _) in enumerate(complete):
+        for i in range(p.n):
+            for u, units in strategy.get(side_view(S, i, p), {}).items():
+                holdings[b, i, u - 1] = units
+    latest = np.array([top for _, top in complete], dtype=np.int32)
+    return not short_states(holdings, latest, p, g).any()
 
 
 def params(h, nu=2, n=4):
@@ -230,3 +328,135 @@ def test_side_information_beats_the_baseline_at_n6(monkeypatch):
     assert value < cost_baseline(K, p.nu, p.c) == Fraction(5 * K, 12)
     assert strategy_feasible(p, 8, strategy)
     assert Fraction(strategy_worst_units(strategy) * K, 8) == value
+
+
+P6 = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
+MODEL_CASES = SWEEP + [(P6, 8)]
+
+
+@pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                                   for p, g in MODEL_CASES])
+def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+    budget = OracleBudget(max_g=g)
+    A, lb, ub, z_base, views, a_cols = mvcode.oracle._model(p, g)
+    A_ref, lb_ref, ub_ref, z_base_ref, views_ref, a_cols_ref = reference_model(p, g)
+    assert A.shape == A_ref.shape and (A != A_ref).nnz == 0
+    assert np.array_equal(lb, lb_ref) and np.array_equal(ub, ub_ref)
+    assert z_base == z_base_ref and views == views_ref
+    assert np.array_equal(a_cols, a_cols_ref)
+
+    value, witness = oracle_min_cost_with_witness(p, g, budget)
+    n_calls = len(solves)
+    monkeypatch.setattr(mvcode.oracle, "_model", reference_model)
+    assert oracle_min_cost_with_witness(p, g, budget) == (value, witness)
+    assert list(witness) == views_ref
+    # the same solves, call by call: objective, matrix, row and variable
+    # bounds, integrality
+    assert len(solves) == 2 * n_calls
+    for (args, kw, _), (args_ref, kw_ref, _) in zip(solves[:n_calls], solves[n_calls:]):
+        assert np.array_equal(args[0], args_ref[0])
+        con, con_ref = kw["constraints"], kw_ref["constraints"]
+        assert (con.A != con_ref.A).nnz == 0
+        assert np.array_equal(con.lb, con_ref.lb) and np.array_equal(con.ub, con_ref.ub)
+        assert np.array_equal(kw["integrality"], kw_ref["integrality"])
+        assert np.array_equal(kw["bounds"].lb, kw_ref["bounds"].lb)
+        assert np.array_equal(kw["bounds"].ub, kw_ref["bounds"].ub)
+    assert strategy_feasible(p, g, witness) == reference_feasible(p, g, witness) is True
+
+
+def scheme_strategy(scheme, p):
+    return {side_view(S, i, p): dict(allocation_for(scheme, S, i, p).symbols)
+            for S in enumerate_states(p) for i in range(p.n)}
+
+
+class TestStrategyFeasibleAgainstReference:
+    """strategy_feasible looks views up by code; the reference hashes a
+    SideView per (state, server). Both must give one verdict."""
+
+    def agree(self, p, g, strategy):
+        verdict = strategy_feasible(p, g, strategy)
+        assert verdict == reference_feasible(p, g, strategy)
+        return verdict
+
+    @pytest.mark.parametrize("scheme", [Scheme.C1, Scheme.C2])
+    def test_scheme_strategies_and_one_unit_cuts(self, scheme):
+        strategy = scheme_strategy(scheme, P6)
+        g = scheme_granularity(scheme, P6).denom
+        assert self.agree(P6, g, strategy)
+        rng = random.Random(9)
+        held = [(view, u) for view, alloc in strategy.items() for u, s in alloc.items() if s]
+        verdicts = set()
+        for view, u in rng.sample(held, 12):
+            cut = {**strategy[view], u: strategy[view][u] - 1}
+            verdicts.add(self.agree(P6, g, {**strategy, view: cut}))
+        # c1's budget is tight, so some cuts break it; c2 keeps slack at n=6
+        assert (False in verdicts) == (scheme is Scheme.C1)
+
+    def test_empty_strategy(self):
+        for p, g in MODEL_CASES[:4] + [(P6, 8)]:
+            self.agree(p, g, {})
+        assert not strategy_feasible(P6, 8, {})
+
+    def test_views_of_a_foreign_window_never_match(self):
+        # a strategy built for h=1 (windows of 3) and h=3 (all 6 servers)
+        # names no view of h=2, however much it stores
+        g = scheme_granularity(Scheme.C1, P6).denom
+        generous = {side_view(S, i, foreign): {u: g for u in S[i]}
+                    for foreign in (Params(6, 5, 5, 2, 1, K), Params(6, 5, 5, 2, 3, K))
+                    for S in enumerate_states(foreign) for i in range(foreign.n)}
+        # a view whose window lists the right servers but for another center
+        shifted = {SideView(center=(view.center + 1) % P6.n, window=view.window): {1: g, 2: g}
+                   for view in scheme_strategy(Scheme.C1, P6)}
+        assert not self.agree(P6, g, generous)
+        assert not self.agree(P6, g, shifted)
+        strategy = scheme_strategy(Scheme.C1, P6)
+        assert self.agree(P6, g, {**generous, **shifted, **strategy})
+        short = {view: {u: s - (u == 2) for u, s in alloc.items()}
+                 for view, alloc in strategy.items()}
+        assert not self.agree(P6, g, {**generous, **shifted, **short})
+
+    def test_state_budget_message_is_unchanged(self, monkeypatch):
+        p = params(h=1)
+        monkeypatch.setenv("MVCODE_BUDGET", str(state_count(p) - 1))
+        with pytest.raises(BudgetExceededError) as expected:
+            next(enumerate_states(p))
+        with pytest.raises(BudgetExceededError) as raised:
+            strategy_feasible(p, 4, {})
+        assert str(raised.value) == str(expected.value)
+
+
+class TestStrategyFeasibleRejectsBadInput:
+    @pytest.fixture(scope="class")
+    def witness(self):
+        return oracle_min_cost_with_witness(params(h=1), 4)[1]
+
+    def test_granularity_below_one(self):
+        with pytest.raises(ValueError, match="granularity must be >= 1, got 0"):
+            strategy_feasible(params(h=1), 0, {})
+
+    @pytest.mark.parametrize("bad", [0, 3, -1])
+    def test_version_outside_the_range(self, witness, bad):
+        relabelled = {view: {bad if u == 2 else u: s for u, s in alloc.items()}
+                      for view, alloc in witness.items()}
+        assert any(bad in alloc for alloc in relabelled.values())
+        with pytest.raises(ValueError, match="outside \\[1, 2\\]"):
+            strategy_feasible(params(h=1), 4, relabelled)
+
+
+def test_side_views_only_at_the_witness_boundary(monkeypatch):
+    # the oracle-n5 instance: the model is built from view codes, and a
+    # SideView is made once per view class, for the witness's keys
+    p = Params(n=5, cw=4, cr=4, nu=2, h=1, k_bits=K)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return side_view(*args)
+
+    monkeypatch.setattr(mvcode.oracle, "side_view", counted)
+    _, witness = oracle_min_cost_with_witness(p, 4)
+    assert len(calls) <= len(witness) == 320
+    calls.clear()
+    assert strategy_feasible(p, 4, witness)
+    assert calls == []
