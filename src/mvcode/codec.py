@@ -58,14 +58,6 @@ class ServerStore:
         return sum(len(cs.payload) * 8 for cs in self.symbols)
 
 
-def _to_elements(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype=">u2").astype(np.uint16)
-
-
-def _to_bytes(elems: np.ndarray) -> bytes:
-    return elems.astype(">u2").tobytes()
-
-
 def mds_encode(message: bytes, spec: MdsSpec, indices: Sequence[int]) -> list[bytes]:
     """Coded payloads for the given global indices.
 
@@ -84,11 +76,10 @@ def mds_encode(message: bytes, spec: MdsSpec, indices: Sequence[int]) -> list[by
             raise CodecError(f"symbol index {j} outside the field universe")
     if not indices:
         return []
-    w = len(message) // (2 * k)
-    M = _to_elements(message).reshape(k, w)
-    G = gf.generator_matrix(k, tuple(indices))
-    out = gf.matmul(G, M)
-    return [_to_bytes(out[r]) for r in range(len(indices))]
+    M = np.frombuffer(message, dtype=">u2").reshape(k, -1)
+    coded = gf.matmul(gf.generator_matrix(k, tuple(indices)), M).astype(">u2").tobytes()
+    size = len(message) // k
+    return [coded[r * size:(r + 1) * size] for r in range(len(indices))]
 
 
 def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
@@ -96,7 +87,8 @@ def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
 
     Raises InsufficientSymbolsError with fewer than k distinct indices and
     InconsistentSymbolsError when duplicate indices disagree. With k or more
-    distinct indices, decoding always succeeds.
+    distinct indices of one positive, even payload length (whole field
+    elements), decoding always succeeds; any other length is a CodecError.
     """
     k = spec.k
     by_index: dict[int, bytes] = {}
@@ -111,14 +103,19 @@ def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
         raise InsufficientSymbolsError(
             f"need {k} distinct symbols, got {len(by_index)}")
     chosen = tuple(sorted(by_index)[:k])
+    for j in chosen:
+        # joined, odd lengths could still make whole elements, misaligned
+        if len(by_index[j]) == 0 or len(by_index[j]) % 2:
+            raise CodecError(f"payload of symbol index {j} is {len(by_index[j])} bytes, "
+                             "not a positive whole number of 16-bit elements")
     lengths = {len(by_index[j]) for j in chosen}
     if len(lengths) != 1:
         raise CodecError(f"payload lengths differ: {sorted(lengths)}")
+    data = b"".join(by_index[j] for j in chosen)
     if chosen == tuple(range(k)):
-        return b"".join(by_index[j] for j in chosen)
-    Y = np.stack([_to_elements(by_index[j]) for j in chosen])
-    M = gf.matmul(gf.decode_matrix(k, chosen), Y)
-    return b"".join(_to_bytes(M[r]) for r in range(k))
+        return data
+    Y = np.frombuffer(data, dtype=">u2").reshape(k, -1)
+    return gf.matmul(gf.decode_matrix(k, chosen), Y).astype(">u2").tobytes()
 
 
 def padded_len_bytes(k_bits: int, denom: int) -> int:
@@ -158,7 +155,8 @@ def message_elements(messages: Sequence[bytes], p: Params, denom: int) -> np.nda
     """Padded messages as a (denom, len(messages), w) stack of field elements:
     entry [r, b] is base symbol r of message b."""
     data = b"".join(_pad(m, p.k_bits, denom) for m in messages)
-    return _to_elements(data).reshape(len(messages), denom, -1).transpose(1, 0, 2)
+    elements = np.frombuffer(data, dtype=">u2").astype(np.uint16)
+    return elements.reshape(len(messages), denom, -1).transpose(1, 0, 2)
 
 
 def encode_slots(scheme: Scheme, p: Params, version: int, elements: np.ndarray) -> np.ndarray:
@@ -184,18 +182,16 @@ def _check_message_args(messages: Mapping[int, bytes], own: frozenset[int],
                 f"message for version {u} is {len(msg)} bytes, expected {p.k_bits // 8}")
 
 
-def server_encode(scheme: Scheme, S: SystemState, i: int,
-                  messages: Mapping[int, bytes], p: Params) -> ServerStore:
-    """Produce server i's store: its allocated symbols at its reserved indices.
-
-    `messages` must hold exactly the versions in S(i); the store depends on
-    S only through the side view of i (full state for the central scheme).
-    """
+def _server_slots(scheme: Scheme, S: SystemState, i: int,
+                  messages: Mapping[int, bytes], p: Params
+                  ) -> tuple[MdsSpec, list[tuple[int, range]]]:
+    """Server i's checked allocation: its code and, per allocated version,
+    the global indices it stores. Raises CodecError for anything
+    server_encode could not write."""
     alloc = allocation_for(scheme, S, i, p)
     _check_message_args(messages, S[i], p)
-    denom = alloc.granularity.denom
-    spec = MdsSpec(denom)
-    coded: list[CodedSymbol] = []
+    spec = MdsSpec(alloc.granularity.denom)
+    slotted = []
     for u, count in alloc.symbols:
         if u not in messages:
             raise CodecError(
@@ -205,8 +201,21 @@ def server_encode(scheme: Scheme, S: SystemState, i: int,
             raise CodecError(f"allocation of {count} symbols exceeds {slots} slots")
         if p.n * slots > gf.ORDER:
             raise CodecError("global index universe exhausted")
-        indices = slot_indices(i, count, slots)
-        payloads = mds_encode(_pad(messages[u], p.k_bits, denom), spec, indices)
+        slotted.append((u, slot_indices(i, count, slots)))
+    return spec, slotted
+
+
+def server_encode(scheme: Scheme, S: SystemState, i: int,
+                  messages: Mapping[int, bytes], p: Params) -> ServerStore:
+    """Produce server i's store: its allocated symbols at its reserved indices.
+
+    `messages` must hold exactly the versions in S(i); the store depends on
+    S only through the side view of i (full state for the central scheme).
+    """
+    spec, slotted = _server_slots(scheme, S, i, messages, p)
+    coded: list[CodedSymbol] = []
+    for u, indices in slotted:
+        payloads = mds_encode(_pad(messages[u], p.k_bits, spec.k), spec, indices)
         coded.extend(CodedSymbol(u, idx, pl) for idx, pl in zip(indices, payloads))
     return ServerStore(server=i, symbols=tuple(coded))
 
@@ -248,19 +257,50 @@ def quorum_decode(scheme: Scheme, S: SystemState, T: Sequence[int],
 def encode_all(scheme: Scheme, S: SystemState, messages: Mapping[int, bytes],
                p: Params) -> dict[int, ServerStore]:
     """Stores for all n servers; `messages` holds all nu versions and is
-    restricted per server."""
+    restricted per server. Equal to server_encode per server: every server
+    is checked first, in id order, then each version is encoded once over
+    the union of the servers' slot indices (disjoint by construction) and
+    the payloads are handed back to their servers."""
+    slotted = [_server_slots(scheme, S, i, {u: messages[u] for u in S[i]}, p)
+               for i in range(p.n)]
+    union: dict[tuple[int, MdsSpec], list[int]] = {}
+    for spec, versions in slotted:
+        for u, indices in versions:
+            union.setdefault((u, spec), []).extend(indices)
+    payload: dict[tuple[int, int], bytes] = {}
+    for (u, spec), indices in union.items():
+        coded = mds_encode(_pad(messages[u], p.k_bits, spec.k), spec, indices)
+        payload.update(zip(((u, j) for j in indices), coded))
     return {
-        i: server_encode(scheme, S, i, {u: messages[u] for u in S[i]}, p)
-        for i in range(p.n)
+        i: ServerStore(server=i, symbols=tuple(
+            CodedSymbol(u, j, payload[u, j]) for u, indices in versions for j in indices))
+        for i, (_, versions) in enumerate(slotted)
     }
 
 
 def stores_to_json(stores: Mapping[int, ServerStore]) -> str:
-    doc = {
-        str(i): [[cs.version, cs.index, cs.payload.hex()] for cs in st.symbols]
-        for i, st in sorted(stores.items())
-    }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """The store file, {server: [[version, index, hex payload], ...]}, byte
+    for byte as json.dumps(doc, sort_keys=True, indent=2) writes it: keys in
+    string order, two-space indent. Hex needs no escaping, so the text is
+    written directly, as one flat list of pieces joined once."""
+    if not stores:
+        return "{}"
+    pieces = []
+    open_server = '{\n  "'
+    for i, store in sorted(stores.items(), key=lambda item: str(item[0])):
+        pieces += (open_server, str(i))
+        open_server = ',\n  "'
+        if not store.symbols:
+            pieces.append('": []')
+            continue
+        open_entry = '": [\n    [\n      '
+        for cs in store.symbols:
+            pieces += (open_entry, str(cs.version), ",\n      ", str(cs.index),
+                       ',\n      "', cs.payload.hex(), '"\n    ]')
+            open_entry = ",\n    [\n      "
+        pieces.append("\n  ]")
+    pieces.append("\n}")
+    return "".join(pieces)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -275,7 +315,10 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def stores_from_json(text: str) -> dict[int, ServerStore]:
-    doc = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise CodecError("store file is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise CodecError("store file must be a JSON object keyed by server id")
     stores = {}

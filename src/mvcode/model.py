@@ -115,7 +115,10 @@ class SystemState:
 
     @classmethod
     def from_json(cls, text: str, p: Params) -> "SystemState":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("state JSON is nested too deeply to parse") from None
         # bools are not integers here
         if not (isinstance(data, list) and all(
                 isinstance(s, list) and all(type(u) is int for u in s) for s in data)):

@@ -71,11 +71,12 @@ def _check_budget(p: Params, g: int, budget: OracleBudget) -> None:
 
 
 def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int,
-                                      list[SideView], np.ndarray]:
+                                      np.ndarray, np.ndarray]:
     """The integer program of (p, g): its constraint matrix with row bounds,
     the first z column, and per view class (numbered in order of first
-    appearance, state by state, server by server) its SideView and the
-    column of a[class, u] for each version u, -1 where u is not received.
+    appearance, state by state, server by server) the flat position
+    state * n + server of its first view and the column of a[class, u] for
+    each version u, -1 where u is not received.
 
     Variables are [B] [a...] [z...]: a in class-then-version order, z in
     decode-key order, one per fresh-enough version. Rows are one cap per
@@ -130,14 +131,14 @@ def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray
     ub = np.full(n_rows, np.inf)
     lb[:len(capped)], ub[:len(capped)] = -np.inf, 0.0
     lb[row_first + span] = 1.0
-    views = [side_view(state_at(p, b), i, p)
-             for b, i in (divmod(f, p.n) for f in first.tolist())]
-    return A, lb, ub, z_base, views, a_cols
+    return A, lb, ub, z_base, first, a_cols
 
 
-def _solve(p: Params, g: int) -> tuple[int, Strategy]:
-    """Minimum feasible worst-case total in symbol units, plus a witness."""
-    A, lb, ub, z_base, views, a_cols = _model(p, g)
+def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Minimum feasible worst-case total in symbol units, plus the optimal
+    strategy per view class: the first position of each class (as _model
+    gives it) and its units of each version, 0 where not received."""
+    A, lb, ub, z_base, first, a_cols = _model(p, g)
     n_vars = A.shape[1]
     constraint = LinearConstraint(A, lb, ub)
     lo = np.zeros(n_vars)
@@ -163,13 +164,15 @@ def _solve(p: Params, g: int) -> tuple[int, Strategy]:
     cap = ceil(solve(p.nu * g, False).fun - 1e-6)
     while (res := solve(cap, True)).status == 2:
         cap += 1
-    best = round(res.x[0])
-    units = np.rint(res.x[a_cols]).astype(int).tolist()
-    strategy: Strategy = {}
-    for view, cols, held in zip(views, a_cols.tolist(), units):
-        strategy[view] = {u: s for u, (col, s) in enumerate(zip(cols, held), 1)
-                          if col >= 0 and s > 0}
-    return best, strategy
+    units = np.where(a_cols >= 0, np.rint(res.x[a_cols]), 0).astype(int)
+    return round(res.x[0]), first, units
+
+
+def _witness(p: Params, first: np.ndarray, units: np.ndarray) -> Strategy:
+    """The per-class solution keyed by SideView: one state_at and side_view
+    per view class, made only when a witness is asked for."""
+    return {side_view(state_at(p, b), i, p): {u: s for u, s in enumerate(held, 1) if s > 0}
+            for (b, i), held in zip((divmod(f, p.n) for f in first.tolist()), units.tolist())}
 
 
 def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int, int]]) -> bool:
@@ -213,7 +216,7 @@ def oracle_min_cost(p: Params, g: int, budget: OracleBudget = OracleBudget()) ->
     on the k_bits/g grid. Upper-bounds the true optimum of per-version MDS
     schemes at this granularity."""
     _check_budget(p, g, budget)
-    best, _ = _solve(p, g)
+    best, _, _ = _solve(p, g)
     return Fraction(best * p.k_bits, g)
 
 
@@ -221,5 +224,5 @@ def oracle_min_cost_with_witness(p: Params, g: int,
                                  budget: OracleBudget = OracleBudget()
                                  ) -> tuple[Fraction, Strategy]:
     _check_budget(p, g, budget)
-    best, strategy = _solve(p, g)
-    return Fraction(best * p.k_bits, g), strategy
+    best, first, units = _solve(p, g)
+    return Fraction(best * p.k_bits, g), _witness(p, first, units)

@@ -232,6 +232,44 @@ class TestRoundtripCommand:
         assert _config_error(code, capsys) == (
             "error: store file key '00' is not a canonical server id\n")
 
+    @pytest.mark.parametrize("read_set,first", [("0,1,2,3,4", 0), ("1,2,3,4,5", 4)],
+                             ids=["systematic", "coded"])
+    def test_odd_length_payloads_are_a_config_error(self, tmp_path, capsys, read_set, first):
+        # one byte more on every payload: joined, the payloads of a read set
+        # still make whole 16-bit elements, but misaligned ones
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        stores = tmp_path / "stores.json"
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--stores-out", str(stores)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        doc = json.loads(stores.read_text())
+        stores.write_text(json.dumps({key: [[u, j, payload + "00"] for u, j, payload in entries]
+                                      for key, entries in doc.items()}))
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--read-set", read_set, "--stores-in", str(stores)])
+        assert _config_error(code, capsys) == (
+            f"error: payload of symbol index {first} is 9 bytes, "
+            "not a positive whole number of 16-bit elements\n")
+
+    def test_deeply_nested_store_file(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        stores = tmp_path / "stores.json"
+        stores.write_text("[" * 200_000)
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--stores-in", str(stores)])
+        assert _config_error(code, capsys) == (
+            "error: store file is nested too deeply to parse\n")
+
+    def test_deeply_nested_state_file(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text("[" * 200_000)
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1"])
+        assert _config_error(code, capsys) == (
+            "error: state JSON is nested too deeply to parse\n")
+
     @pytest.mark.parametrize("first", ['[1, "a"]', "[[1]]", "[1.5]", "[true]"])
     def test_state_version_ids_must_be_integers(self, tmp_path, capsys, first):
         state = tmp_path / "state.json"

@@ -17,7 +17,7 @@ from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, allocatio
                     oracle_min_cost, scheme_granularity, side_view, state_count)
 from mvcode.allocation import Allocation
 from mvcode.bounds import cost_baseline, cost_c1
-from mvcode.model import SideView
+from mvcode.model import SideView, state_at
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
@@ -32,21 +32,23 @@ def reference_model(p, g):
 
     class_ids = {}
     class_views = []
+    class_first = []  # flat (state, server) position of each class's first view
     # variable ids for (class, version); only received versions get one
     avar = {}
 
-    def class_of(view):
+    def class_of(view, position):
         if view not in class_ids:
             cid = len(class_views)
             class_ids[view] = cid
             class_views.append(view)
+            class_first.append(position)
         return class_ids[view]
 
     # (sorted class-id tuple with multiplicity, latest) -> dedup decode constraints
     constraints = set()
-    for S in enumerate_states(p):
+    for b, S in enumerate(enumerate_states(p)):
         latest = latest_complete(S, p)
-        views = [class_of(side_view(S, i, p)) for i in range(p.n)]
+        views = [class_of(side_view(S, i, p), b * p.n + i) for i in range(p.n)]
         if latest is None:
             continue
         for T in reads:
@@ -103,7 +105,7 @@ def reference_model(p, g):
     A = sparse.csc_matrix((vals, (rows, cols)), shape=(row, n_vars))
     a_cols = np.array([[a_index.get((cid, u), -1) for u in p.versions]
                        for cid in range(len(class_views))]).reshape(-1, p.nu)
-    return A, np.array(lbs), np.array(ubs), z_base, class_views, a_cols
+    return A, np.array(lbs), np.array(ubs), z_base, np.array(class_first), a_cols
 
 
 def reference_feasible(p, g, strategy):
@@ -339,18 +341,19 @@ MODEL_CASES = SWEEP + [(P6, 8)]
 def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
     budget = OracleBudget(max_g=g)
-    A, lb, ub, z_base, views, a_cols = mvcode.oracle._model(p, g)
-    A_ref, lb_ref, ub_ref, z_base_ref, views_ref, a_cols_ref = reference_model(p, g)
+    A, lb, ub, z_base, first, a_cols = mvcode.oracle._model(p, g)
+    A_ref, lb_ref, ub_ref, z_base_ref, first_ref, a_cols_ref = reference_model(p, g)
     assert A.shape == A_ref.shape and (A != A_ref).nnz == 0
     assert np.array_equal(lb, lb_ref) and np.array_equal(ub, ub_ref)
-    assert z_base == z_base_ref and views == views_ref
+    assert z_base == z_base_ref and np.array_equal(first, first_ref)
     assert np.array_equal(a_cols, a_cols_ref)
 
     value, witness = oracle_min_cost_with_witness(p, g, budget)
     n_calls = len(solves)
     monkeypatch.setattr(mvcode.oracle, "_model", reference_model)
     assert oracle_min_cost_with_witness(p, g, budget) == (value, witness)
-    assert list(witness) == views_ref
+    assert list(witness) == [side_view(state_at(p, f // p.n), f % p.n, p)
+                             for f in first_ref.tolist()]
     # the same solves, call by call: objective, matrix, row and variable
     # bounds, integrality
     assert len(solves) == 2 * n_calls
@@ -460,3 +463,19 @@ def test_side_views_only_at_the_witness_boundary(monkeypatch):
     calls.clear()
     assert strategy_feasible(p, 4, witness)
     assert calls == []
+
+
+def test_no_side_views_without_a_witness(monkeypatch):
+    # oracle_min_cost discards the witness, so it makes none of its keys
+    p = Params(n=5, cw=4, cr=4, nu=2, h=1, k_bits=K)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return side_view(*args)
+
+    monkeypatch.setattr(mvcode.oracle, "side_view", counted)
+    value = oracle_min_cost(p, 4)
+    assert calls == []
+    assert value == oracle_min_cost_with_witness(p, 4)[0] == 512
+    assert len(calls) == 320
