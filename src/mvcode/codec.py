@@ -102,15 +102,16 @@ def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
     if len(by_index) < k:
         raise InsufficientSymbolsError(
             f"need {k} distinct symbols, got {len(by_index)}")
-    chosen = tuple(sorted(by_index)[:k])
-    for j in chosen:
+    indices = sorted(by_index)
+    for j in indices:
         # joined, odd lengths could still make whole elements, misaligned
         if len(by_index[j]) == 0 or len(by_index[j]) % 2:
             raise CodecError(f"payload of symbol index {j} is {len(by_index[j])} bytes, "
                              "not a positive whole number of 16-bit elements")
-    lengths = {len(by_index[j]) for j in chosen}
+    lengths = {len(payload) for payload in by_index.values()}
     if len(lengths) != 1:
         raise CodecError(f"payload lengths differ: {sorted(lengths)}")
+    chosen = tuple(indices[:k])
     data = b"".join(by_index[j] for j in chosen)
     if chosen == tuple(range(k)):
         return data

@@ -15,7 +15,7 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,13 +25,23 @@ DEFAULT_BUDGET = 20_000_000
 
 
 def work_budget(override: int | None = None) -> int:
-    """Enumeration budget in work units; MVCODE_BUDGET overrides the default."""
+    """Work budget in (state, read set) pairs; MVCODE_BUDGET overrides the default."""
     if override is not None:
         return override
     env = os.environ.get("MVCODE_BUDGET")
     if env is not None:
         return int(env)
     return DEFAULT_BUDGET
+
+
+def check_work(states: int, reads: int, budget: int | None = None) -> None:
+    """Raise BudgetExceededError when the (state, read set) pairs a check
+    visits, states x reads, exceed the work budget."""
+    limit = work_budget(budget)
+    if states * reads > limit:
+        raise BudgetExceededError(
+            f"{states} states x {reads} read sets exceeds budget {limit}; "
+            "set MVCODE_BUDGET to override")
 
 
 @dataclass(frozen=True)
@@ -79,11 +89,6 @@ class Params:
     def to_dict(self) -> dict:
         return {"n": self.n, "cw": self.cw, "cr": self.cr,
                 "nu": self.nu, "h": self.h, "K": self.k_bits}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Params":
-        return cls(n=d["n"], cw=d["cw"], cr=d["cr"],
-                   nu=d["nu"], h=d["h"], k_bits=d["K"])
 
 
 @dataclass(frozen=True)
@@ -140,10 +145,7 @@ class SideView:
 
     @property
     def center_state(self) -> frozenset[int]:
-        for sid, st in self.window:
-            if sid == self.center:
-                return st
-        raise AssertionError("window must contain the center")
+        return dict(self.window)[self.center]
 
     def receiver_count(self, u: int) -> int:
         """How many visible servers hold version u."""
@@ -164,11 +166,6 @@ def ring_window(i: int, n: int, h: int) -> tuple[int, ...]:
         if j not in seen:
             seen.append(j)
     return tuple(seen)
-
-
-def neighborhood(i: int, p: Params) -> frozenset[int]:
-    """The set of servers whose states server i can see (itself included)."""
-    return frozenset(ring_window(i, p.n, p.h))
 
 
 def side_view(S: SystemState, i: int, p: Params) -> SideView:
@@ -262,32 +259,6 @@ def view_code(view: SideView, p: Params) -> int | None:
             return None
         code = code << p.nu | sum(1 << (u - 1) for u in st)
     return code * p.n + view.center
-
-
-def check_state_budget(count: int, budget: int | None = None) -> None:
-    """Raise BudgetExceededError when `count` states exceed the work budget."""
-    if count > work_budget(budget):
-        raise BudgetExceededError(
-            f"{count} states exceed budget {work_budget(budget)}; "
-            "set MVCODE_BUDGET to override")
-
-
-def enumerate_states(p: Params, start: int = 0, stop: int | None = None,
-                     budget: int | None = None) -> Iterator[SystemState]:
-    """Yield each state exactly once, in state_at order.
-
-    start/stop select a rank range, so disjoint ranges can be handed to
-    independent workers. Raises BudgetExceededError when the requested
-    range is larger than the work budget.
-    """
-    total = state_count(p)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) for {total} states")
-    check_state_budget(stop - start, budget)
-    for idx in range(start, stop):
-        yield state_at(p, idx)
 
 
 def random_masks(p: Params, seed: int) -> list[int]:

@@ -38,8 +38,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest
-from .model import (Params, SideView, check_state_budget, rank_masks, side_view,
-                    state_at, state_count, view_code, view_codes, work_budget)
+from .model import (Params, SideView, check_work, rank_masks, side_view, state_at,
+                    state_count, view_code, view_codes)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
@@ -66,8 +66,7 @@ def _check_budget(p: Params, g: int, budget: OracleBudget) -> None:
         raise BudgetExceededError(f"oracle budget allows granularity <= {budget.max_g}, got {g}")
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
-    if state_count(p) * len(read_sets(p)) > work_budget():
-        raise BudgetExceededError("oracle instance exceeds the work budget")
+    check_work(state_count(p), len(read_sets(p)))
 
 
 def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int,
@@ -182,7 +181,7 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
     total = state_count(p)
-    check_state_budget(total)
+    check_work(total, len(read_sets(p)))
     coded: dict[int, Mapping[int, int]] = {}
     for view, alloc in strategy.items():
         bad = [u for u in alloc if not 1 <= u <= p.nu]

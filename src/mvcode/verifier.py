@@ -45,11 +45,10 @@ from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
                          block_allocations, scheme_granularity, validate_regime)
 from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slot_indices, slots_per_server)
-from .errors import (BudgetExceededError, CodecError, DecodeContractError,
-                     InconsistentSymbolsError, WorkerError)
-from .model import (Params, SystemState, latest_complete, random_masks,
-                    rank_masks, state_at, state_count, state_from_masks,
-                    work_budget)
+from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
+                     WorkerError)
+from .model import (Params, SystemState, check_work, latest_complete, random_masks,
+                    rank_masks, state_at, state_count, state_from_masks)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
@@ -418,14 +417,11 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
         n_states = mode.count
     else:
         raise ValueError(f"unknown mode {mode.kind!r}")
-    if n_states * n_reads > work_budget(budget):
-        raise BudgetExceededError(
-            f"{n_states} states x {n_reads} read sets exceeds budget "
-            f"{work_budget(budget)}; set MVCODE_BUDGET to override")
+    check_work(n_states, n_reads, budget)
 
     started = time.monotonic()
     jobs = max(1, jobs)
-    chunk = -(-n_states // jobs)
+    chunk = max(1, -(-n_states // jobs))
     ranges = [(lo, min(lo + chunk, n_states))
               for lo in range(0, n_states, chunk)] or [(0, 0)]
     arg_sets = [(scheme, p, mode, layers, lo, hi, max_violations)

@@ -4,10 +4,11 @@ import pytest
 
 from mvcode import (Params, RegimeError, Scheme, SystemState, alloc_c1, alloc_c2,
                     alloc_centralized, allocation_for, alpha_bits, alpha_symbols,
-                    enumerate_states, latest_complete, receivers, scheme_granularity,
+                    latest_complete, receivers, scheme_granularity,
                     side_view)
 from mvcode.fixtures import fixture_thm3, make_thm3_params
-from mvcode.model import neighborhood
+from mvcode.model import ring_window
+from helpers import all_states
 
 
 P6 = make_thm3_params(6, 1024)   # n=6, cw=cr=5, h=2, c=4
@@ -74,7 +75,7 @@ class TestAllocC1:
     def test_cost_cap_tight_over_all_states(self):
         cap = alpha_symbols(Scheme.C1, P6)
         seen_cap = False
-        for S in enumerate_states(P6):
+        for S in all_states(P6):
             for i in range(P6.n):
                 total = sum(s for _, s in allocation_for(Scheme.C1, S, i, P6).symbols)
                 assert total <= cap
@@ -84,11 +85,11 @@ class TestAllocC1:
     def test_at_most_two_observers_of_an_incomplete_version(self):
         # exactly cw-1 = n-2 receivers of version 2
         threshold = P6.n - 2
-        for S in enumerate_states(P6):
+        for S in all_states(P6):
             if len(receivers(S, 2)) != P6.cw - 1:
                 continue
             observers = [i for i in range(P6.n)
-                         if sum(1 for j in neighborhood(i, P6) if 2 in S[j]) >= threshold]
+                         if sum(1 for j in ring_window(i, P6.n, P6.h) if 2 in S[j]) >= threshold]
             assert len(observers) <= 2, (S, observers)
 
 

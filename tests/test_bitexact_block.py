@@ -19,10 +19,10 @@ from mvcode.allocation import (Allocation, allocation_for, block_allocations,
 from mvcode.cli import EXIT_CONFIG, main
 from mvcode.codec import encode_all, quorum_decode
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import (enumerate_states, latest_complete, random_state, rank_masks,
-                          state_count)
+from mvcode.model import latest_complete, random_state, rank_masks, state_count
 from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block, check_state_bitexact,
                              decode_versions, random_payloads, read_sets, verify)
+from helpers import all_states
 
 DATA = Path(__file__).parent / "data"
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
@@ -104,7 +104,7 @@ def _store_unreceived_at_server_0(monkeypatch):
 def test_the_fault_reaches_both_rules(monkeypatch, inject):
     inject(monkeypatch)
     counts, _ = verifier.block_allocations(Scheme.C1, rank_masks(P6, 0, state_count(P6)), P6)
-    for b, S in enumerate(enumerate_states(P6)):
+    for b, S in enumerate(all_states(P6)):
         rows = [[allocation_for(Scheme.C1, S, i, P6).count(u) for u in P6.versions]
                 for i in range(P6.n)]
         assert counts[b].tolist() == rows
@@ -147,7 +147,7 @@ class TestDifferential:
     @pytest.mark.parametrize("scheme,p", [(Scheme.C1, P4), (Scheme.C1, P4_CR4),
                                           (Scheme.C2, P4_CR4)])
     def test_exhaustive_n4(self, scheme, p):
-        states = list(enumerate_states(p))
+        states = list(all_states(p))
         kernel, reference = _kernel_and_reference(scheme, p, states, range(len(states)))
         assert kernel == reference
 
@@ -160,7 +160,7 @@ class TestDifferential:
 
     def test_exhaustive_n4_with_a_crippled_server(self, monkeypatch):
         _drop_one_symbol_at_server_0(monkeypatch)
-        states = list(enumerate_states(P4))
+        states = list(all_states(P4))
         kernel, reference = _kernel_and_reference(Scheme.C1, P4, states, range(len(states)))
         assert kernel == reference
         assert sum(v is not None for v in reference) > 0

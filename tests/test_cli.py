@@ -253,6 +253,25 @@ class TestRoundtripCommand:
             f"error: payload of symbol index {first} is 9 bytes, "
             "not a positive whole number of 16-bit elements\n")
 
+    def test_surplus_payloads_are_length_checked(self, tmp_path, capsys):
+        # only server 4's payloads grow: the k symbols the decoder picks come
+        # from servers 0-3, so server 4's are surplus yet still checked
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        stores = tmp_path / "stores.json"
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--stores-out", str(stores)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        doc = json.loads(stores.read_text())
+        doc["4"] = [[u, j, payload + "00"] for u, j, payload in doc["4"]]
+        stores.write_text(json.dumps(doc))
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--read-set", "0,1,2,3,4", "--stores-in", str(stores)])
+        assert _config_error(code, capsys) == (
+            "error: payload of symbol index 16 is 9 bytes, "
+            "not a positive whole number of 16-bit elements\n")
+
     def test_deeply_nested_store_file(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")

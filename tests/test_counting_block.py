@@ -15,11 +15,11 @@ from mvcode import Params, Scheme
 from mvcode.allocation import (Allocation, allocation_for, block_allocations,
                                scheme_granularity)
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import (enumerate_states, latest_complete, random_masks,
-                          random_state, rank_masks, state_at, state_count,
-                          state_from_masks)
+from mvcode.model import (latest_complete, random_masks, random_state, rank_masks,
+                          state_at, state_count, state_from_masks)
 from mvcode.verifier import (_SEED_STRIDE, COUNTING, VerifyMode, _block_masks,
                              check_state_counting, short_states, verify)
+from helpers import all_states
 
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
 P4_NU1 = Params(n=4, cw=3, cr=3, nu=1, h=1, k_bits=64)
@@ -76,7 +76,7 @@ def _agree(scheme, p, states, masks):
 class TestDifferential:
     @pytest.mark.parametrize("scheme,p", EXHAUSTIVE)
     def test_exhaustive(self, scheme, p):
-        states = list(enumerate_states(p))
+        states = list(all_states(p))
         assert _agree(scheme, p, states, rank_masks(p, 0, state_count(p))).any()
 
     def test_seeded_c2_n8(self):

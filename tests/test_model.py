@@ -1,13 +1,13 @@
-"""Core model: parameters, neighborhoods, views, completeness, enumeration."""
+"""Core model: parameters, ring windows, views, completeness, state ranks."""
 
 import pytest
 
-from mvcode import (BudgetExceededError, Params, SystemState, complete_versions,
-                    enumerate_states, latest_complete, neighborhood, random_state,
+from mvcode import (Params, SystemState, complete_versions, latest_complete, random_state,
                     receivers, side_view, state_count)
 from mvcode.fixtures import fixture_thm3, fixture_thm4, make_thm3_params, make_thm4_params
-from mvcode.model import (SideView, rank_masks, view_code, view_codes,
+from mvcode.model import (SideView, rank_masks, ring_window, view_code, view_codes,
                           view_local_candidate)
+from helpers import all_states
 
 
 def params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024):
@@ -27,29 +27,27 @@ class TestParams:
         with pytest.raises(ValueError):
             params(**kwargs)
 
-    def test_dict_round_trip(self):
-        p = params()
-        assert Params.from_dict(p.to_dict()) == p
-
 
 class TestNeighborhood:
+    """ring_window: the servers one server sees, in offset order -h..+h."""
+
     def test_wraps_around_the_ring(self):
-        assert neighborhood(1, params(n=6, h=2)) == {5, 0, 1, 2, 3}
+        assert ring_window(1, 6, 2) == (5, 0, 1, 2, 3)
 
     def test_zero_radius_is_self_only(self):
-        assert neighborhood(0, params(n=5, cw=4, cr=4, h=0)) == {0}
+        assert ring_window(0, 5, 0) == (0,)
 
     def test_saturates_to_all_servers(self):
-        assert neighborhood(3, params(n=4, cw=4, cr=4, h=2)) == {0, 1, 2, 3}
+        # offsets -2..+2 from 3 reach 1, 2, 3, 0, then 1 again, which is dropped
+        assert ring_window(3, 4, 2) == (1, 2, 3, 0)
 
     def test_rejects_bad_server_id(self):
         with pytest.raises(ValueError):
-            neighborhood(6, params())
+            ring_window(6, 6, 2)
 
     @pytest.mark.parametrize("n,h", [(4, 1), (6, 2), (9, 3), (11, 5), (64, 7)])
     def test_symmetry_and_size(self, n, h):
-        p = params(n=n, cw=n, cr=n, h=h)
-        hoods = [neighborhood(i, p) for i in range(n)]
+        hoods = [ring_window(i, n, h) for i in range(n)]
         for i in range(n):
             assert len(hoods[i]) == min(2 * h + 1, n)
             assert i in hoods[i]
@@ -98,7 +96,7 @@ class TestViewCodes:
     def test_equal_codes_exactly_for_equal_views(self, p):
         codes = view_codes(rank_masks(p, 0, state_count(p)), p)
         seen = {}
-        for b, S in enumerate(enumerate_states(p)):
+        for b, S in enumerate(all_states(p)):
             for i in range(p.n):
                 view = side_view(S, i, p)
                 assert view_code(view, p) == codes[b, i]
@@ -147,7 +145,7 @@ class TestCompleteness:
 
     def test_latest_is_complete_with_threshold(self):
         p = params(n=4, cw=3, cr=3, nu=2, h=1)
-        for S in enumerate_states(p):
+        for S in all_states(p):
             cs = complete_versions(S, p)
             latest = latest_complete(S, p)
             assert (latest in cs) == bool(cs)
@@ -170,7 +168,7 @@ class TestLocalCandidate:
         # H_0 = {4,5,0,1,2} holds three receivers of version 2: below n-2 = 4
         p = params()
         S = SystemState.of(p, [{2}, {2}, {2}, {2}, set(), set()])
-        assert sum(1 for j in neighborhood(0, p) if 2 in S[j]) == 3
+        assert sum(1 for j in ring_window(0, p.n, p.h) if 2 in S[j]) == 3
         assert view_local_candidate(side_view(S, 0, p), p) is None
 
     def test_requires_membership(self):
@@ -188,28 +186,13 @@ class TestEnumeration:
 
     def test_small_space_in_order(self):
         p = params(n=2, cw=2, cr=2, nu=1, h=0)
-        states = [tuple(sorted(s) for s in S.subsets) for S in enumerate_states(p)]
+        states = [tuple(sorted(s) for s in S.subsets) for S in all_states(p)]
         assert states == [([], []), ([1], []), ([], [1]), ([1], [1])]
 
     def test_no_duplicates_and_exact_count(self):
         p = params(n=6, nu=2)
-        seen = set(enumerate_states(p))
+        seen = set(all_states(p))
         assert len(seen) == 4096
-
-    def test_partitioning_is_a_partition(self):
-        p = params(n=4, cw=4, cr=4, nu=2, h=1)
-        whole = list(enumerate_states(p))
-        pieces = []
-        for lo in range(0, 256, 100):
-            pieces.extend(enumerate_states(p, start=lo, stop=min(lo + 100, 256)))
-        assert pieces == whole
-
-    def test_budget(self):
-        p = params(n=8, cw=7, cr=7, nu=3, h=3)
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_states(p, budget=1000))
-        # a slice within budget is fine
-        assert len(list(enumerate_states(p, start=0, stop=10, budget=1000))) == 10
 
 
 class TestRandomState:

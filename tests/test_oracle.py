@@ -12,15 +12,16 @@ from scipy import sparse
 from scipy.optimize import milp
 
 import mvcode.oracle
-from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, allocation_for,
-                    check_state_counting, enumerate_states, latest_complete,
-                    oracle_min_cost, scheme_granularity, side_view, state_count)
+from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, VerifyMode,
+                    allocation_for, check_state_counting, latest_complete,
+                    oracle_min_cost, scheme_granularity, side_view, verify)
 from mvcode.allocation import Allocation
 from mvcode.bounds import cost_baseline, cost_c1
 from mvcode.model import SideView, state_at
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
+from helpers import all_states
 
 K = 1024
 
@@ -46,7 +47,7 @@ def reference_model(p, g):
 
     # (sorted class-id tuple with multiplicity, latest) -> dedup decode constraints
     constraints = set()
-    for b, S in enumerate(enumerate_states(p)):
+    for b, S in enumerate(all_states(p)):
         latest = latest_complete(S, p)
         views = [class_of(side_view(S, i, p), b * p.n + i) for i in range(p.n)]
         if latest is None:
@@ -111,7 +112,7 @@ def reference_model(p, g):
 def reference_feasible(p, g, strategy):
     """The readable reference of strategy_feasible: every complete state's
     holdings looked up through its per-server side views."""
-    complete = [(S, top) for S in enumerate_states(p)
+    complete = [(S, top) for S in all_states(p)
                 if (top := latest_complete(S, p)) is not None]
     holdings = np.zeros((len(complete), p.n, p.nu), dtype=np.int32)
     for b, (S, _) in enumerate(complete):
@@ -188,6 +189,20 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             oracle_min_cost(params(h=0, nu=3, n=4), 4)
 
+    def test_work_budget_message_is_shared(self, monkeypatch):
+        # 256 states x 4 read sets is one unit over the budget everywhere
+        p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=K)
+        monkeypatch.setenv("MVCODE_BUDGET", "1023")
+        expected = "256 states x 4 read sets exceeds budget 1023; set MVCODE_BUDGET to override"
+        for run in (lambda: verify(Scheme.C1, p, VerifyMode.exhaustive()),
+                    lambda: oracle_min_cost(p, 4),
+                    lambda: strategy_feasible(p, 4, {})):
+            with pytest.raises(BudgetExceededError) as raised:
+                run()
+            assert str(raised.value) == expected
+        monkeypatch.setenv("MVCODE_BUDGET", "1024")
+        assert strategy_feasible(p, 4, scheme_strategy(Scheme.C1, p))
+
 
 class TestSharedCountingRule:
     """strategy_feasible and check_state_counting apply one decodability rule:
@@ -197,7 +212,7 @@ class TestSharedCountingRule:
 
     def scheme_strategy(self, scheme):
         strategy = {}
-        for S in enumerate_states(self.P6):
+        for S in all_states(self.P6):
             for i in range(self.P6.n):
                 alloc = allocation_for(scheme, S, i, self.P6)
                 strategy[side_view(S, i, self.P6)] = dict(alloc.symbols)
@@ -205,7 +220,7 @@ class TestSharedCountingRule:
 
     def counting_passes(self, scheme, strategy):
         gran = scheme_granularity(scheme, self.P6)
-        for S in enumerate_states(self.P6):
+        for S in all_states(self.P6):
             allocs = [Allocation.of(strategy.get(side_view(S, i, self.P6), {}), gran)
                       for i in range(self.P6.n)]
             if check_state_counting(scheme, S, self.P6, allocs) is not None:
@@ -237,7 +252,7 @@ class TestSharedCountingRule:
         scheme = Scheme.C1
         strategy = self.scheme_strategy(scheme)
         denom = scheme_granularity(scheme, self.P6).denom
-        for S in enumerate_states(self.P6):
+        for S in all_states(self.P6):
             latest = latest_complete(S, self.P6)
             if latest is None:
                 continue
@@ -370,7 +385,7 @@ def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
 
 def scheme_strategy(scheme, p):
     return {side_view(S, i, p): dict(allocation_for(scheme, S, i, p).symbols)
-            for S in enumerate_states(p) for i in range(p.n)}
+            for S in all_states(p) for i in range(p.n)}
 
 
 class TestStrategyFeasibleAgainstReference:
@@ -407,7 +422,7 @@ class TestStrategyFeasibleAgainstReference:
         g = scheme_granularity(Scheme.C1, P6).denom
         generous = {side_view(S, i, foreign): {u: g for u in S[i]}
                     for foreign in (Params(6, 5, 5, 2, 1, K), Params(6, 5, 5, 2, 3, K))
-                    for S in enumerate_states(foreign) for i in range(foreign.n)}
+                    for S in all_states(foreign) for i in range(foreign.n)}
         # a view whose window lists the right servers but for another center
         shifted = {SideView(center=(view.center + 1) % P6.n, window=view.window): {1: g, 2: g}
                    for view in scheme_strategy(Scheme.C1, P6)}
@@ -418,15 +433,6 @@ class TestStrategyFeasibleAgainstReference:
         short = {view: {u: s - (u == 2) for u, s in alloc.items()}
                  for view, alloc in strategy.items()}
         assert not self.agree(P6, g, {**generous, **shifted, **short})
-
-    def test_state_budget_message_is_unchanged(self, monkeypatch):
-        p = params(h=1)
-        monkeypatch.setenv("MVCODE_BUDGET", str(state_count(p) - 1))
-        with pytest.raises(BudgetExceededError) as expected:
-            next(enumerate_states(p))
-        with pytest.raises(BudgetExceededError) as raised:
-            strategy_feasible(p, 4, {})
-        assert str(raised.value) == str(expected.value)
 
 
 class TestStrategyFeasibleRejectsBadInput:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcode import (CodecError, Params, Scheme, SystemState, codec, encode_all,
-                    enumerate_states, server_encode)
+                    server_encode)
 from mvcode.allocation import Allocation
 from mvcode.codec import CodedSymbol, ServerStore, stores_from_json, stores_to_json
 from mvcode.model import random_state
 from mvcode.verifier import random_payloads
+from helpers import all_states
 from test_gf_matmul import WIDE
 
 
@@ -72,7 +73,7 @@ N4 = [(Scheme.C1, Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=264)),
 @pytest.mark.parametrize("scheme,p", N4, ids=["c1", "c2", "central"])
 def test_batched_encode_all_exhaustive_at_n4(scheme, p):
     messages = random_payloads(p, 4)
-    for S in enumerate_states(p):
+    for S in all_states(p):
         assert encode_all(scheme, S, messages, p) == per_server(scheme, S, messages, p)
 
 

@@ -12,6 +12,7 @@ from mvcode.allocation import Allocation, Granularity
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import (BITEXACT, COUNTING, bitexact_violations,
                              random_payloads, read_sets)
+from helpers import all_states
 
 P6 = make_thm3_params(6, 1024)
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)  # small c1/c2-regime instance
@@ -19,7 +20,7 @@ P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)  # small c1/c2-regime instanc
 
 class TestCounting:
     def test_all_states_pass_at_n4(self):
-        for S in _all_states(P4):
+        for S in all_states(P4):
             assert check_state_counting(Scheme.C1, S, P4) is None
 
     def test_disabled_branch_is_caught(self):
@@ -128,11 +129,6 @@ class TestVerify:
         assert "elapsed" not in json.dumps(doc)
 
 
-def _all_states(p):
-    from mvcode import enumerate_states
-    return enumerate_states(p)
-
-
 def test_counting_and_bitexact_agree_on_samples():
     """The two layers must agree wherever both apply."""
     from mvcode.model import random_state
@@ -173,3 +169,18 @@ class TestDegenerateAndGuards:
             verify(Scheme.C1, P6, VerifyMode.exhaustive(), layers=(COUNTING,))
         monkeypatch.delenv("MVCODE_BUDGET")
         assert work_budget() == 20_000_000
+
+    def test_zero_samples_pass_with_any_jobs(self, tmp_path, capsys):
+        from mvcode.cli import EXIT_OK, main
+        args = ["verify", "--scheme", "c1", "--n", "6", "--cw", "5", "--cr", "5",
+                "--h", "2", "--mode", "sampled", "--samples", "0"]
+        docs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
+            assert "states=0 " in capsys.readouterr().out
+            doc = json.loads(out.read_text())
+            assert doc.pop("jobs") == int(jobs)
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["states_checked"] == 0 and docs[0]["passed"] is True
