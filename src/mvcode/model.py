@@ -248,6 +248,27 @@ def view_codes(masks: np.ndarray, p: Params) -> np.ndarray:
     return codes * p.n + np.arange(p.n)
 
 
+def view_classes(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The view class of each (state, server) of a mask block: its distinct
+    view_codes, numbered by first appearance (state by state, server by
+    server), and the flat position state * n + server of each class's first
+    view."""
+    _, first, inverse = np.unique(view_codes(masks, p), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    class_of = np.empty_like(order)
+    class_of[order] = np.arange(len(order))
+    return class_of[inverse].reshape(masks.shape), first[order]
+
+
+@lru_cache(maxsize=4096)
+def _mask_of(versions: frozenset[int], nu: int) -> int | None:
+    """The mask of a set of version ids, or None when one lies outside [1, nu]."""
+    if not all(1 <= u <= nu for u in versions):
+        return None
+    return sum(1 << (u - 1) for u in versions)
+
+
 def view_code(view: SideView, p: Params) -> int | None:
     """view_codes of one SideView, or None when no state of p has this view:
     its window is not a ring window of p or names a version outside [1, nu]."""
@@ -255,10 +276,58 @@ def view_code(view: SideView, p: Params) -> int | None:
         return None
     code = 0
     for _, st in view.window:
-        if not all(1 <= u <= p.nu for u in st):
+        if (mask := _mask_of(st, p.nu)) is None:
             return None
-        code = code << p.nu | sum(1 << (u - 1) for u in st)
+        code = code << p.nu | mask
     return code * p.n + view.center
+
+
+def ring_automorphism(perm: Sequence[int], p: Params) -> np.ndarray:
+    """perm as an index array, checked to map the ring window of every server
+    i onto the window of server perm[i]. Such a permutation maps a state S to
+    the state whose server perm[i] holds S[i], the view of server i to the
+    view of server perm[i] there, and read sets and completeness to their
+    own kind, so it maps strategies, and their decodability, onto themselves."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if sorted(perm.tolist()) != list(range(p.n)) or any(
+            set(perm[list(ring_window(i, p.n, p.h))].tolist())
+            != set(ring_window(int(perm[i]), p.n, p.h)) for i in range(p.n)):
+        raise ValueError(f"{perm.tolist()} does not map ring windows onto ring windows "
+                         f"at n={p.n}, h={p.h}")
+    return perm
+
+
+def dihedral_generators(p: Params) -> list[np.ndarray]:
+    """The ring's rotation i -> i+1 and reflection i -> -i, each checked."""
+    i = np.arange(p.n)
+    return [ring_automorphism((i + 1) % p.n, p), ring_automorphism(-i % p.n, p)]
+
+
+def class_orbits(masks: np.ndarray, classes: np.ndarray, p: Params) -> np.ndarray:
+    """The orbit id of each view class under the ring's dihedral group,
+    numbered by first appearance. masks is every state of p in rank order,
+    and classes its view_classes. A generator perm maps the view of server i
+    in a state to the view of server perm[i] in the permuted state, found by
+    re-ranking the permuted masks; the orbits are the connected components
+    of these class-to-class edges."""
+    shifts = np.arange(p.n, dtype=np.int64) * p.nu
+    n_classes = int(classes.max()) + 1
+    edges = np.concatenate([
+        np.unique(classes.ravel() * n_classes
+                  + classes[(masks[:, np.argsort(perm)] << shifts).sum(1)][:, perm].ravel())
+        for perm in dihedral_generators(p)])
+    src, dst = np.divmod(edges, n_classes)
+    # each class takes the least label across its edges, then its label's
+    # label, until nothing moves: every component ends at its least class
+    orbit = np.arange(n_classes)
+    while True:
+        low = orbit.copy()
+        np.minimum.at(low, src, orbit[dst])
+        np.minimum.at(low, dst, orbit[src])
+        low = low[low]
+        if np.array_equal(low, orbit):
+            return np.unique(orbit, return_inverse=True)[1]
+        orbit = low
 
 
 def random_masks(p: Params, seed: int) -> list[int]:

@@ -9,15 +9,35 @@ the counting model of decodability for per-version MDS coding.
 The minimum worst-case per-server total B is found with an integer
 program: the decode requirement per (state, read set) is a disjunction
 over candidate versions, linearized with one binary per candidate.
-Optimality is proven in two steps. The LP relaxation of the model gives a
-lower bound on B. The integer program is then solved with B capped at
-that bound, rounded up; while HiGHS proves the capped problem infeasible,
-the cap rises by one unit, up to nu*g. A cap never removes a strategy
-cheaper than itself, so the first feasible capped solve returns the
-global optimum whatever the LP tolerance: a cap set too high costs time,
-one set too low costs an infeasible solve. The result equals what
-exhaustive strategy enumeration would return, at desk scale where that
-enumeration is intractable.
+
+Every rotation and reflection of the ring maps windows onto windows, so it
+maps states, side views, read sets and decodability onto themselves: the
+model is symmetric under the dihedral group. The invariant model gives
+one allocation to each orbit of view classes under that group
+(model.class_orbits). It is a restriction of the full model, so each of
+its solutions is a feasible strategy, and averaging any LP solution of the
+full model over the group gives an invariant one of equal cost (Bödi,
+Herr & Joswig, Math. Programming 137, 2013), so both LP relaxations have
+one optimum. Optimality is proven in three steps:
+
+1. The invariant LP relaxation's optimum, rounded up, is a lower bound on
+   B, cap0.
+2. The invariant integer program is solved with B capped at cap0; while
+   HiGHS proves the capped problem infeasible, the cap rises by one unit,
+   up to nu*g. The first feasible solve's optimum, inv, is the cheapest
+   invariant strategy's cost and an upper bound on B.
+3. When inv = cap0 it is optimal, and the full model is never built.
+   Otherwise one full integer solve, capped at inv - 1, decides: proven
+   infeasible, inv is optimal; feasible, its optimum is B.
+
+A cap never removes a strategy cheaper than itself, so the result equals
+what exhaustive strategy enumeration would return, at desk scale where
+that enumeration is intractable. The bound allows 1e-6 for HiGHS's error
+in the LP optimum: a larger error that lowers it costs only solves, and
+one that raises it by a unit shows as inv < cap0, which step 3 proves like
+any other gap; only a raised bound that inv meets exactly would end the
+proof early. The witness is the optimal invariant strategy, or the full
+solve's when it undercuts inv.
 
 The model and the witness check run on arrays of state masks: each
 (state, server) side view is one integer code (model.view_codes), and
@@ -38,8 +58,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest
-from .model import (Params, SideView, check_work, rank_masks, side_view, state_at,
-                    state_count, view_code, view_codes)
+from .model import (Params, SideView, check_work, class_orbits, rank_masks, side_view,
+                    state_at, state_count, view_classes, view_code, view_codes)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
@@ -69,28 +89,24 @@ def _check_budget(p: Params, g: int, budget: OracleBudget) -> None:
     check_work(state_count(p), len(read_sets(p)))
 
 
-def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int,
-                                      np.ndarray, np.ndarray]:
-    """The integer program of (p, g): its constraint matrix with row bounds,
-    the first z column, and per view class (numbered in order of first
-    appearance, state by state, server by server) the flat position
-    state * n + server of its first view and the column of a[class, u] for
-    each version u, -1 where u is not received.
+def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
+           ) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int, np.ndarray]:
+    """The integer program of (p, g) over the strategies that give every
+    view of one label the same allocation: its constraint matrix with row
+    bounds, the first z column, and per label the column of a[label, u] for
+    each version u, -1 where u is not received. labels[b, i] labels the view
+    of server i in state b of masks (every state, in rank order), numbered
+    by first appearance; the view classes give the full model, and their
+    orbits under ring automorphisms the invariant one. Views in one orbit
+    have one center mask, so every label's views receive the same versions.
 
-    Variables are [B] [a...] [z...]: a in class-then-version order, z in
+    Variables are [B] [a...] [z...]: a in label-then-version order, z in
     decode-key order, one per fresh-enough version. Rows are one cap per
-    class that receives something, sum_u a[class, u] - B <= 0, then per
-    decode key (the sorted classes of a read set, and the latest complete
-    version) one row sum_t a[class_t, m] - g z[key, m] >= 0 per m in
+    label that receives something, sum_u a[label, u] - B <= 0, then per
+    decode key (the sorted labels of a read set, and the latest complete
+    version) one row sum_t a[label_t, m] - g z[key, m] >= 0 per m in
     [latest, nu], and the cover row sum_m z[key, m] >= 1."""
-    masks = rank_masks(p, 0, state_count(p))
-    _, first, inverse = np.unique(view_codes(masks, p), return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    class_of = np.empty_like(order)
-    class_of[order] = np.arange(len(order))
-    classes = class_of[inverse].reshape(masks.shape)
-    first = first[order]  # flat (state, server) position of each class's first view
+    _, first = np.unique(labels, return_index=True)
     received = (masks.reshape(-1)[first, None] >> np.arange(p.nu)) & 1 == 1
     a_cols = np.full(received.shape, -1)
     a_cols[received] = 1 + np.arange(received.sum())
@@ -98,7 +114,7 @@ def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray
 
     latest = block_latest(masks, p)
     reads = np.array(read_sets(p))
-    keys = np.sort(classes[latest > 0][:, reads], axis=2).reshape(-1, p.cr)
+    keys = np.sort(labels[latest > 0][:, reads], axis=2).reshape(-1, p.cr)
     keys = np.unique(np.column_stack([keys, np.repeat(latest[latest > 0], len(reads))]),
                      axis=0)
     sets, top = keys[:, :-1], keys[:, -1]
@@ -107,7 +123,7 @@ def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray
     capped = np.flatnonzero(received.any(1))
     row_first = len(capped) + np.cumsum(span + 1) - (span + 1)
     n_rows = len(capped) + int((span + 1).sum())
-    # a class repeated in a read set enters its row once, with its multiplicity
+    # a label repeated in a read set enters its row once, with its multiplicity
     lead = np.ones(sets.shape, dtype=bool)
     lead[:, 1:] = sets[:, 1:] != sets[:, :-1]
     mult = (sets[:, :, None] == sets[:, None, :]).sum(2)
@@ -130,41 +146,56 @@ def _model(p: Params, g: int) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray
     ub = np.full(n_rows, np.inf)
     lb[:len(capped)], ub[:len(capped)] = -np.inf, 0.0
     lb[row_first + span] = 1.0
-    return A, lb, ub, z_base, first, a_cols
+    return A, lb, ub, z_base, a_cols
+
+
+def _capped_solve(p: Params, g: int, model: tuple, cap: int, integral: bool):
+    """One HiGHS solve of a _model with B at most cap, as an integer program
+    or as its LP relaxation. Infeasible (status 2) is an answer only for an
+    integral cap below nu*g, where a strategy always exists."""
+    A, lb, ub, z_base, _ = model
+    n_vars = A.shape[1]
+    hi = np.ones(n_vars)
+    hi[0], hi[1:z_base] = cap, g
+    objective = np.zeros(n_vars)
+    objective[0] = 1.0
+    res = milp(objective, constraints=LinearConstraint(A, lb, ub),
+               integrality=np.full(n_vars, float(integral)),
+               bounds=Bounds(np.zeros(n_vars), hi), options={"mip_rel_gap": 0.0})
+    if res.status != 0 and not (res.status == 2 and integral and cap < p.nu * g):
+        raise SolverError(f"strategy search failed: {res.message}")
+    return res
+
+
+def _units(model: tuple, res) -> np.ndarray:
+    """The solution's units of each version per label, 0 where not received."""
+    a_cols = model[-1]
+    return np.where(a_cols >= 0, np.rint(res.x[a_cols]), 0).astype(int)
 
 
 def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Minimum feasible worst-case total in symbol units, plus the optimal
-    strategy per view class: the first position of each class (as _model
-    gives it) and its units of each version, 0 where not received."""
-    A, lb, ub, z_base, first, a_cols = _model(p, g)
-    n_vars = A.shape[1]
-    constraint = LinearConstraint(A, lb, ub)
-    lo = np.zeros(n_vars)
-    hi = np.empty(n_vars)
-    hi[1:z_base] = g
-    hi[z_base:] = 1
-    objective = np.zeros(n_vars)
-    objective[0] = 1.0
-
-    def solve(cap: int, integral: bool):
-        hi[0] = cap
-        res = milp(objective, constraints=constraint,
-                   integrality=np.full(n_vars, float(integral)),
-                   bounds=Bounds(lo, hi.copy()), options={"mip_rel_gap": 0.0})
-        # status 2 (infeasible) is an answer only for a capped solve below nu*g
-        if res.status != 0 and not (res.status == 2 and integral and cap < p.nu * g):
-            raise SolverError(f"strategy search failed: {res.message}")
-        return res
-
-    # the relaxation's optimum is a lower bound on B; a cap at or above the
-    # integer optimum keeps every cheapest strategy, so the first feasible
-    # capped solve is optimal, and a cap below it is proven infeasible
-    cap = ceil(solve(p.nu * g, False).fun - 1e-6)
-    while (res := solve(cap, True)).status == 2:
+    """Minimum feasible worst-case total in symbol units, plus an optimal
+    strategy per view class: the first position of each class (as
+    view_classes gives it) and its units of each version, 0 where not
+    received."""
+    masks = rank_masks(p, 0, state_count(p))
+    classes, first = view_classes(masks, p)
+    orbit = class_orbits(masks, classes, p)
+    invariant = _model(p, g, masks, orbit[classes])
+    # the invariant relaxation's optimum is the full one's, a lower bound on
+    # B; the first feasible capped invariant solve is the cheapest invariant
+    # strategy, which only a full solve capped one unit below can undercut
+    bound = ceil(_capped_solve(p, g, invariant, p.nu * g, False).fun - 1e-6)
+    cap = bound
+    while (res := _capped_solve(p, g, invariant, cap, True)).status == 2:
         cap += 1
-    units = np.where(a_cols >= 0, np.rint(res.x[a_cols]), 0).astype(int)
-    return round(res.x[0]), first, units
+    best, units = round(res.x[0]), _units(invariant, res)[orbit]
+    # best below the bound means the relaxation came out high: prove it too
+    if best != bound:
+        full = _model(p, g, masks, classes)
+        if (res := _capped_solve(p, g, full, best - 1, True)).status == 0:
+            best, units = round(res.x[0]), _units(full, res)
+    return best, first, units
 
 
 def _witness(p: Params, first: np.ndarray, units: np.ndarray) -> Strategy:

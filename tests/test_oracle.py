@@ -1,23 +1,25 @@
 """Strategy-search oracle: known values, feasibility witnesses, monotonicity,
-the relaxation-then-capped solve against a single uncapped solve, and the
-array model build and witness check against their per-state references."""
+the symmetric solve sequence against the full-model search and a single
+uncapped solve, the paper's two claims at n=6 and n=7, and the array model
+build and witness check against their per-state references."""
 
 import random
 from fractions import Fraction
+from functools import cache
 from math import ceil
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 import mvcode.oracle
 from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, VerifyMode,
                     allocation_for, check_state_counting, latest_complete,
                     oracle_min_cost, scheme_granularity, side_view, verify)
 from mvcode.allocation import Allocation
-from mvcode.bounds import cost_baseline, cost_c1
-from mvcode.model import SideView, state_at
+from mvcode.bounds import cost_baseline, cost_c1, lb_thm4
+from mvcode.model import SideView, rank_masks, state_at, state_count, view_classes
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
@@ -26,9 +28,11 @@ from helpers import all_states
 K = 1024
 
 
+@cache
 def reference_model(p, g):
-    """The readable reference of oracle._model: one SideView per (state,
-    server), hashed into classes; the array build must return exactly this."""
+    """The readable reference of oracle._model over view classes: one
+    SideView per (state, server), hashed into classes; the array build must
+    return exactly this. Built once per instance."""
     reads = read_sets(p)
 
     class_ids = {}
@@ -107,6 +111,47 @@ def reference_model(p, g):
     a_cols = np.array([[a_index.get((cid, u), -1) for u in p.versions]
                        for cid in range(len(class_views))]).reshape(-1, p.nu)
     return A, np.array(lbs), np.array(ubs), z_base, np.array(class_first), a_cols
+
+
+def full_solve(p, g, model, cap, integral):
+    """One solve of a reference_model with B at most cap, as the oracle
+    boxes it: a in [0, g], z in [0, 1]."""
+    A, lb, ub, z_base, _, _ = model
+    n_vars = A.shape[1]
+    hi = np.ones(n_vars)
+    hi[0], hi[1:z_base] = cap, g
+    return milp(full_solve_objective(n_vars), constraints=LinearConstraint(A, lb, ub),
+                integrality=np.full(n_vars, float(integral)),
+                bounds=Bounds(np.zeros(n_vars), hi), options={"mip_rel_gap": 0.0})
+
+
+def reference_solve(p, g):
+    """The reference of the symmetric proof, on the full model alone: the LP
+    relaxation's optimum, rounded up, then capped integer solves rising by
+    one unit until one is feasible. Returns the LP optimum and the optimum
+    in units."""
+    model = reference_model(p, g)
+    lp = full_solve(p, g, model, p.nu * g, False).fun
+    cap = ceil(lp - 1e-6)
+    while (res := full_solve(p, g, model, cap, True)).status == 2:
+        cap += 1
+    assert res.status == 0
+    return lp, round(res.x[0])
+
+
+def full_solve_objective(n_vars):
+    """min B: the objective of every solve."""
+    objective = np.zeros(n_vars)
+    objective[0] = 1.0
+    return objective
+
+
+def split_solves(solves):
+    """The oracle's solves as (the invariant relaxation, the rising capped
+    invariant solves up to the first feasible one, the closing full solves)."""
+    relaxation, *capped = solves
+    feasible = next(k for k, (_, _, res) in enumerate(capped) if res.status == 0)
+    return relaxation, capped[:feasible + 1], capped[feasible + 1:]
 
 
 def reference_feasible(p, g, strategy):
@@ -306,32 +351,48 @@ def solves(monkeypatch):
 class TestCappedSolve:
     def test_matches_one_uncapped_solve(self, p, g, solves):
         value, strategy = oracle_min_cost_with_witness(p, g)
-        # the relaxation's call carries the model with B's full box, nu*g
-        (c,), model, _ = solves[0]
-        assert model["bounds"].ub[0] == p.nu * g
-        uncapped = milp(c, constraints=model["constraints"], integrality=np.ones(len(c)),
-                        bounds=model["bounds"], options={"mip_rel_gap": 0.0})
+        # the relaxation's call carries the invariant model with B's full box,
+        # nu*g; one uncapped integer solve of the full model agrees with it all
+        assert solves[0][1]["bounds"].ub[0] == p.nu * g
+        uncapped = full_solve(p, g, reference_model(p, g), p.nu * g, True)
         assert uncapped.status == 0
         assert value == oracle_min_cost(p, g) == Fraction(round(uncapped.fun) * K, g)
         assert strategy_feasible(p, g, strategy)
         assert Fraction(strategy_worst_units(strategy) * K, g) == value
 
     def test_relaxation_then_rising_caps(self, p, g, solves):
+        # the invariant relaxation, invariant caps rising from its bound by one
+        # unit to the first feasible one, inv, then one full solve capped at
+        # inv - 1 exactly when inv is above the bound
         best = oracle_min_cost(p, g) * g / K
-        (_, relaxation, lp), *capped = solves
+        (_, relaxation, lp), rising, closing = split_solves(solves)
         assert not relaxation["integrality"].any()
-        assert all(kwargs["integrality"].all() for _, kwargs, _ in capped)
-        caps = [kwargs["bounds"].ub[0] for _, kwargs, _ in capped]
+        assert all(kwargs["integrality"].all() for _, kwargs, _ in rising + closing)
+        invariant = relaxation["constraints"].A.shape
+        assert all(kwargs["constraints"].A.shape == invariant for _, kwargs, _ in rising)
+        caps = [kwargs["bounds"].ub[0] for _, kwargs, _ in rising]
         start = ceil(lp.fun - 1e-6)
         assert caps == list(range(start, start + len(caps)))
-        assert caps[-1] == best
-        assert len(capped) == best - start + 1
+        inv = round(rising[-1][2].x[0])
+        assert inv == caps[-1]
+        assert len(closing) == (inv > start)
+        if not closing:
+            assert best == inv
+        for _, kwargs, res in closing:
+            assert kwargs["bounds"].ub[0] == inv - 1
+            assert kwargs["constraints"].A.shape == reference_model(p, g)[0].shape
+            assert best == (inv if res.status == 2 else round(res.x[0]))
 
 
 def test_cap_below_the_optimum_rises_by_one(solves):
+    # the invariant caps rise from the bound, 2, to 3; one full solve capped
+    # at 2 is infeasible, which proves 3 optimal
     p, g = SWEEP[0]
     assert oracle_min_cost(p, g) == Fraction(3 * K, g)
-    assert len(solves) == 3 and solves[0][2].fun == pytest.approx(2.0)
+    assert solves[0][2].fun == pytest.approx(2.0)
+    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves[1:]] == [
+        (2, 2), (3, 0), (2, 2)]
+    assert solves[-1][1]["constraints"].A.shape == reference_model(p, g)[0].shape
 
 
 def test_side_information_beats_the_baseline_at_n6(monkeypatch):
@@ -355,32 +416,103 @@ MODEL_CASES = SWEEP + [(P6, 8)]
                                                    for p, g in MODEL_CASES])
 def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
-    budget = OracleBudget(max_g=g)
-    A, lb, ub, z_base, first, a_cols = mvcode.oracle._model(p, g)
+    masks = rank_masks(p, 0, state_count(p))
+    classes, first = view_classes(masks, p)
+    A, lb, ub, z_base, a_cols = mvcode.oracle._model(p, g, masks, classes)
     A_ref, lb_ref, ub_ref, z_base_ref, first_ref, a_cols_ref = reference_model(p, g)
     assert A.shape == A_ref.shape and (A != A_ref).nnz == 0
     assert np.array_equal(lb, lb_ref) and np.array_equal(ub, ub_ref)
     assert z_base == z_base_ref and np.array_equal(first, first_ref)
     assert np.array_equal(a_cols, a_cols_ref)
 
-    value, witness = oracle_min_cost_with_witness(p, g, budget)
-    n_calls = len(solves)
-    monkeypatch.setattr(mvcode.oracle, "_model", reference_model)
-    assert oracle_min_cost_with_witness(p, g, budget) == (value, witness)
+    value, witness = oracle_min_cost_with_witness(p, g, OracleBudget(max_g=g))
     assert list(witness) == [side_view(state_at(p, f // p.n), f % p.n, p)
                              for f in first_ref.tolist()]
-    # the same solves, call by call: objective, matrix, row and variable
-    # bounds, integrality
-    assert len(solves) == 2 * n_calls
-    for (args, kw, _), (args_ref, kw_ref, _) in zip(solves[:n_calls], solves[n_calls:]):
-        assert np.array_equal(args[0], args_ref[0])
-        con, con_ref = kw["constraints"], kw_ref["constraints"]
-        assert (con.A != con_ref.A).nnz == 0
-        assert np.array_equal(con.lb, con_ref.lb) and np.array_equal(con.ub, con_ref.ub)
-        assert np.array_equal(kw["integrality"], kw_ref["integrality"])
-        assert np.array_equal(kw["bounds"].lb, kw_ref["bounds"].lb)
-        assert np.array_equal(kw["bounds"].ub, kw_ref["bounds"].ub)
+    # a closing solve is the reference model's, call for call: objective,
+    # matrix, row and variable bounds, integrality
+    _, _, closing = split_solves(solves)
+    for (c,), kw, _ in closing:
+        assert np.array_equal(c, full_solve_objective(A_ref.shape[1]))
+        con = kw["constraints"]
+        assert con.A.shape == A_ref.shape and (con.A != A_ref).nnz == 0
+        assert np.array_equal(con.lb, lb_ref) and np.array_equal(con.ub, ub_ref)
+        assert kw["integrality"].all()
+        assert np.array_equal(kw["bounds"].lb, np.zeros(A_ref.shape[1]))
+        assert np.array_equal(kw["bounds"].ub[1:], np.repeat(
+            [g, 1], [z_base_ref - 1, A_ref.shape[1] - z_base_ref]))
     assert strategy_feasible(p, g, witness) == reference_feasible(p, g, witness) is True
+
+
+@pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                                   for p, g in MODEL_CASES])
+def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
+    # the invariant relaxation bounds B as tightly as the full one, and the
+    # proof ends at the full search's optimum with a witness both checks
+    # accept, one key per view class
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+    value, witness = oracle_min_cost_with_witness(p, g, OracleBudget(max_g=g))
+    lp, best = reference_solve(p, g)
+    assert solves[0][2].fun == pytest.approx(lp, abs=1e-9)
+    assert value == Fraction(best * K, g)
+    assert Fraction(strategy_worst_units(witness) * K, g) == value
+    assert strategy_feasible(p, g, witness) and reference_feasible(p, g, witness)
+    assert len(witness) == len(reference_model(p, g)[-1])
+
+
+@pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                                   for p, g in MODEL_CASES])
+def test_a_relaxation_that_comes_out_high_is_caught(p, g, monkeypatch):
+    # HiGHS reporting the LP optimum 2e-6 above its true value raises the
+    # bound of an integral relaxation by one unit; the first capped invariant
+    # solve then comes in under the bound, and the closing full solve,
+    # capped at its optimum minus one, proves that optimum
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+    value = oracle_min_cost(p, g, OracleBudget(max_g=g))
+    calls = []
+
+    def high(*args, **kwargs):
+        res = milp(*args, **kwargs)
+        calls.append((kwargs, res, res.fun))
+        if not kwargs["integrality"].any():
+            res.fun += 2e-6
+        return res
+
+    monkeypatch.setattr(mvcode.oracle, "milp", high)
+    bumped, witness = oracle_min_cost_with_witness(p, g, OracleBudget(max_g=g))
+    assert bumped == value == Fraction(strategy_worst_units(witness) * K, g)
+    assert strategy_feasible(p, g, witness)
+    lp, best = calls[0][2], value * g / K
+    if best == round(lp) == pytest.approx(lp, abs=1e-9):
+        (first, res, _), (closing, proof, _) = calls[1:]
+        assert first["bounds"].ub[0] == round(res.x[0]) + 1 == best + 1
+        assert closing["bounds"].ub[0] == best - 1 and proof.status == 2
+
+
+def test_side_information_may_not_help_at_n7(solves, monkeypatch):
+    # Theorem 4's regime h <= (n-c)/4: at n=7, cw=cr=5 (c=3), h=1 a server
+    # sees (n-3)/2 = 2 others, and the exact optimum is K/2, both the
+    # converse's bound and the cost without side information. The invariant
+    # bound and optimum meet, so the full model (337,113 rows) is never built
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 7)
+    p = Params(n=7, cw=5, cr=5, nu=2, h=1, k_bits=K)
+    value = oracle_min_cost(p, 4)
+    assert value == lb_thm4(K, p.c) == cost_baseline(K, p.nu, p.c) == Fraction(K, 2)
+    assert len(solves) == 2
+    assert {kw["constraints"].A.shape for _, kw, _ in solves} == {(17733, 10491)}
+
+
+def test_closing_solve_undercuts_the_invariant_optimum(solves, monkeypatch):
+    # n=6, cw=cr=6, h=1: the cheapest dihedral-invariant strategy stores 2
+    # units, and a strategy that tells rotations apart stores 1; the closing
+    # full solve finds it, and the witness comes from the full model
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+    p = Params(n=6, cw=6, cr=6, nu=2, h=1, k_bits=K)
+    value, witness = oracle_min_cost_with_witness(p, 4)
+    assert value == Fraction(K, 4)
+    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves[1:]] == [
+        (1, 2), (2, 0), (1, 0)]
+    assert strategy_feasible(p, 4, witness) and reference_feasible(p, 4, witness)
+    assert strategy_worst_units(witness) == 1
 
 
 def scheme_strategy(scheme, p):
