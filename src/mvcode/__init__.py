@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 # the oracle needs scipy, which takes longer to import than the rest of the
 # package; it is imported on first use of one of these names
-_ORACLE_NAMES = ("OracleBudget", "oracle_min_cost", "oracle_min_cost_with_witness")
+_ORACLE_NAMES = ("oracle_min_cost", "oracle_min_cost_with_witness")
 
 
 def __getattr__(name: str):

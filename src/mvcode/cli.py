@@ -215,10 +215,10 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from .oracle import OracleBudget, oracle_min_cost  # scipy loads only for this command
+    from .oracle import oracle_min_cost  # scipy loads only for this command
 
     p = _params(args)
-    value = oracle_min_cost(p, args.g, budget=OracleBudget(max_g=args.max_g))
+    value = oracle_min_cost(p, args.g, max_g=args.max_g)
     lo = bounds.lb_eq1(p.k_bits, p.nu, p.c)
     hi = bounds.cost_baseline(p.k_bits, p.nu, p.c)
     print(f"oracle_min_cost={value.numerator}/{value.denominator} "

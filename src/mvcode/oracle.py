@@ -10,34 +10,34 @@ The minimum worst-case per-server total B is found with an integer
 program: the decode requirement per (state, read set) is a disjunction
 over candidate versions, linearized with one binary per candidate.
 
+The lower bound is the full-information cost, cap0 = ceil(g/c) units. In
+the state where exactly cw servers hold version nu and the rest hold
+nothing, some read set meets exactly c of those holders, and nu is its only
+candidate, so one holder stores at least g/c units. The LP relaxation adds
+nothing to this: giving every view g/c units of its center's newest
+received version satisfies every row (a read set meets at least c servers
+whose newest version is fresh enough), so its optimum is exactly g/c.
+
 Every rotation and reflection of the ring maps windows onto windows, so it
 maps states, side views, read sets and decodability onto themselves: the
 model is symmetric under the dihedral group. The invariant model gives
 one allocation to each orbit of view classes under that group
 (model.class_orbits). It is a restriction of the full model, so each of
-its solutions is a feasible strategy, and averaging any LP solution of the
-full model over the group gives an invariant one of equal cost (Bödi,
-Herr & Joswig, Math. Programming 137, 2013), so both LP relaxations have
-one optimum. Optimality is proven in three steps:
+its solutions is a feasible strategy and its optimum an upper bound on B.
+Optimality is proven in two steps:
 
-1. The invariant LP relaxation's optimum, rounded up, is a lower bound on
-   B, cap0.
-2. The invariant integer program is solved with B capped at cap0; while
+1. The invariant integer program is solved with B capped at cap0; while
    HiGHS proves the capped problem infeasible, the cap rises by one unit,
    up to nu*g. The first feasible solve's optimum, inv, is the cheapest
-   invariant strategy's cost and an upper bound on B.
-3. When inv = cap0 it is optimal, and the full model is never built.
+   invariant strategy's cost.
+2. When inv = cap0 it is optimal, and the full model is never built.
    Otherwise one full integer solve, capped at inv - 1, decides: proven
    infeasible, inv is optimal; feasible, its optimum is B.
 
 A cap never removes a strategy cheaper than itself, so the result equals
 what exhaustive strategy enumeration would return, at desk scale where
-that enumeration is intractable. The bound allows 1e-6 for HiGHS's error
-in the LP optimum: a larger error that lowers it costs only solves, and
-one that raises it by a unit shows as inv < cap0, which step 3 proves like
-any other gap; only a raised bound that inv meets exactly would end the
-proof early. The witness is the optimal invariant strategy, or the full
-solve's when it undercuts inv.
+that enumeration is intractable. The witness is the optimal invariant
+strategy, or the full solve's when it undercuts inv.
 
 The model and the witness check run on arrays of state masks: each
 (state, server) side view is one integer code (model.view_codes), and
@@ -47,9 +47,7 @@ to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from typing import Mapping
 
 import numpy as np
@@ -69,21 +67,16 @@ MAX_NU = 2
 _BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_g: int = 4
-
-
 Strategy = dict[SideView, dict[int, int]]
 
 
-def _check_budget(p: Params, g: int, budget: OracleBudget) -> None:
+def _check_budget(p: Params, g: int, max_g: int) -> None:
     if p.nu > MAX_NU:
         raise BudgetExceededError(f"oracle budget allows nu <= {MAX_NU}, got {p.nu}")
     if p.n > MAX_N:
         raise BudgetExceededError(f"oracle budget allows n <= {MAX_N}, got {p.n}")
-    if g > budget.max_g:
-        raise BudgetExceededError(f"oracle budget allows granularity <= {budget.max_g}, got {g}")
+    if g > max_g:
+        raise BudgetExceededError(f"oracle budget allows granularity <= {max_g}, got {g}")
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
     check_work(state_count(p), len(read_sets(p)))
@@ -149,10 +142,10 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
     return A, lb, ub, z_base, a_cols
 
 
-def _capped_solve(p: Params, g: int, model: tuple, cap: int, integral: bool):
-    """One HiGHS solve of a _model with B at most cap, as an integer program
-    or as its LP relaxation. Infeasible (status 2) is an answer only for an
-    integral cap below nu*g, where a strategy always exists."""
+def _capped_solve(p: Params, g: int, model: tuple, cap: int):
+    """One HiGHS integer solve of a _model with B at most cap. Infeasible
+    (status 2) is an answer only for a cap below nu*g, where a strategy
+    always exists."""
     A, lb, ub, z_base, _ = model
     n_vars = A.shape[1]
     hi = np.ones(n_vars)
@@ -160,9 +153,9 @@ def _capped_solve(p: Params, g: int, model: tuple, cap: int, integral: bool):
     objective = np.zeros(n_vars)
     objective[0] = 1.0
     res = milp(objective, constraints=LinearConstraint(A, lb, ub),
-               integrality=np.full(n_vars, float(integral)),
+               integrality=np.ones(n_vars),
                bounds=Bounds(np.zeros(n_vars), hi), options={"mip_rel_gap": 0.0})
-    if res.status != 0 and not (res.status == 2 and integral and cap < p.nu * g):
+    if res.status != 0 and not (res.status == 2 and cap < p.nu * g):
         raise SolverError(f"strategy search failed: {res.message}")
     return res
 
@@ -182,18 +175,16 @@ def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
     classes, first = view_classes(masks, p)
     orbit = class_orbits(masks, classes, p)
     invariant = _model(p, g, masks, orbit[classes])
-    # the invariant relaxation's optimum is the full one's, a lower bound on
-    # B; the first feasible capped invariant solve is the cheapest invariant
-    # strategy, which only a full solve capped one unit below can undercut
-    bound = ceil(_capped_solve(p, g, invariant, p.nu * g, False).fun - 1e-6)
-    cap = bound
-    while (res := _capped_solve(p, g, invariant, cap, True)).status == 2:
+    # the first feasible capped invariant solve from the full-information
+    # bound is the cheapest invariant strategy, which only a full solve
+    # capped one unit below can undercut
+    bound = cap = -(-g // p.c)
+    while (res := _capped_solve(p, g, invariant, cap)).status == 2:
         cap += 1
     best, units = round(res.x[0]), _units(invariant, res)[orbit]
-    # best below the bound means the relaxation came out high: prove it too
     if best != bound:
         full = _model(p, g, masks, classes)
-        if (res := _capped_solve(p, g, full, best - 1, True)).status == 0:
+        if (res := _capped_solve(p, g, full, best - 1)).status == 0:
             best, units = round(res.x[0]), _units(full, res)
     return best, first, units
 
@@ -241,18 +232,17 @@ def strategy_worst_units(strategy: Mapping[SideView, Mapping[int, int]]) -> int:
     return max((sum(alloc.values()) for alloc in strategy.values()), default=0)
 
 
-def oracle_min_cost(p: Params, g: int, budget: OracleBudget = OracleBudget()) -> Fraction:
+def oracle_min_cost(p: Params, g: int, max_g: int = 4) -> Fraction:
     """Cheapest worst-case per-server storage, in bits, over all strategies
     on the k_bits/g grid. Upper-bounds the true optimum of per-version MDS
     schemes at this granularity."""
-    _check_budget(p, g, budget)
+    _check_budget(p, g, max_g)
     best, _, _ = _solve(p, g)
     return Fraction(best * p.k_bits, g)
 
 
-def oracle_min_cost_with_witness(p: Params, g: int,
-                                 budget: OracleBudget = OracleBudget()
+def oracle_min_cost_with_witness(p: Params, g: int, max_g: int = 4
                                  ) -> tuple[Fraction, Strategy]:
-    _check_budget(p, g, budget)
+    _check_budget(p, g, max_g)
     best, first, units = _solve(p, g)
     return Fraction(best * p.k_bits, g), _witness(p, first, units)

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from mvcode import (MdsSpec, OracleBudget, Params, Scheme, VerifyMode,
+from mvcode import (MdsSpec, Params, Scheme, VerifyMode,
                     encode_all, latest_complete, mds_decode, mds_encode,
                     oracle_min_cost, quorum_decode, random_state, verify)
 from mvcode.bounds import (VERDICT_NO_HELP, compare_report, cost_baseline,
@@ -194,7 +194,7 @@ def test_criterion_8_oracle_sanity():
     # The [lb_eq1, 5K/12] bracket needs twelfths to be expressible: no
     # multiple of K/4 lies inside it. Checked at granularity 12 (budget
     # override), where the optimum is exactly the 5K/12 endpoint.
-    sweep12 = {h: oracle_min_cost(p_at(h), 12, budget=OracleBudget(max_g=12))
+    sweep12 = {h: oracle_min_cost(p_at(h), 12, max_g=12)
                for h in (0, 1, 2)}
     lo = lb_eq1(K, 2, 4)
     hi = Fraction(5 * K, 12)

@@ -347,13 +347,14 @@ class TestOracleCommand:
                                 "Time limit reached. (HiGHS Status 13)\n")
 
     def test_failed_capped_solve_is_a_config_error(self, monkeypatch, capsys):
-        # the LP relaxation solves; the capped integer solve that follows does not
+        # the first capped solve proves its cap, 1 unit, infeasible; the one
+        # at 2 units that follows does not finish
         import types
         import mvcode.oracle
         solve = mvcode.oracle.milp
         limit = types.SimpleNamespace(status=1, message="Time limit reached. (HiGHS Status 13)")
         monkeypatch.setattr(mvcode.oracle, "milp", lambda *args, **kwargs:
-                            limit if kwargs["integrality"].any() else solve(*args, **kwargs))
+                            limit if kwargs["bounds"].ub[0] > 1 else solve(*args, **kwargs))
         code = run(["oracle", "--n", "4", "--cw", "4", "--cr", "4", "--nu", "2",
                     "--h", "0", "--K", "1024", "--G", "4"])
         captured = capsys.readouterr()
@@ -366,6 +367,15 @@ class TestOracleCommand:
 class TestDispatch:
     def test_unknown_subcommand_is_config_error(self):
         assert run(["frobnicate"]) == EXIT_CONFIG
+
+    def test_every_lazy_oracle_name_resolves(self):
+        import mvcode
+        import mvcode.oracle
+        assert mvcode._ORACLE_NAMES
+        for name in mvcode._ORACLE_NAMES:
+            assert mvcode.__getattr__(name) is getattr(mvcode.oracle, name)
+        with pytest.raises(AttributeError):
+            mvcode.__getattr__("no_such_name")
 
     def test_scipy_loads_only_for_the_oracle(self):
         script = """if True:

@@ -14,12 +14,13 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import mvcode.oracle
-from mvcode import (BudgetExceededError, OracleBudget, Params, Scheme, VerifyMode,
+from mvcode import (BudgetExceededError, Params, Scheme, VerifyMode,
                     allocation_for, check_state_counting, latest_complete,
                     oracle_min_cost, scheme_granularity, side_view, verify)
 from mvcode.allocation import Allocation
 from mvcode.bounds import cost_baseline, cost_c1, lb_thm4
-from mvcode.model import SideView, rank_masks, state_at, state_count, view_classes
+from mvcode.model import (SideView, class_orbits, rank_masks, state_at, state_count,
+                          view_classes)
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
@@ -147,11 +148,15 @@ def full_solve_objective(n_vars):
 
 
 def split_solves(solves):
-    """The oracle's solves as (the invariant relaxation, the rising capped
-    invariant solves up to the first feasible one, the closing full solves)."""
-    relaxation, *capped = solves
-    feasible = next(k for k, (_, _, res) in enumerate(capped) if res.status == 0)
-    return relaxation, capped[:feasible + 1], capped[feasible + 1:]
+    """The oracle's solves as (the rising capped invariant solves up to the
+    first feasible one, the closing full solves)."""
+    feasible = next(k for k, (_, _, res) in enumerate(solves) if res.status == 0)
+    return solves[:feasible + 1], solves[feasible + 1:]
+
+
+def full_information_units(p, g):
+    """The oracle's lower bound in units: ceil(g/c), the centralized cost."""
+    return -(-g // p.c)
 
 
 def reference_feasible(p, g, strategy):
@@ -186,7 +191,7 @@ class TestKnownValues:
         assert oracle_min_cost(params(h=0), 4) == Fraction(K, 2)
 
     def test_no_sharing_on_the_twelfth_grid(self):
-        value = oracle_min_cost(params(h=0), 12, budget=OracleBudget(max_g=12))
+        value = oracle_min_cost(params(h=0), 12, max_g=12)
         assert value == Fraction(5 * K, 12)
 
 
@@ -194,8 +199,7 @@ class TestWitnesses:
     @pytest.mark.parametrize("h,g,max_g", [(0, 4, 4), (1, 4, 4), (0, 12, 12)])
     def test_witness_strategy_is_feasible_by_brute_force(self, h, g, max_g):
         p = params(h)
-        value, strategy = oracle_min_cost_with_witness(
-            p, g, budget=OracleBudget(max_g=max_g))
+        value, strategy = oracle_min_cost_with_witness(p, g, max_g=max_g)
         assert strategy_feasible(p, g, strategy)
         assert Fraction(strategy_worst_units(strategy) * K, g) == value
 
@@ -212,14 +216,13 @@ class TestWitnesses:
 class TestMonotonicity:
     def test_more_visibility_never_costs_more(self):
         for g, max_g in ((4, 4), (12, 12)):
-            values = [oracle_min_cost(params(h), g, budget=OracleBudget(max_g=max_g))
-                      for h in (0, 1, 2)]
+            values = [oracle_min_cost(params(h), g, max_g=max_g) for h in (0, 1, 2)]
             assert values[0] >= values[1] >= values[2]
 
     def test_finer_grid_never_costs_more(self):
         p = params(h=0)
         v4 = oracle_min_cost(p, 4)
-        v12 = oracle_min_cost(p, 12, budget=OracleBudget(max_g=12))
+        v12 = oracle_min_cost(p, 12, max_g=12)
         assert v12 <= v4
 
 
@@ -351,9 +354,9 @@ def solves(monkeypatch):
 class TestCappedSolve:
     def test_matches_one_uncapped_solve(self, p, g, solves):
         value, strategy = oracle_min_cost_with_witness(p, g)
-        # the relaxation's call carries the invariant model with B's full box,
-        # nu*g; one uncapped integer solve of the full model agrees with it all
-        assert solves[0][1]["bounds"].ub[0] == p.nu * g
+        # the first call caps B at the full-information bound; one uncapped
+        # integer solve of the full model agrees with the oracle's answer
+        assert solves[0][1]["bounds"].ub[0] == full_information_units(p, g)
         uncapped = full_solve(p, g, reference_model(p, g), p.nu * g, True)
         assert uncapped.status == 0
         assert value == oracle_min_cost(p, g) == Fraction(round(uncapped.fun) * K, g)
@@ -361,17 +364,17 @@ class TestCappedSolve:
         assert Fraction(strategy_worst_units(strategy) * K, g) == value
 
     def test_relaxation_then_rising_caps(self, p, g, solves):
-        # the invariant relaxation, invariant caps rising from its bound by one
-        # unit to the first feasible one, inv, then one full solve capped at
-        # inv - 1 exactly when inv is above the bound
+        # no relaxation is solved: invariant caps rise from the closed-form
+        # bound, which is the relaxation's optimum rounded up, by one unit to
+        # the first feasible one, inv, then one full solve capped at inv - 1
+        # exactly when inv is above the bound
         best = oracle_min_cost(p, g) * g / K
-        (_, relaxation, lp), rising, closing = split_solves(solves)
-        assert not relaxation["integrality"].any()
+        rising, closing = split_solves(solves)
         assert all(kwargs["integrality"].all() for _, kwargs, _ in rising + closing)
-        invariant = relaxation["constraints"].A.shape
+        invariant = rising[0][1]["constraints"].A.shape
         assert all(kwargs["constraints"].A.shape == invariant for _, kwargs, _ in rising)
         caps = [kwargs["bounds"].ub[0] for _, kwargs, _ in rising]
-        start = ceil(lp.fun - 1e-6)
+        start = full_information_units(p, g)
         assert caps == list(range(start, start + len(caps)))
         inv = round(rising[-1][2].x[0])
         assert inv == caps[-1]
@@ -385,12 +388,12 @@ class TestCappedSolve:
 
 
 def test_cap_below_the_optimum_rises_by_one(solves):
-    # the invariant caps rise from the bound, 2, to 3; one full solve capped
-    # at 2 is infeasible, which proves 3 optimal
+    # the invariant caps rise from the bound, G/c = 2, to 3; one full solve
+    # capped at 2 is infeasible, which proves 3 optimal
     p, g = SWEEP[0]
     assert oracle_min_cost(p, g) == Fraction(3 * K, g)
-    assert solves[0][2].fun == pytest.approx(2.0)
-    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves[1:]] == [
+    assert full_information_units(p, g) == 2
+    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves] == [
         (2, 2), (3, 0), (2, 2)]
     assert solves[-1][1]["constraints"].A.shape == reference_model(p, g)[0].shape
 
@@ -401,7 +404,7 @@ def test_side_information_beats_the_baseline_at_n6(monkeypatch):
     # the cost without side information, 5K/12
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
     p = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
-    value, strategy = oracle_min_cost_with_witness(p, 8, budget=OracleBudget(max_g=8))
+    value, strategy = oracle_min_cost_with_witness(p, 8, max_g=8)
     assert value == cost_c1(K, p.c) == Fraction(3 * K, 8)
     assert value < cost_baseline(K, p.nu, p.c) == Fraction(5 * K, 12)
     assert strategy_feasible(p, 8, strategy)
@@ -425,12 +428,12 @@ def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
     assert z_base == z_base_ref and np.array_equal(first, first_ref)
     assert np.array_equal(a_cols, a_cols_ref)
 
-    value, witness = oracle_min_cost_with_witness(p, g, OracleBudget(max_g=g))
+    value, witness = oracle_min_cost_with_witness(p, g, max_g=g)
     assert list(witness) == [side_view(state_at(p, f // p.n), f % p.n, p)
                              for f in first_ref.tolist()]
     # a closing solve is the reference model's, call for call: objective,
     # matrix, row and variable bounds, integrality
-    _, _, closing = split_solves(solves)
+    _, closing = split_solves(solves)
     for (c,), kw, _ in closing:
         assert np.array_equal(c, full_solve_objective(A_ref.shape[1]))
         con = kw["constraints"]
@@ -446,59 +449,39 @@ def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
 @pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
                                                    for p, g in MODEL_CASES])
 def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
-    # the invariant relaxation bounds B as tightly as the full one, and the
-    # proof ends at the full search's optimum with a witness both checks
-    # accept, one key per view class
+    # the full model's LP relaxation is exactly the full-information cost
+    # G/c, so the oracle solves none: its first call is the invariant integer
+    # program capped at ceil(G/c). The proof ends at the full search's
+    # optimum with a witness both checks accept, one key per view class
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
-    value, witness = oracle_min_cost_with_witness(p, g, OracleBudget(max_g=g))
+    value, witness = oracle_min_cost_with_witness(p, g, max_g=g)
     lp, best = reference_solve(p, g)
-    assert solves[0][2].fun == pytest.approx(lp, abs=1e-9)
+    assert lp == pytest.approx(g / p.c, abs=1e-9)
+    masks = rank_masks(p, 0, state_count(p))
+    classes, _ = view_classes(masks, p)
+    invariant = mvcode.oracle._model(p, g, masks, class_orbits(masks, classes, p)[classes])[0]
+    first = solves[0][1]
+    assert first["integrality"].all()
+    assert first["bounds"].ub[0] == full_information_units(p, g)
+    assert (first["constraints"].A != invariant).nnz == 0
     assert value == Fraction(best * K, g)
     assert Fraction(strategy_worst_units(witness) * K, g) == value
     assert strategy_feasible(p, g, witness) and reference_feasible(p, g, witness)
     assert len(witness) == len(reference_model(p, g)[-1])
 
 
-@pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
-                                                   for p, g in MODEL_CASES])
-def test_a_relaxation_that_comes_out_high_is_caught(p, g, monkeypatch):
-    # HiGHS reporting the LP optimum 2e-6 above its true value raises the
-    # bound of an integral relaxation by one unit; the first capped invariant
-    # solve then comes in under the bound, and the closing full solve,
-    # capped at its optimum minus one, proves that optimum
-    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
-    value = oracle_min_cost(p, g, OracleBudget(max_g=g))
-    calls = []
-
-    def high(*args, **kwargs):
-        res = milp(*args, **kwargs)
-        calls.append((kwargs, res, res.fun))
-        if not kwargs["integrality"].any():
-            res.fun += 2e-6
-        return res
-
-    monkeypatch.setattr(mvcode.oracle, "milp", high)
-    bumped, witness = oracle_min_cost_with_witness(p, g, OracleBudget(max_g=g))
-    assert bumped == value == Fraction(strategy_worst_units(witness) * K, g)
-    assert strategy_feasible(p, g, witness)
-    lp, best = calls[0][2], value * g / K
-    if best == round(lp) == pytest.approx(lp, abs=1e-9):
-        (first, res, _), (closing, proof, _) = calls[1:]
-        assert first["bounds"].ub[0] == round(res.x[0]) + 1 == best + 1
-        assert closing["bounds"].ub[0] == best - 1 and proof.status == 2
-
-
 def test_side_information_may_not_help_at_n7(solves, monkeypatch):
     # Theorem 4's regime h <= (n-c)/4: at n=7, cw=cr=5 (c=3), h=1 a server
     # sees (n-3)/2 = 2 others, and the exact optimum is K/2, both the
     # converse's bound and the cost without side information. The invariant
-    # bound and optimum meet, so the full model (337,113 rows) is never built
+    # optimum meets the bound G/c = 2, so one solve proves it, and the full
+    # model (337,113 rows) is never built
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 7)
     p = Params(n=7, cw=5, cr=5, nu=2, h=1, k_bits=K)
     value = oracle_min_cost(p, 4)
     assert value == lb_thm4(K, p.c) == cost_baseline(K, p.nu, p.c) == Fraction(K, 2)
-    assert len(solves) == 2
-    assert {kw["constraints"].A.shape for _, kw, _ in solves} == {(17733, 10491)}
+    assert len(solves) == 1
+    assert solves[0][1]["constraints"].A.shape == (17733, 10491)
 
 
 def test_closing_solve_undercuts_the_invariant_optimum(solves, monkeypatch):
@@ -509,7 +492,7 @@ def test_closing_solve_undercuts_the_invariant_optimum(solves, monkeypatch):
     p = Params(n=6, cw=6, cr=6, nu=2, h=1, k_bits=K)
     value, witness = oracle_min_cost_with_witness(p, 4)
     assert value == Fraction(K, 4)
-    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves[1:]] == [
+    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves] == [
         (1, 2), (2, 0), (1, 0)]
     assert strategy_feasible(p, 4, witness) and reference_feasible(p, 4, witness)
     assert strategy_worst_units(witness) == 1
