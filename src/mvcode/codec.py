@@ -87,8 +87,9 @@ def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
 
     Raises InsufficientSymbolsError with fewer than k distinct indices and
     InconsistentSymbolsError when duplicate indices disagree. With k or more
-    distinct indices of one positive, even payload length (whole field
-    elements), decoding always succeeds; any other length is a CodecError.
+    distinct indices in [0, 2^16), all of one positive, even payload length
+    (whole field elements), decoding always succeeds; any other index or
+    length is a CodecError.
     """
     k = spec.k
     by_index: dict[int, bytes] = {}
@@ -104,6 +105,8 @@ def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
             f"need {k} distinct symbols, got {len(by_index)}")
     indices = sorted(by_index)
     for j in indices:
+        if not 0 <= j < gf.ORDER:
+            raise CodecError(f"symbol index {j} outside the field universe")
         # joined, odd lengths could still make whole elements, misaligned
         if len(by_index[j]) == 0 or len(by_index[j]) % 2:
             raise CodecError(f"payload of symbol index {j} is {len(by_index[j])} bytes, "
@@ -146,10 +149,13 @@ def slot_indices(server: int, count: int, slots: int) -> range:
 @lru_cache(maxsize=64)
 def _slot_generator(scheme: Scheme, p: Params, version: int) -> np.ndarray:
     """Generator rows of every server slot of `version`, in slot_indices
-    order: row j is the symbol with global index j."""
+    order: row j is the symbol with global index j. Read-only, since every
+    later encode of the version shares it."""
     slots = slots_per_server(scheme, version, p)
     denom = scheme_granularity(scheme, p).denom
-    return gf.generator_matrix(denom, tuple(range(p.n * slots)))
+    G = gf.generator_matrix(denom, tuple(range(p.n * slots)))
+    G.flags.writeable = False
+    return G
 
 
 def message_elements(messages: Sequence[bytes], p: Params, denom: int) -> np.ndarray:

@@ -14,11 +14,24 @@ takes the logs of each operand once and walks the columns of the right
 matrix in chunks of CHUNK, reusing one set of index, product and
 accumulator buffers, so no temporary grows with the message width.
 
+`matmul_stack` takes a stack of small products, (P x m x k) @ (P x k x w),
+through the same kernel in one pass, with no unit-row copies: the shape of
+many decodes of a few symbols each.
+
 The code realized here is a polynomial evaluation code with a systematic
 prefix: message symbols are the values of a degree-< k polynomial at the
 anchor points 0..k-1, and the coded symbol with global index j is the value
 at point j. Any k distinct points determine the polynomial, which is the
 MDS guarantee; indices below k reproduce message symbols verbatim.
+
+Both the generator rows and the decode matrices are Lagrange interpolation
+matrices, built in closed form by `_lagrange`: the generator interpolates
+through the anchors and evaluates at the coded points, and the inverse of
+the generator submatrix of any k distinct points interpolates through those
+points and evaluates at the anchors (MacWilliams & Sloane, *The Theory of
+Error-Correcting Codes*, ch. 10). No elimination is needed; `mat_inv`, a
+Gauss-Jordan inverse, stays as the reference the closed form is tested
+against.
 """
 
 from __future__ import annotations
@@ -70,10 +83,6 @@ def inv_s(a: int) -> int:
     return int(_EXP[(ORDER - 1) - int(_LOG[a])])
 
 
-def div_s(a: int, b: int) -> int:
-    return mul_s(a, inv_s(b))
-
-
 def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(m x k) @ (k x w) over the field.
 
@@ -92,38 +101,51 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         out[r] = B[ones[r].argmax()]
     rest = np.flatnonzero(~unit)
     if rest.size:
-        _accumulate(A[rest], B, out, rest)
+        _accumulate(A[None, rest], B[None], out[None], rest)
     return out
 
 
-def _accumulate(A: np.ndarray, B: np.ndarray, out: np.ndarray, rows: np.ndarray) -> None:
-    """out[rows] = A @ B by log/antilog lookups, CHUNK columns at a time.
+def matmul_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(P x m x k) @ (P x k x w) over the field: slice p of the result is
+    matmul(A[p], B[p]). Every row goes through `_accumulate`, so the whole
+    stack is one pass of the kernel."""
+    P, m, k = A.shape
+    assert B.shape[:2] == (P, k), (A.shape, B.shape)
+    out = np.empty((P, m, B.shape[2]), dtype=np.uint16)
+    _accumulate(A, B, out, slice(None))
+    return out
+
+
+def _accumulate(A: np.ndarray, B: np.ndarray, out: np.ndarray, rows) -> None:
+    """out[:, rows] = A @ B for stacks A (P x r x k) and B (P x k x w), by
+    log/antilog lookups, CHUNK columns at a time.
 
     The logs of A are taken once, and the logs of each chunk of B once per
     chunk. Each column t of A then adds one block of products to the
-    chunk's accumulator: index = log A[:, t] + log B[t], product =
+    chunk's accumulator: index = log A[:, :, t] + log B[:, t], product =
     _EXP[index], accumulator ^= product. The three buffers are allocated
     once, at one chunk's size, and reused by every chunk.
     """
-    r, k = A.shape
-    w = B.shape[1]
+    P, r, k = A.shape
+    w = B.shape[2]
     log_a = _LOG[A]
-    size = min(w, CHUNK)
+    size = P * min(w, CHUNK)
     log_b = np.empty(k * size, dtype=np.int32)
     index = np.empty(r * size, dtype=np.int32)
     product = np.empty(r * size, dtype=np.uint16)
     acc = np.empty(r * size, dtype=np.uint16)
     for lo in range(0, w, CHUNK):
         cw = min(CHUNK, w - lo)
-        lb = log_b[:k * cw].reshape(k, cw)
-        idx, prod, total = (buf[:r * cw].reshape(r, cw) for buf in (index, product, acc))
-        np.take(_LOG, B[:, lo:lo + cw], out=lb, mode="clip")
+        lb = log_b[:P * k * cw].reshape(P, k, cw)
+        idx, prod, total = (buf[:P * r * cw].reshape(P, r, cw)
+                            for buf in (index, product, acc))
+        np.take(_LOG, B[:, :, lo:lo + cw], out=lb, mode="clip")
         total.fill(0)
         for t in range(k):
-            np.add(log_a[:, t:t + 1], lb[t], out=idx)
+            np.add(log_a[:, :, t:t + 1], lb[:, t:t + 1], out=idx)
             np.take(_EXP, idx, out=prod, mode="clip")
             np.bitwise_xor(total, prod, out=total)
-        out[rows, lo:lo + cw] = total
+        out[:, rows, lo:lo + cw] = total
 
 
 def mat_inv(A: np.ndarray) -> np.ndarray:
@@ -150,6 +172,37 @@ def mat_inv(A: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _lagrange(points, at) -> np.ndarray:
+    """Entry [a, i] is the Lagrange basis polynomial of points[i] through
+    `points`, evaluated at at[a]: the product over s != i of
+    (at[a] + points[s]) / (points[i] + points[s]). A row whose `at` is one
+    of the points is the unit row of that point.
+
+    The products are sums of logs, taken for all entries at once: the
+    denominator of column i is the sum over s != i of log(points[i] +
+    points[s]), and the numerator of entry [a, i] is the sum over all s of
+    log(at[a] + points[s]) less its own term. Raises ValueError for a point
+    or an evaluation point outside the field, or a repeated point.
+    """
+    p = np.asarray(points, dtype=np.int64)
+    x = np.asarray(at, dtype=np.int64)
+    both = np.concatenate([p, x])
+    outside = both[(both < 0) | (both >= ORDER)]
+    if outside.size:
+        raise ValueError(f"symbol index {outside[0]} outside the field universe [0, {ORDER})")
+    if np.unique(p).size != p.size:
+        raise ValueError(f"repeated interpolation point in {p.tolist()}")
+    # the diagonal's log of 0, the sentinel 2(ORDER-1), is 0 modulo ORDER-1;
+    # rows that hit a point are wrong through it and are overwritten
+    near = x[:, None] ^ p
+    logs = _LOG[near]
+    out = _EXP[(logs.sum(1, keepdims=True) - logs - _LOG[p[:, None] ^ p].sum(1)) % (ORDER - 1)]
+    hit_row, hit_col = np.nonzero(near == 0)
+    out[hit_row] = 0
+    out[hit_row, hit_col] = 1
+    return out
+
+
 @lru_cache(maxsize=65536)
 def generator_row(k: int, index: int) -> tuple[int, ...]:
     """Row of the evaluation-code generator for global symbol `index`.
@@ -158,30 +211,21 @@ def generator_row(k: int, index: int) -> tuple[int, ...]:
     evaluated at the point `index`; rows with index < k are unit rows,
     which is what makes the prefix systematic.
     """
-    if not 0 <= index < ORDER:
-        raise ValueError(f"symbol index {index} outside the field universe [0, {ORDER})")
-    if index < k:
-        row = [0] * k
-        row[index] = 1
-        return tuple(row)
-    row = []
-    for t in range(k):
-        num, den = 1, 1
-        for s in range(k):
-            if s == t:
-                continue
-            num = mul_s(num, index ^ s)
-            den = mul_s(den, t ^ s)
-        row.append(div_s(num, den))
-    return tuple(row)
+    return tuple(_lagrange(range(k), (index,))[0].tolist())
 
 
 def generator_matrix(k: int, indices: tuple[int, ...]) -> np.ndarray:
-    return np.array([generator_row(k, j) for j in indices], dtype=np.uint16)
+    """The generator rows of `indices`, one row per index."""
+    return _lagrange(range(k), indices)
 
 
 @lru_cache(maxsize=4096)
 def decode_matrix(k: int, indices: tuple[int, ...]) -> np.ndarray:
-    """Inverse of the k x k generator submatrix for k distinct indices."""
-    assert len(indices) == k
-    return mat_inv(generator_matrix(k, indices))
+    """Inverse of the k x k generator submatrix for k distinct indices: the
+    interpolation through those points, evaluated at the anchors 0..k-1.
+    Read-only, since every later decode of the same indices shares it."""
+    if len(indices) != k:
+        raise ValueError(f"a decode needs {k} indices, got {len(indices)}")
+    D = _lagrange(indices, range(k))
+    D.flags.writeable = False
+    return D

@@ -14,8 +14,9 @@ from `block_allocations` as one (states, n, nu) array. `decode_versions`
 gives, for every read set of every state, the version the counting rule
 decodes there: the counting layer flags the states where some read set has
 none (`short_states`), and the bit-exact layer makes one encode per version
-for the whole block and one decode per group of read sets that pick the
-same symbols of that version (`bitexact_block`). A state either block check
+for the whole block and one stacked decode per version: every distinct
+(state, read) pair goes through the cached decode matrix of the symbols it
+reads, in one field product over the stack (`bitexact_block`). A state either block check
 cannot clear goes back through its per-state reference,
 `check_state_counting` or `check_state_bitexact`, which reports its
 violation.
@@ -270,27 +271,30 @@ def check_state_bitexact(scheme: Scheme, S: SystemState, p: Params,
     return bitexact_violations(scheme, S, stores, messages, p)
 
 
-def _decode_groups(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
-                   p: Params, denom: int) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
-    """The states of a block grouped by what quorum_decode reads: for each
-    (version, indices) that some read set of some state decodes from, the
-    block positions of those states. Server t of read set r contributes
-    its counts[b, t, m-1] slots of version m = versions[b, r], and the
-    decode reads the `denom` smallest of those indices."""
+def _decode_pairs(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
+                  p: Params, denom: int) -> tuple[list[tuple[int, tuple[int, ...]]],
+                                                  np.ndarray, np.ndarray]:
+    """What quorum_decode reads, for every read set of every state of a
+    block. Server t of read set r contributes its counts[b, t, m-1] slots of
+    version m = versions[b, r], and the decode reads the `denom` smallest of
+    those indices. Returns the distinct reads, as (version, indices), and
+    the distinct (state, read) pairs, as block positions and positions in
+    that list."""
     states, reads = versions.shape
     in_read = _read_set_matrix(p).T.astype(counts.dtype)  # (reads, n)
     at = np.take_along_axis(counts, np.broadcast_to(versions[:, None, :] - 1,
                                                     (states, p.n, reads)), axis=2)
     keys = np.concatenate([versions[:, :, None], at.transpose(0, 2, 1) * in_read], axis=2)
     unique, inverse = np.unique(keys.reshape(-1, p.n + 1), axis=0, return_inverse=True)
-    owner = np.arange(states).repeat(reads)
-    inverse = inverse.reshape(-1)
-    parts: dict[tuple[int, tuple[int, ...]], list[np.ndarray]] = {}
-    for k, (m, *held) in enumerate(unique.tolist()):
+    distinct: dict[tuple[int, tuple[int, ...]], int] = {}  # read -> its position
+    read_of_key = []
+    for m, *held in unique.tolist():
         chosen = tuple(j for t, count in enumerate(held)
                        for j in slot_indices(t, count, int(slots[m - 1])))[:denom]
-        parts.setdefault((m, chosen), []).append(owner[inverse == k])
-    return {key: np.unique(np.concatenate(members)) for key, members in parts.items()}
+        read_of_key.append(distinct.setdefault((m, chosen), len(distinct)))
+    pairs = np.unique(np.arange(states).repeat(reads) * len(distinct)
+                      + np.array(read_of_key)[inverse.reshape(-1)])
+    return list(distinct), pairs // len(distinct), pairs % len(distinct)
 
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
@@ -301,11 +305,13 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     (0 for none).
 
     The states with a complete version are encoded together, one matmul per
-    version, and every (state, read set) is decoded in groups that read the
-    same indices of the same version, one cached decode matrix per group.
-    A state that is not encodable, has a read set with no decodable version,
-    or decodes to other bytes goes through check_state_bitexact, which
-    reports exactly what the reference reports.
+    version, and decoded together, one stacked product per version: each
+    distinct (state, read) pair multiplies the symbols it reads by the
+    cached decode matrix of their indices. The stack is cut into slices of
+    about _BLOCK_BYTES of temporaries; at c1 n=6 a version's stack is one
+    slice. A state that is not encodable, has a read set with no decodable
+    version, or decodes to other bytes goes through check_state_bitexact,
+    which reports exactly what the reference reports.
     """
     if states:
         _require_byte_aligned(p)
@@ -325,17 +331,22 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
 
     if live.size:
         payloads = [random_payloads(p, seeds[b]) for b in live.tolist()]
-        groups = _decode_groups(counts[live], versions[live], slots, p, denom)
-        messages, coded = {}, {}
-        for m in sorted({m for m, _ in groups}):
-            messages[m] = message_elements([pl[m] for pl in payloads], p, denom)
-            coded[m] = encode_slots(scheme, p, m, messages[m])
-        for (m, chosen), members in groups.items():
-            rows = coded[m][np.ix_(chosen, members)]
-            decoded = gf.matmul(gf.decode_matrix(denom, chosen),
-                                rows.reshape(denom, -1)).reshape(rows.shape)
-            wrong = (decoded != messages[m][:, members]).any(axis=(0, 2))
-            redo[live[members[wrong]]] = True
+        reads, owner, which = _decode_pairs(counts[live], versions[live], slots, p, denom)
+        version = np.array([m for m, _ in reads])[which]
+        matrices = np.stack([gf.decode_matrix(denom, chosen) for _, chosen in reads])
+        indices = np.array([chosen for _, chosen in reads])
+        for m in np.unique(version).tolist():
+            messages = message_elements([pl[m] for pl in payloads], p, denom)
+            coded = encode_slots(scheme, p, m, messages)
+            # the product's temporaries take about 6 bytes per decode-matrix
+            # entry and 20 per decoded element of each pair
+            step = max(1, _BLOCK_BYTES // (denom * (6 * denom + 20 * messages.shape[2])))
+            pair_b, pair_r = owner[version == m], which[version == m]
+            for lo in range(0, pair_b.size, step):
+                b, r = pair_b[lo:lo + step], pair_r[lo:lo + step]
+                decoded = gf.matmul_stack(matrices[r], coded[indices[r], b[:, None]])
+                wrong = (decoded != messages[:, b].transpose(1, 0, 2)).any(axis=(1, 2))
+                redo[live[b[wrong]]] = True
 
     return [check_state_bitexact(scheme, S, p, seed) if again else None
             for S, seed, again in zip(states, seeds, redo.tolist())]

@@ -17,7 +17,7 @@ from mvcode import (CodecError, DecodeContractError, Params, Scheme, SystemState
 from mvcode.allocation import (Allocation, allocation_for, block_allocations,
                                scheme_granularity)
 from mvcode.cli import EXIT_CONFIG, main
-from mvcode.codec import encode_all, quorum_decode
+from mvcode.codec import encode_all, quorum_decode, slots_per_server
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import latest_complete, random_state, rank_masks, state_count
 from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block, check_state_bitexact,
@@ -188,6 +188,58 @@ class TestDifferential:
         counts = _counts(Scheme.C1, P6, states)
         assert bitexact_block(Scheme.C1, P6, states, counts, [1, 2, 3], [2] * 3) == [None] * 3
         assert asked == [full]
+
+    @pytest.mark.parametrize("budget", [verifier._BLOCK_BYTES, 1])
+    def test_one_wrong_symbol_in_a_mixed_block_sends_only_its_state(self, monkeypatch,
+                                                                    budget):
+        # a block of seeded states that decode through many distinct reads;
+        # one version-2 symbol of the fully replicated state is flipped. A
+        # budget of one byte decodes one pair per product.
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", budget)
+        full = SystemState.of(P6, [{1, 2}] * P6.n)
+        states = [random_state(P6, 1400 + j) for j in range(40)]
+        states.insert(20, full)
+        counts = _counts(Scheme.C1, P6, states)
+        latest = [latest_complete(S, P6) or 0 for S in states]
+        # with the honest scheme every state with a complete version is
+        # encoded, so the full state's column counts those before it
+        column = sum(top > 0 for top in latest[:20])
+        assert 0 < column < 20
+        denom = scheme_granularity(Scheme.C1, P6).denom
+        slots = np.array([slots_per_server(Scheme.C1, u, P6) for u in P6.versions])
+        versions = decode_versions(counts, np.array(latest), P6, denom)
+        reads, _, _ = verifier._decode_pairs(counts, versions, slots, P6, denom)
+        assert len({chosen for m, chosen in reads if m == 2}) > 1
+        encode_slots = verifier.encode_slots
+
+        def corrupt(scheme, p, version, elements):
+            coded = encode_slots(scheme, p, version, elements)
+            if version == 2:
+                coded[0, column, 0] ^= 1  # server 0's first symbol
+            return coded
+
+        asked = []
+
+        def reference(scheme, S, p, seed):
+            asked.append(S)
+            return None
+
+        monkeypatch.setattr(verifier, "encode_slots", corrupt)
+        monkeypatch.setattr(verifier, "check_state_bitexact", reference)
+        seeds = list(range(len(states)))
+        assert bitexact_block(Scheme.C1, P6, states, counts, seeds, latest) == [None] * len(states)
+        assert asked == [full]
+
+    @pytest.mark.parametrize("budget", [1, 40_000])
+    def test_a_stack_cut_into_slices_gives_the_same_result(self, monkeypatch, budget):
+        # one pair per product, or a few, with a short last slice
+        monkeypatch.setattr(verifier, "_BLOCK_BYTES", budget)
+        states = [random_state(P6, 7000 + j) for j in range(60)]
+        kernel, reference = _kernel_and_reference(Scheme.C1, P6, states, range(60))
+        assert kernel == reference
+        _drop_one_symbol_at_server_0(monkeypatch)
+        kernel, reference = _kernel_and_reference(Scheme.C1, P6, states, range(60))
+        assert kernel == reference and any(reference)
 
     @pytest.mark.parametrize("version,count", [(2, 1), (1, 7)])
     def test_a_state_server_encode_refuses_goes_to_the_reference(self, monkeypatch,

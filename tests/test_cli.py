@@ -272,6 +272,24 @@ class TestRoundtripCommand:
             "error: payload of symbol index 16 is 9 bytes, "
             "not a positive whole number of 16-bit elements\n")
 
+    @pytest.mark.parametrize("bad", [-1, 65536])
+    def test_a_store_index_outside_the_field_is_a_config_error(self, tmp_path, capsys, bad):
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        stores = tmp_path / "stores.json"
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--stores-out", str(stores)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        doc = json.loads(stores.read_text())
+        last = max(e for e, (u, _, _) in enumerate(doc["4"]) if u == 2)
+        doc["4"][last][1] = bad
+        stores.write_text(json.dumps(doc))
+        code = run(self.ARGS + ["--state", str(state), "--payload-seed", "1",
+                                "--read-set", "1,2,3,4,5", "--stores-in", str(stores)])
+        assert _config_error(code, capsys) == (
+            f"error: symbol index {bad} outside the field universe\n")
+
     def test_deeply_nested_store_file(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")

@@ -136,6 +136,41 @@ class TestMds:
         with pytest.raises(CodecError):
             mds_encode(msg, MdsSpec(2), [0, 1 << 16])
 
+    @pytest.mark.parametrize("bad", [-1, 1 << 16])
+    def test_decode_rejects_indices_outside_the_field(self, monkeypatch, bad):
+        # checked before any matrix is built: a negative index would
+        # otherwise index the log table from its end
+        payloads = mds_encode(bytes(range(8)), MdsSpec(2), [0, 1])
+
+        def refuse(*args):
+            raise AssertionError("a decode matrix was built")
+
+        monkeypatch.setattr(gf, "decode_matrix", refuse)
+        for symbols in ([(bad, payloads[0]), (1, payloads[1])],
+                        [(0, payloads[0]), (1, payloads[1]), (bad, payloads[1])]):
+            with pytest.raises(CodecError,
+                               match=rf"^symbol index {bad} outside the field universe$"):
+                mds_decode(symbols, MdsSpec(2))
+
+    def test_decode_matrix_needs_k_distinct_indices(self):
+        with pytest.raises(ValueError, match="repeated interpolation point"):
+            gf.decode_matrix(3, (0, 5, 5))
+        with pytest.raises(ValueError, match=r"^a decode needs 3 indices, got 2$"):
+            gf.decode_matrix(3, (0, 5))
+        with pytest.raises(ValueError, match="outside the field universe"):
+            gf.generator_row(3, -1)
+
+    def test_cached_matrices_are_read_only(self):
+        # a write would silently change every later decode or encode
+        D = gf.decode_matrix(4, (1, 5, 9, 30))
+        G = codec._slot_generator(Scheme.C1, P6, 1)
+        for cached in (D, G):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] ^= 1
+        assert gf.decode_matrix(4, (1, 5, 9, 30)) is D
+        assert np.array_equal(gf.matmul(D, gf.generator_matrix(4, (1, 5, 9, 30))),
+                              np.eye(4, dtype=np.uint16))
+
     def test_padding_sizes(self):
         assert padded_len_bytes(1024, 16) == 128   # no padding at K=1024
         assert padded_len_bytes(1024, 2) == 128

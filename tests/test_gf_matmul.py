@@ -139,6 +139,38 @@ class TestAgainstTheTripleLoop:
         assert np.array_equal(coefficient_matmul(A, B), scalar_matmul(A, B))
 
 
+class TestStack:
+    """matmul_stack against one 2-D matmul per slice, which is checked
+    against the triple loop above."""
+
+    @pytest.mark.parametrize("P", [0, 1, 2, 7])
+    @pytest.mark.parametrize("w", [1, 4, CHUNK + 1])
+    def test_each_slice_is_a_matmul(self, P, w):
+        rng = np.random.default_rng(1400 + 10 * P + w)
+        m, k = (int(x) for x in rng.integers(1, 9, 2))
+        # unit, repeated, scaled and zero rows, and zero columns, per slice
+        A = np.array([structured(rng, m, k) for _ in range(P)], dtype=np.uint16).reshape(P, m, k)
+        B = rng.integers(0, gf.ORDER, (P, k, w), dtype=np.uint16)
+        got = gf.matmul_stack(A, B)
+        assert got.dtype == np.uint16 and got.shape == (P, m, w)
+        for a, b, out in zip(A, B, got):
+            assert np.array_equal(out, gf.matmul(a, b))
+        if P:
+            cols = probe_columns(rng, w)
+            assert np.array_equal(got[0][:, cols], scalar_matmul(A[0], B[0][:, cols]))
+
+    def test_a_gathered_stack_of_read_only_matrices(self):
+        # the shape bitexact_block gives it: cached decode matrices, gathered
+        rng = np.random.default_rng(14)
+        reads = [(0, 1, 2, 3), (0, 2, 9, 40), (5, 6, 7, 8)]
+        which = np.array([2, 0, 1, 1, 0, 2])
+        matrices = np.stack([gf.decode_matrix(4, chosen) for chosen in reads])
+        Y = rng.integers(0, gf.ORDER, (len(which), 4, 3), dtype=np.uint16)
+        got = gf.matmul_stack(matrices[which], Y)
+        for r, y, out in zip(which, Y, got):
+            assert np.array_equal(out, scalar_matmul(gf.decode_matrix(4, reads[r]), y))
+
+
 element = st.one_of(st.just(0), st.just(1), st.integers(0, gf.ORDER - 1))
 
 
