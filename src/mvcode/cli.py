@@ -14,13 +14,9 @@ import random
 import sys
 from pathlib import Path
 
-from . import bounds
 from .allocation import Scheme
 from .codec import encode_all, quorum_decode, stores_from_json, stores_to_json
 from .errors import CodecError, MvcodeError
-from .fixtures import (check_indistinguishable, fixture_thm3, fixture_thm4,
-                       make_thm3_params, make_thm4_params, thm3_read_sets,
-                       thm4_l_choices, thm4_read_sets)
 from .model import Params, SystemState, latest_complete, random_state
 from .verifier import VerifyMode, random_payloads, verify
 
@@ -125,6 +121,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    from . import bounds
+
     lo, _, hi = args.c.partition(":")
     c_lo, c_hi = int(lo), int(hi if hi else lo)
     rows = bounds.compare_report(c_lo, c_hi, args.nu, args.k_bits)
@@ -134,6 +132,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import (check_indistinguishable, fixture_thm3, fixture_thm4,
+                           make_thm3_params, make_thm4_params, thm3_read_sets,
+                           thm4_l_choices, thm4_read_sets)
+
     if args.which == "thm3":
         p = make_thm3_params(args.n, args.k_bits)
         pair = fixture_thm3(p)
@@ -215,6 +217,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import bounds
     from .oracle import oracle_min_cost  # scipy loads only for this command
 
     p = _params(args)

@@ -8,6 +8,13 @@ never needs a modular reduction, and the log of 0 is a sentinel that lands
 every product with 0 in a zero tail of the antilog table, so `mul` needs no
 zero mask.
 
+The powers of x are built at import by doubling, not by 65,535 scalar
+shifts: given x^0 .. x^(n-1), multiplying all of them by x^n gives x^n ..
+x^(2n-1), in 16 steps for n = 1, 2, 4, .... Multiplication by a fixed
+element is linear over GF(2), so each step is the split-table product of
+the same paper: two 256-entry tables, indexed by the low and the high byte
+of each element, whose entries are XORs of the images of the 16 bits.
+
 `matmul` is systematic-aware: a unit row of the left matrix is a row copy,
 not a product. The remaining rows go through one log/antilog kernel that
 takes the logs of each operand once and walks the columns of the right
@@ -47,13 +54,24 @@ CHUNK = 4096  # columns of B per pass of the log/antilog kernel
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    powers = []
-    b = 1
-    for _ in range(ORDER - 1):
-        powers.append(b)
-        b <<= 1
-        if b & ORDER:
-            b ^= _PRIM_POLY
+    # one doubling step writes powers[n:2n] = powers[:n] * x^n; the last
+    # step also writes x^(ORDER-1) = 1, which is dropped
+    powers = np.empty(ORDER, dtype=np.uint16)
+    powers[0] = 1
+    n = 1
+    while n < ORDER:
+        tables = np.zeros((2, 256), dtype=np.uint16)
+        image = int(powers[n - 1])
+        for bit in range(16):  # image = x^(n+bit), the image of bit `bit`
+            image <<= 1
+            if image & ORDER:
+                image ^= _PRIM_POLY
+            half, low = divmod(bit, 8)
+            tables[half, 1 << low:2 << low] = tables[half, :1 << low] ^ image
+        head = powers[:n]
+        powers[n:2 * n] = tables[0, head & 0xFF] ^ tables[1, head >> 8]
+        n *= 2
+    powers = powers[:ORDER - 1]
     exp = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint16)
     exp[:ORDER - 1] = powers
     exp[ORDER - 1:_LOG_ZERO] = powers

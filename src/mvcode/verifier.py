@@ -31,8 +31,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -418,6 +416,8 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     validate_regime(scheme, p)
     if max_violations < 0:
         raise ValueError(f"max_violations must be >= 0, got {max_violations}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for layer in layers:
         if layer not in (COUNTING, BITEXACT):
             raise ValueError(f"unknown layer {layer!r}")
@@ -431,7 +431,6 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     check_work(n_states, n_reads, budget)
 
     started = time.monotonic()
-    jobs = max(1, jobs)
     chunk = max(1, -(-n_states // jobs))
     ranges = [(lo, min(lo + chunk, n_states))
               for lo in range(0, n_states, chunk)] or [(0, 0)]
@@ -440,6 +439,9 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     if jobs == 1 or len(arg_sets) == 1:
         partials = [_range_worker(a) for a in arg_sets]
     else:
+        # multiprocessing loads only for runs that use it
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 partials = list(pool.map(_range_worker, arg_sets))

@@ -1,5 +1,6 @@
 """CLI subcommands: happy paths, exit-code contract, determinism, config."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -9,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from mvcode import verifier
 from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 
@@ -58,6 +58,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("flags,message", [
         (["--mode", "sampled", "--samples", "-5"], "sample count must be >= 0, got -5"),
         (["--max-violations", "-1"], "max_violations must be >= 0, got -1"),
+        (["--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--jobs", "-3"], "jobs must be >= 1, got -3"),
     ])
     def test_negative_counts_are_config_errors(self, capsys, flags, message):
         code = run(["verify", "--scheme", "c1", "--n", "4", "--cw", "3", "--cr", "3",
@@ -386,24 +388,38 @@ class TestDispatch:
     def test_unknown_subcommand_is_config_error(self):
         assert run(["frobnicate"]) == EXIT_CONFIG
 
-    def test_every_lazy_oracle_name_resolves(self):
+    def test_every_lazy_name_resolves(self):
+        import importlib
         import mvcode
-        import mvcode.oracle
-        assert mvcode._ORACLE_NAMES
-        for name in mvcode._ORACLE_NAMES:
-            assert mvcode.__getattr__(name) is getattr(mvcode.oracle, name)
+        names = [name for names in mvcode._LAZY.values() for name in names]
+        assert names and len(names) == len(set(names))
+        for module, names in mvcode._LAZY.items():
+            loaded = importlib.import_module(f"mvcode.{module}")
+            for name in names:
+                assert getattr(mvcode, name) is getattr(loaded, name)
         with pytest.raises(AttributeError):
             mvcode.__getattr__("no_such_name")
 
     def test_scipy_loads_only_for_the_oracle(self):
         script = """if True:
             import sys
+            UNUSED = ("scipy", "multiprocessing", "concurrent.futures.process", "csv",
+                      "mvcode.bounds", "mvcode.fixtures")
+
+            def loaded():
+                return [name for name in UNUSED if name in sys.modules]
+
             import mvcode
-            assert "scipy" not in sys.modules, "import mvcode"
+            assert loaded() == [], ("import mvcode", loaded())
             from mvcode import cli
             code = cli.main(["verify", "--scheme", "c1", "--n", "4", "--cw", "3",
                              "--cr", "3", "--h", "1", "--K", "64"])
-            assert code == 0 and "scipy" not in sys.modules, "verify"
+            assert code == 0 and loaded() == [], ("verify", loaded())
+            from mvcode import Params, Scheme, VerifyMode, verify
+            p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
+            one, two = (verify(Scheme.C1, p, VerifyMode.exhaustive(seed=1), jobs=jobs).to_dict()
+                        for jobs in (1, 2))
+            assert (one.pop("jobs"), two.pop("jobs")) == (1, 2) and one == two
             from mvcode import oracle_min_cost
             assert "scipy" in sys.modules and callable(oracle_min_cost)
         """
@@ -430,7 +446,8 @@ class _CrashingPool:
 
 
 def test_a_crashed_worker_is_a_config_error(monkeypatch, capsys):
-    monkeypatch.setattr(verifier, "ProcessPoolExecutor", _CrashingPool)
+    # verify imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CrashingPool)
     code = run(["verify", "--scheme", "c1", "--n", "4", "--cw", "3", "--cr", "3",
                 "--h", "1", "--K", "64", "--jobs", "2"])
     captured = capsys.readouterr()

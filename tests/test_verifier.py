@@ -97,6 +97,11 @@ class TestVerify:
         d1.pop("jobs"), d4.pop("jobs")
         assert d1 == d4
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_are_refused(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            verify(Scheme.C1, P4, VerifyMode.exhaustive(), jobs=jobs)
+
     def test_budget_error(self):
         p = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
         with pytest.raises(BudgetExceededError):
