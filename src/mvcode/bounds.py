@@ -162,6 +162,8 @@ def compare_report(c_lo: int, c_hi: int, nu: int, k_bits: int) -> list[BoundRow]
     """One row per c in [c_lo, c_hi], all formulas side by side."""
     if c_lo < 1 or c_hi < c_lo:
         raise ValueError(f"bad c range [{c_lo}, {c_hi}]")
+    if k_bits < 1:
+        raise ValueError(f"K must be >= 1, got {k_bits}")
     rows = []
     for c in range(c_lo, c_hi + 1):
         c2 = cost_c2(k_bits, nu, c) if c2_in_regime(nu, c) else None

@@ -248,17 +248,22 @@ def view_codes(masks: np.ndarray, p: Params) -> np.ndarray:
     return codes * p.n + np.arange(p.n)
 
 
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of keys numbered by first appearance (row by row),
+    shaped like keys, and the flat position of each number's first key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return number[inverse].reshape(keys.shape), first[order]
+
+
 def view_classes(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """The view class of each (state, server) of a mask block: its distinct
     view_codes, numbered by first appearance (state by state, server by
     server), and the flat position state * n + server of each class's first
     view."""
-    _, first, inverse = np.unique(view_codes(masks, p), return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    class_of = np.empty_like(order)
-    class_of[order] = np.arange(len(order))
-    return class_of[inverse].reshape(masks.shape), first[order]
+    return _first_appearance(view_codes(masks, p))
 
 
 @lru_cache(maxsize=4096)
@@ -303,31 +308,18 @@ def dihedral_generators(p: Params) -> list[np.ndarray]:
     return [ring_automorphism((i + 1) % p.n, p), ring_automorphism(-i % p.n, p)]
 
 
-def class_orbits(masks: np.ndarray, classes: np.ndarray, p: Params) -> np.ndarray:
-    """The orbit id of each view class under the ring's dihedral group,
-    numbered by first appearance. masks is every state of p in rank order,
-    and classes its view_classes. A generator perm maps the view of server i
-    in a state to the view of server perm[i] in the permuted state, found by
-    re-ranking the permuted masks; the orbits are the connected components
-    of these class-to-class edges."""
-    shifts = np.arange(p.n, dtype=np.int64) * p.nu
-    n_classes = int(classes.max()) + 1
-    edges = np.concatenate([
-        np.unique(classes.ravel() * n_classes
-                  + classes[(masks[:, np.argsort(perm)] << shifts).sum(1)][:, perm].ravel())
-        for perm in dihedral_generators(p)])
-    src, dst = np.divmod(edges, n_classes)
-    # each class takes the least label across its edges, then its label's
-    # label, until nothing moves: every component ends at its least class
-    orbit = np.arange(n_classes)
-    while True:
-        low = orbit.copy()
-        np.minimum.at(low, src, orbit[dst])
-        np.minimum.at(low, dst, orbit[src])
-        low = low[low]
-        if np.array_equal(low, orbit):
-            return np.unique(orbit, return_inverse=True)[1]
-        orbit = low
+def view_orbits(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The orbit of each (state, server) view of a mask block under the
+    ring's dihedral group, numbered and placed as view_classes does classes.
+    Rotation i -> i+1 maps the view of server i to that of server i+1 with
+    the same window masks, and reflection i -> -i to that of server -i in
+    the reflected state, which sees at offset d what the view saw at -d. So
+    a view's orbit is keyed by the lesser of its center-free view code and
+    its mirror's, a function of the view alone."""
+    reflection = dihedral_generators(p)[1]
+    codes = view_codes(masks, p)
+    np.minimum(codes, view_codes(masks[:, reflection], p)[:, reflection], out=codes)
+    return _first_appearance(np.floor_divide(codes, p.n, out=codes))
 
 
 def random_masks(p: Params, seed: int) -> list[int]:

@@ -20,11 +20,13 @@ whose newest version is fresh enough), so its optimum is exactly g/c.
 
 Every rotation and reflection of the ring maps windows onto windows, so it
 maps states, side views, read sets and decodability onto themselves: the
-model is symmetric under the dihedral group. The invariant model gives
-one allocation to each orbit of view classes under that group
-(model.class_orbits). It is a restriction of the full model, so each of
-its solutions is a feasible strategy and its optimum an upper bound on B.
-Optimality is proven in two steps:
+model is symmetric under the dihedral group. A rotation moves a view's
+center and keeps its window masks; the reflection mirrors the masks and is
+its own inverse. So a view's orbit is keyed by the lesser of its
+center-free code and its mirror's (model.view_orbits). The invariant model
+gives one allocation per orbit. It is a restriction of the full model, so
+each of its solutions is a feasible strategy and its optimum an upper bound
+on B. Optimality is proven in two steps:
 
 1. The invariant integer program is solved with B capped at cap0; while
    HiGHS proves the capped problem infeasible, the cap rises by one unit,
@@ -56,8 +58,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest
-from .model import (Params, SideView, check_work, class_orbits, rank_masks, side_view,
-                    state_at, state_count, view_classes, view_code, view_codes)
+from .model import (Params, SideView, check_work, rank_masks, side_view, state_at,
+                    state_count, view_classes, view_code, view_codes, view_orbits)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
@@ -89,9 +91,9 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
     bounds, the first z column, and per label the column of a[label, u] for
     each version u, -1 where u is not received. labels[b, i] labels the view
     of server i in state b of masks (every state, in rank order), numbered
-    by first appearance; the view classes give the full model, and their
-    orbits under ring automorphisms the invariant one. Views in one orbit
-    have one center mask, so every label's views receive the same versions.
+    by first appearance; view_classes gives the full model, and view_orbits
+    the invariant one. Views in one orbit have one center mask, so every
+    label's views receive the same versions.
 
     Variables are [B] [a...] [z...]: a in label-then-version order, z in
     decode-key order, one per fresh-enough version. Rows are one cap per
@@ -173,15 +175,15 @@ def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
     received."""
     masks = rank_masks(p, 0, state_count(p))
     classes, first = view_classes(masks, p)
-    orbit = class_orbits(masks, classes, p)
-    invariant = _model(p, g, masks, orbit[classes])
+    orbits, _ = view_orbits(masks, p)
+    invariant = _model(p, g, masks, orbits)
     # the first feasible capped invariant solve from the full-information
     # bound is the cheapest invariant strategy, which only a full solve
     # capped one unit below can undercut
     bound = cap = -(-g // p.c)
     while (res := _capped_solve(p, g, invariant, cap)).status == 2:
         cap += 1
-    best, units = round(res.x[0]), _units(invariant, res)[orbit]
+    best, units = round(res.x[0]), _units(invariant, res)[orbits.ravel()[first]]
     if best != bound:
         full = _model(p, g, masks, classes)
         if (res := _capped_solve(p, g, full, best - 1)).status == 0:

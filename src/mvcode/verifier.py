@@ -421,6 +421,8 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     for layer in layers:
         if layer not in (COUNTING, BITEXACT):
             raise ValueError(f"unknown layer {layer!r}")
+    if not layers or len(set(layers)) < len(layers):
+        raise ValueError(f"layers must name at least one layer, none twice; got {list(layers)}")
     n_reads = len(read_sets(p))
     if mode.kind == "exhaustive":
         n_states = state_count(p)

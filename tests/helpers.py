@@ -1,8 +1,42 @@
 """Shared test helpers."""
 
-from mvcode.model import state_at, state_count
+import numpy as np
+
+from mvcode.model import SideView, ring_window, side_view, state_at, state_count
 
 
 def all_states(p):
     """Every state of p once, in rank order."""
     return [state_at(p, b) for b in range(state_count(p))]
+
+
+def reference_orbits(p, generators):
+    """The readable reference of model.view_orbits: every SideView of p, in
+    first-appearance order, mapped view by view (server i's view goes to
+    server perm[i], which sees what perm's preimages held), and the orbits
+    found by search. One label per view class, numbered by first appearance."""
+    views = {}
+    for S in all_states(p):
+        for i in range(p.n):
+            views.setdefault(side_view(S, i, p), len(views))
+
+    def image(view, perm):
+        held = dict(view.window)
+        preimage = {int(perm[j]): j for j in range(p.n)}
+        center = int(perm[view.center])
+        return SideView(center, tuple((j, held[preimage[j]])
+                                      for j in ring_window(center, p.n, p.h)))
+
+    orbit = {}
+    for view in views:
+        if view in orbit:
+            continue
+        label, stack = len(set(orbit.values())), [view]
+        orbit[view] = label
+        while stack:
+            current = stack.pop()
+            for perm in generators:
+                if (seen := image(current, perm)) not in orbit:
+                    orbit[seen] = label
+                    stack.append(seen)
+    return np.array([orbit[view] for view in views])

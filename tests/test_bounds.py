@@ -164,3 +164,9 @@ class TestCompareReport:
     def test_bad_range(self):
         with pytest.raises(ValueError):
             compare_report(5, 3, 2, K)
+
+    @pytest.mark.parametrize("k_bits", [0, -8])
+    def test_message_length_below_one_is_refused(self, k_bits):
+        # costs scale with K, so K <= 0 would print zero or negative costs
+        with pytest.raises(ValueError, match=f"K must be >= 1, got {k_bits}"):
+            compare_report(3, 4, 2, k_bits)

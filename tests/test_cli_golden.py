@@ -51,12 +51,17 @@ BATTERY = [
                             "--nu", "3", "--h", "3", "--budget", "1000"], []),
     ("verify-unknown-layer", ["verify", "--scheme", "c1", *RING6, "--layers", "counting,nope"],
      []),
+    ("verify-no-layers", ["verify", "--scheme", "c1", "--n", "4", "--cw", "3", "--cr", "3",
+                          "--h", "1", "--layers", ",,"], []),
+    ("verify-repeated-layer", ["verify", "--scheme", "c1", *RING6,
+                               "--layers", "counting,counting"], []),
     ("verify-bad-mode", ["verify", "--scheme", "c1", *RING6, "--mode", "random"], []),
     ("table-csv", ["table", "--nu", "2", "--c", "3:10"], []),
     ("table-json-file", ["table", "--nu", "3", "--c", "4:6", "--K", "999", "--format", "json",
                          "--out", "{tmp}/table.json"], ["table.json"]),
     ("table-single", ["table", "--c", "5"], []),
     ("table-reversed-range", ["table", "--nu", "2", "--c", "9:3"], []),
+    ("table-zero-k", ["table", "--c", "3:4", "--K", "0"], []),
     ("table-not-a-number", ["table", "--c", "x:y"], []),
     ("fixtures-thm3-file", ["fixtures", "--which", "thm3", "--n", "6",
                             "--out", "{tmp}/thm3.json"], ["thm3.json"]),

@@ -19,12 +19,12 @@ from mvcode import (BudgetExceededError, Params, Scheme, VerifyMode,
                     oracle_min_cost, scheme_granularity, side_view, verify)
 from mvcode.allocation import Allocation
 from mvcode.bounds import cost_baseline, cost_c1, lb_thm4
-from mvcode.model import (SideView, class_orbits, rank_masks, state_at, state_count,
-                          view_classes)
+from mvcode.model import (SideView, dihedral_generators, rank_masks, state_at, state_count,
+                          view_classes, view_orbits)
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
-from helpers import all_states
+from helpers import all_states, reference_orbits
 
 K = 1024
 
@@ -458,8 +458,7 @@ def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
     lp, best = reference_solve(p, g)
     assert lp == pytest.approx(g / p.c, abs=1e-9)
     masks = rank_masks(p, 0, state_count(p))
-    classes, _ = view_classes(masks, p)
-    invariant = mvcode.oracle._model(p, g, masks, class_orbits(masks, classes, p)[classes])[0]
+    invariant = mvcode.oracle._model(p, g, masks, view_orbits(masks, p)[0])[0]
     first = solves[0][1]
     assert first["integrality"].all()
     assert first["bounds"].ub[0] == full_information_units(p, g)
@@ -468,6 +467,19 @@ def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
     assert Fraction(strategy_worst_units(witness) * K, g) == value
     assert strategy_feasible(p, g, witness) and reference_feasible(p, g, witness)
     assert len(witness) == len(reference_model(p, g)[-1])
+
+
+@pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                                   for p, g in MODEL_CASES])
+def test_invariant_model_equals_the_one_from_searched_orbits(p, g):
+    # the closed-form orbit labels build the model the orbit search does
+    masks = rank_masks(p, 0, state_count(p))
+    classes, _ = view_classes(masks, p)
+    searched = reference_orbits(p, dihedral_generators(p))[classes]
+    A, lb, ub = mvcode.oracle._model(p, g, masks, view_orbits(masks, p)[0])[:3]
+    A_ref, lb_ref, ub_ref = mvcode.oracle._model(p, g, masks, searched)[:3]
+    assert A.shape == A_ref.shape and (A != A_ref).nnz == 0
+    assert np.array_equal(lb, lb_ref) and np.array_equal(ub, ub_ref)
 
 
 def test_side_information_may_not_help_at_n7(solves, monkeypatch):

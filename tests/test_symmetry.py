@@ -1,51 +1,19 @@
-"""Ring automorphisms and view-class orbits: the dihedral generators map
-windows onto windows at every small size, a non-automorphism is refused,
-and class_orbits equals orbits found by mapping SideViews one by one."""
+"""Ring automorphisms and view orbits: the dihedral generators map windows
+onto windows at every small size, a non-automorphism is refused, and the
+closed-form view_orbits equals orbits found by mapping SideViews one by one."""
 
 import numpy as np
 import pytest
 
-from mvcode.model import (Params, SideView, class_orbits, dihedral_generators, rank_masks,
-                          ring_automorphism, ring_window, side_view, state_count, view_classes)
-from helpers import all_states
+from mvcode.model import (Params, dihedral_generators, rank_masks, ring_automorphism,
+                          ring_window, state_count, view_classes, view_orbits)
+from helpers import reference_orbits
 
 K = 1024
 
 
 def params(n, h, nu=2):
     return Params(n=n, cw=n, cr=n, nu=nu, h=h, k_bits=K)
-
-
-def reference_orbits(p, generators):
-    """The readable reference of class_orbits: every SideView of p, in
-    first-appearance order, mapped view by view (server i's view goes to
-    server perm[i], which sees what perm's preimages held), and the orbits
-    found by search."""
-    views = {}
-    for S in all_states(p):
-        for i in range(p.n):
-            views.setdefault(side_view(S, i, p), len(views))
-
-    def image(view, perm):
-        held = dict(view.window)
-        preimage = {int(perm[j]): j for j in range(p.n)}
-        center = int(perm[view.center])
-        return SideView(center, tuple((j, held[preimage[j]])
-                                      for j in ring_window(center, p.n, p.h)))
-
-    orbit = {}
-    for view in views:
-        if view in orbit:
-            continue
-        label, stack = len(set(orbit.values())), [view]
-        orbit[view] = label
-        while stack:
-            current = stack.pop()
-            for perm in generators:
-                if (seen := image(current, perm)) not in orbit:
-                    orbit[seen] = label
-                    stack.append(seen)
-    return np.array([orbit[view] for view in views])
 
 
 def class_images(p, perm):
@@ -88,25 +56,30 @@ def test_a_non_automorphism_is_refused():
     assert len(pairs) > n_classes
 
 
+# at n=4, h=2 server 0 sees servers 2, 3, 0, 1, and its mirror image sees there
+# what 2, 1, 0, 3 held: a saturated window's reflection is not a reversal
 @pytest.mark.parametrize("p", [params(4, 1), params(5, 1), params(5, 0), params(6, 2),
-                               params(6, 1, nu=1), params(3, 2), params(2, 0)],
+                               params(6, 1, nu=1), params(3, 2), params(2, 0), params(4, 2),
+                               params(4, 1, nu=3)],
                          ids=["n4h1", "n5h1", "n5h0", "n6h2", "n6h1nu1", "n3h2-saturated",
-                              "n2h0"])
+                              "n2h0", "n4h2-saturated", "n4h1nu3"])
 def test_class_orbits_equal_the_side_view_reference(p):
     masks = rank_masks(p, 0, state_count(p))
-    classes, first = view_classes(masks, p)
-    generators = dihedral_generators(p)
-    orbit = class_orbits(masks, classes, p)
-    assert np.array_equal(orbit, reference_orbits(p, generators))
+    classes, _ = view_classes(masks, p)
+    orbits, first = view_orbits(masks, p)
+    assert np.array_equal(orbits, reference_orbits(p, dihedral_generators(p))[classes])
     # every orbit holds views of one center mask, so of one received set
     centers = masks.reshape(-1)[first]
-    assert all(len(set(centers[orbit == o])) == 1 for o in range(orbit.max() + 1))
+    flat = orbits.ravel()
+    assert np.array_equal(masks.reshape(-1), centers[flat])
+    assert np.array_equal(first, np.unique(flat, return_index=True)[1])
 
 
-@pytest.mark.parametrize("n,h,classes,orbits", [(6, 2, 6144, 544), (7, 1, 448, 40)])
+@pytest.mark.parametrize("n,h,classes,orbits", [(6, 2, 6144, 544), (7, 1, 448, 40),
+                                                (8, 3, 131072, 8320)])
 def test_orbit_counts(n, h, classes, orbits):
     p = params(n, h)
     masks = rank_masks(p, 0, state_count(p))
-    labels, _ = view_classes(masks, p)
-    orbit = class_orbits(masks, labels, p)
-    assert (len(orbit), orbit.max() + 1) == (classes, orbits)
+    orbit_ids, first = view_orbits(masks, p)
+    assert (len(view_classes(masks, p)[1]), len(first)) == (classes, orbits)
+    assert orbit_ids.max() + 1 == orbits

@@ -1,11 +1,14 @@
-"""Every name a library module imports is used in it (`__init__.py` only re-exports)."""
+"""Every name a library module imports is used in it (`__init__.py` only
+re-exports), and every top-level function or class a library module defines
+is named outside its own def, so no dead kernel lingers."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mvcode"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mvcode"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 
@@ -40,3 +43,51 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Iterator, Sequence\nimport os\n\ndef f(x: 'Sequence') -> None:\n    pass\n"
     assert unused_imports(source) == ["line 1: Iterator", "line 2: os"]
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Every identifier node names: as a name, an attribute, an imported name
+    or a string that is an identifier (the tracer names its targets so)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                and sub.value.isidentifier():
+            names.add(sub.value)
+    return names
+
+
+def unnamed_definitions(library: dict[str, str], others: list[str]) -> list[str]:
+    """'module: name' for every top-level function or class of a library
+    module (file name -> source) that nothing names outside its own def:
+    neither the library's other statements nor the other sources."""
+    named = set().union(*(names_in(ast.parse(source)) for source in others))
+    defined = []
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+                named |= names_in(node) - {node.name}
+            else:
+                named |= names_in(node)
+    return [f"{module}: {name}" for module, name in defined if name not in named]
+
+
+def test_every_definition_is_named_outside_its_own_def():
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unnamed_definitions(library, others) == []
+
+
+def test_the_check_sees_a_dead_definition():
+    library = {"a.py": "def used():\n    pass\n\ndef dead(n):\n    return dead(n - 1)\n\n"
+                       "def traced():\n    pass\n\nclass Gone:\n    pass\n",
+               "b.py": "from .a import used\n"}
+    assert unnamed_definitions(library, ["TARGETS = [('a', 'traced')]"]) == [
+        "a.py: dead", "a.py: Gone"]

@@ -102,6 +102,13 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
             verify(Scheme.C1, P4, VerifyMode.exhaustive(), jobs=jobs)
 
+    @pytest.mark.parametrize("layers", [(), (COUNTING, COUNTING), (BITEXACT, COUNTING, BITEXACT)])
+    def test_empty_or_repeated_layers_are_refused(self, layers):
+        # an empty list would check nothing and pass; a repeat would list
+        # its layer twice in the report
+        with pytest.raises(ValueError, match="at least one layer, none twice"):
+            verify(Scheme.C1, P4, VerifyMode.exhaustive(), layers=layers)
+
     def test_budget_error(self):
         p = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
         with pytest.raises(BudgetExceededError):
