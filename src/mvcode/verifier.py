@@ -46,7 +46,7 @@ from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slot_indices, slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
-from .model import (Params, SystemState, check_work, latest_complete, random_masks,
+from .model import (Params, SystemState, check_work, latest_complete, random_mask_block,
                     rank_masks, state_at, state_count, state_from_masks)
 
 COUNTING = "counting"
@@ -59,6 +59,11 @@ _SEED_STRIDE = 1_000_003  # spreads per-state seeds; keeps sampling jobs-indepen
 _BLOCK = 512
 _BITEXACT_BLOCK = 256
 _BLOCK_BYTES = 1 << 22
+# masks are drawn about _CHUNK states at a time and cut into blocks: the
+# sampled kernel costs about 10 ms per call plus 1-2 us per state
+_CHUNK = 8 * _BLOCK
+# states are int64 bit masks, one bit per version
+_MAX_NU = 63
 
 
 @dataclass(frozen=True)
@@ -351,10 +356,27 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
 
 
 def _block_masks(p: Params, mode: VerifyMode, lo: int, hi: int) -> np.ndarray:
+    """The masks of states [lo, hi), one row each. Exhaustive state idx is
+    rank idx (state_at); sampled state idx under seed k is
+    random_masks(p, k * _SEED_STRIDE + idx): n draws of getrandbits(nu)
+    from random.Random(k * 1_000_003 + idx), which CPython seeds with
+    MT19937's init_by_array over the 32-bit words of |k * 1_000_003 + idx|.
+    So seeds k and -k draw the same state 0, and from idx 1_000_003 on seed
+    k draws the states of seed k + 1."""
     if mode.kind == "exhaustive":
         return rank_masks(p, lo, hi)
-    rows = [random_masks(p, mode.seed * _SEED_STRIDE + idx) for idx in range(lo, hi)]
-    return np.array(rows, dtype=np.int64).reshape(hi - lo, p.n)
+    return random_mask_block(p, mode.seed * _SEED_STRIDE + lo, hi - lo)
+
+
+def _mask_blocks(p: Params, mode: VerifyMode, start: int, stop: int, block: int):
+    """(lo, hi, masks of states [lo, hi)) for the blocks of `block` states
+    that cover [start, stop), drawn a chunk of blocks at a time."""
+    chunk = block * max(1, _CHUNK // block)
+    for first in range(start, stop, chunk):
+        last = min(first + chunk, stop)
+        masks = _block_masks(p, mode, first, last)
+        for lo in range(first, last, block):
+            yield lo, min(lo + block, last), masks[lo - first:lo - first + block]
 
 
 def _state(p: Params, mode: VerifyMode, masks: np.ndarray, idx: int, b: int) -> SystemState:
@@ -374,9 +396,7 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
     worst_symbols = 0
     violations: list[Violation] = []
     total = 0
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        masks = _block_masks(p, mode, lo, hi)
+    for lo, hi, masks in _mask_blocks(p, mode, start, stop, block):
         counts, latest = block_allocations(scheme, masks, p)
         worst_symbols = max(worst_symbols, int(counts.sum(-1).max()))
         found: list[tuple[int, Violation | None]] = []  # (block position, violation)
@@ -414,6 +434,9 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     range order.
     """
     validate_regime(scheme, p)
+    if p.nu > _MAX_NU:
+        raise ValueError(f"verify needs nu <= {_MAX_NU} (states are int64 bit masks), "
+                         f"got nu={p.nu}")
     if max_violations < 0:
         raise ValueError(f"max_violations must be >= 0, got {max_violations}")
     if jobs < 1:

@@ -66,6 +66,14 @@ class TestVerifyCommand:
                     "--h", "1", "--K", "64"] + flags)
         assert _config_error(code, capsys) == f"error: {message}\n"
 
+    def test_nu_beyond_the_int64_masks_is_a_config_error(self, capsys):
+        args = ["verify", "--scheme", "central", "--n", "4", "--cw", "3", "--cr", "3",
+                "--h", "2", "--K", "1024", "--mode", "sampled", "--samples", "5"]
+        assert _config_error(run(args + ["--nu", "64"]), capsys) == (
+            "error: verify needs nu <= 63 (states are int64 bit masks), got nu=64\n")
+        assert run(args + ["--nu", "63"]) == EXIT_OK
+        assert "states=5 " in capsys.readouterr().out
+
     def test_deterministic_report_files(self, tmp_path):
         args = ["verify", "--scheme", "c2", "--n", "6", "--cw", "5", "--cr", "5",
                 "--nu", "2", "--h", "2", "--K", "1024", "--mode", "sampled",

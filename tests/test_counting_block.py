@@ -11,12 +11,12 @@ import random
 import numpy as np
 import pytest
 
-from mvcode import Params, Scheme
+from mvcode import Params, Scheme, model
 from mvcode.allocation import (Allocation, allocation_for, block_allocations,
                                scheme_granularity)
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import (latest_complete, random_masks, random_state, rank_masks,
-                          state_at, state_count, state_from_masks)
+from mvcode.model import (latest_complete, random_mask_block, random_masks, random_state,
+                          rank_masks, state_at, state_count, state_from_masks)
 from mvcode.verifier import (_SEED_STRIDE, COUNTING, VerifyMode, _block_masks,
                              check_state_counting, short_states, verify)
 from helpers import all_states
@@ -109,6 +109,11 @@ class TestMasks:
         rng = random.Random(17)
         assert random_masks(P8, 17) == [rng.getrandbits(P8.nu) for _ in range(P8.n)]
 
+    def test_block_sampler_draws_the_recorded_states(self):
+        text = "\n".join(state_from_masks(row).to_json()
+                         for row in random_mask_block(P8, 0, 1000).tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == P8_RANDOM_STATES_SHA256
+
     def test_verify_blocks_sample_random_state(self):
         mode = VerifyMode.sampled(40, seed=3)
         masks = _block_masks(P8, mode, 10, 40)
@@ -127,3 +132,20 @@ class TestReports:
         two = verify(Scheme.C2, P8, mode, layers=(COUNTING,), jobs=2).to_dict()
         assert (one.pop("jobs"), two.pop("jobs")) == (1, 2)
         assert one == two
+
+    def test_jobs_do_not_change_a_report_whose_ranges_start_inside_a_chunk(self):
+        # 9,001 states over 2 or 3 jobs: ranges start at 4,501, 3,001 and
+        # 6,002, so their 4,096-state chunks cut the run at other states
+        mode = VerifyMode.sampled(9_001, 1)
+        reports = [verify(Scheme.C2, P8, mode, layers=(COUNTING,), jobs=jobs).to_dict()
+                   for jobs in (1, 2, 3)]
+        assert [report.pop("jobs") for report in reports] == [1, 2, 3]
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["states_checked"] == 9_001
+
+    def test_sampled_c2_n8_run_makes_no_per_state_draw(self, monkeypatch):
+        def refuse(p, seed):
+            raise AssertionError(f"random_masks called for seed {seed}")
+        monkeypatch.setattr(model, "random_masks", refuse)
+        text = verify(Scheme.C2, P8, VerifyMode.sampled(12_000, 1), layers=(COUNTING,)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == C2_N8_SAMPLED_SHA256
