@@ -54,12 +54,10 @@ class Allocation:
     """Symbol counts per version for one server."""
 
     symbols: tuple[tuple[int, int], ...]  # (version, count), version-sorted
-    granularity: Granularity
 
     @classmethod
-    def of(cls, counts: dict[int, int], granularity: Granularity) -> "Allocation":
-        items = tuple(sorted((u, s) for u, s in counts.items() if s > 0))
-        return cls(items, granularity)
+    def of(cls, counts: dict[int, int]) -> "Allocation":
+        return cls(tuple(sorted((u, s) for u, s in counts.items() if s > 0)))
 
     def count(self, u: int) -> int:
         for v, s in self.symbols:
@@ -114,7 +112,7 @@ def alloc_c1(view: SideView, p: Params) -> Allocation:
     The split formula is applied first, then versions the server never
     received are zeroed out (it has nothing to encode for them).
     """
-    gran = scheme_granularity(Scheme.C1, p)
+    validate_regime(Scheme.C1, p)
     own = view.center_state
     threshold_met = view.receiver_count(2) >= p.n - 2
     sym2 = p.c if threshold_met else 0
@@ -124,23 +122,21 @@ def alloc_c1(view: SideView, p: Params) -> Allocation:
         counts[2] = sym2
     if 1 in own and sym1:
         counts[1] = sym1
-    return Allocation.of(counts, gran)
+    return Allocation.of(counts)
 
 
 def alloc_c2(view: SideView, p: Params) -> Allocation:
     """Local-latest allocation: one symbol of the locally confirmed latest."""
-    gran = scheme_granularity(Scheme.C2, p)
+    validate_regime(Scheme.C2, p)
     lc = view_local_candidate(view, p)
-    return Allocation.of({} if lc is None else {lc: 1}, gran)
+    return Allocation.of({} if lc is None else {lc: 1})
 
 
 def alloc_centralized(S: SystemState, i: int, p: Params) -> Allocation:
     """Full-information allocation: one symbol of the latest complete version."""
-    gran = scheme_granularity(Scheme.CENTRAL, p)
+    validate_regime(Scheme.CENTRAL, p)
     latest = latest_complete(S, p)
-    if latest is not None and latest in S[i]:
-        return Allocation.of({latest: 1}, gran)
-    return Allocation.of({}, gran)
+    return Allocation.of({latest: 1} if latest is not None and latest in S[i] else {})
 
 
 def allocation_for(scheme: Scheme, S: SystemState, i: int, p: Params) -> Allocation:

@@ -20,6 +20,9 @@ from .errors import RegimeError
 
 CSV_COLUMNS = ("c", "nu", "cost_central", "lb_thm3", "cost_c1", "cost_c2",
                "cost_baseline", "lb_eq1", "lb_thm4", "verdict")
+# the columns whose value is a Fraction (or None), also written as "num/den"
+EXACT_COLUMNS = ("cost_central", "lb_thm3", "cost_c1", "cost_c2", "cost_baseline",
+                 "lb_thm4")
 
 VERDICT_GAIN = "side-info gain"
 VERDICT_NO_HELP = "no-help"
@@ -107,6 +110,13 @@ def lb_thm4_sweep(k_bits: int, c: int) -> Fraction:
                for l in range(c))
 
 
+def _plain(x, missing):
+    """A column value as written: a Fraction as its float, None as `missing`."""
+    if x is None:
+        return missing
+    return float(x) if isinstance(x, Fraction) else x
+
+
 @dataclass(frozen=True)
 class BoundRow:
     c: int
@@ -122,29 +132,12 @@ class BoundRow:
     verdict: str
 
     def to_dict(self) -> dict:
-        def num(x):
-            return None if x is None else float(x)
-        def exact(x):
-            return None if x is None else f"{x.numerator}/{x.denominator}"
-        return {
-            "c": self.c, "nu": self.nu, "K": self.k_bits,
-            "cost_central": num(self.cost_central),
-            "lb_thm3": num(self.lb_thm3),
-            "cost_c1": num(self.cost_c1),
-            "cost_c2": num(self.cost_c2),
-            "cost_baseline": num(self.cost_baseline),
-            "lb_eq1": self.lb_eq1,
-            "lb_thm4": num(self.lb_thm4),
-            "verdict": self.verdict,
-            "exact": {
-                "cost_central": exact(self.cost_central),
-                "lb_thm3": exact(self.lb_thm3),
-                "cost_c1": exact(self.cost_c1),
-                "cost_c2": exact(self.cost_c2),
-                "cost_baseline": exact(self.cost_baseline),
-                "lb_thm4": exact(self.lb_thm4),
-            },
-        }
+        doc = {col: _plain(getattr(self, col), None) for col in CSV_COLUMNS}
+        doc["K"] = self.k_bits
+        exact = {col: getattr(self, col) for col in EXACT_COLUMNS}
+        doc["exact"] = {col: None if x is None else f"{x.numerator}/{x.denominator}"
+                        for col, x in exact.items()}
+        return doc
 
 
 def _verdict(row_c: int, nu: int, k_bits: int, c1: Fraction,
@@ -190,14 +183,7 @@ def rows_to_csv(rows: list[BoundRow]) -> str:
     writer = csv.writer(buf)
     writer.writerow(CSV_COLUMNS)
     for r in rows:
-        writer.writerow([
-            r.c, r.nu,
-            float(r.cost_central), float(r.lb_thm3), float(r.cost_c1),
-            "" if r.cost_c2 is None else float(r.cost_c2),
-            float(r.cost_baseline), r.lb_eq1,
-            "" if r.lb_thm4 is None else float(r.lb_thm4),
-            r.verdict,
-        ])
+        writer.writerow([_plain(getattr(r, col), "") for col in CSV_COLUMNS])
     return buf.getvalue()
 
 

@@ -197,7 +197,7 @@ def _server_slots(scheme: Scheme, S: SystemState, i: int,
     server_encode could not write."""
     alloc = allocation_for(scheme, S, i, p)
     _check_message_args(messages, S[i], p)
-    spec = MdsSpec(alloc.granularity.denom)
+    spec = MdsSpec(scheme_granularity(scheme, p).denom)
     slotted = []
     for u, count in alloc.symbols:
         if u not in messages:

@@ -11,6 +11,7 @@ schemes condition on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 from dataclasses import dataclass
@@ -34,14 +35,17 @@ def work_budget(override: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_work(states: int, reads: int, budget: int | None = None) -> None:
+def check_work(p: Params, states: int, budget: int | None = None) -> int:
     """Raise BudgetExceededError when the (state, read set) pairs a check
-    visits, states x reads, exceed the work budget."""
+    visits, states x C(n, cr), exceed the work budget; return C(n, cr), the
+    read sets per state, counted without listing one."""
+    reads = math.comb(p.n, p.cr)
     limit = work_budget(budget)
     if states * reads > limit:
         raise BudgetExceededError(
             f"{states} states x {reads} read sets exceeds budget {limit}; "
             "set MVCODE_BUDGET to override")
+    return reads
 
 
 @dataclass(frozen=True)

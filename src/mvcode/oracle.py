@@ -81,7 +81,7 @@ def _check_budget(p: Params, g: int, max_g: int) -> None:
         raise BudgetExceededError(f"oracle budget allows granularity <= {max_g}, got {g}")
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
-    check_work(state_count(p), len(read_sets(p)))
+    check_work(p, state_count(p))
 
 
 def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
@@ -205,7 +205,7 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
     total = state_count(p)
-    check_work(total, len(read_sets(p)))
+    check_work(p, total)
     coded: dict[int, Mapping[int, int]] = {}
     for view, alloc in strategy.items():
         bad = [u for u in alloc if not 1 <= u <= p.nu]

@@ -73,6 +73,8 @@ class VerifyMode:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.kind not in ("exhaustive", "sampled"):
+            raise ValueError(f"unknown mode {self.kind!r}")
         if self.count < 0:
             raise ValueError(f"sample count must be >= 0, got {self.count}")
 
@@ -92,13 +94,13 @@ class VerifyMode:
 
 @dataclass(frozen=True)
 class Violation:
-    state: str  # JSON form of the state
+    state: SystemState
     read_set: tuple[int, ...] | None
     layer: str
     reason: str
 
     def to_dict(self) -> dict:
-        return {"state": json.loads(self.state),
+        return {"state": [sorted(s) for s in self.state.subsets],
                 "read_set": list(self.read_set) if self.read_set else None,
                 "layer": self.layer, "reason": self.reason}
 
@@ -222,7 +224,7 @@ def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
         return None
     T, totals = short
     return Violation(
-        state=S.to_json(), read_set=T, layer=COUNTING,
+        state=S, read_set=T, layer=COUNTING,
         reason=f"no version >= {latest} reaches {denom} symbols; counts {totals}")
 
 
@@ -246,24 +248,21 @@ def bitexact_violations(scheme: Scheme, S: SystemState, stores, messages,
         try:
             result = quorum_decode(scheme, S, T, stores, p)
         except DecodeContractError as exc:
-            return Violation(S.to_json(), T, BITEXACT, f"contract: {exc}")
+            return Violation(S, T, BITEXACT, f"contract: {exc}")
         except InconsistentSymbolsError as exc:
-            return Violation(S.to_json(), T, BITEXACT, f"inconsistent store: {exc}")
+            return Violation(S, T, BITEXACT, f"inconsistent store: {exc}")
         if latest is None:
             if result is not None:
-                return Violation(S.to_json(), T, BITEXACT,
-                                 "expected NULL with no complete version")
+                return Violation(S, T, BITEXACT, "expected NULL with no complete version")
             continue
         if result is None:
-            return Violation(S.to_json(), T, BITEXACT,
-                             "NULL returned despite a complete version")
+            return Violation(S, T, BITEXACT, "NULL returned despite a complete version")
         m, payload = result
         if m < latest:
-            return Violation(S.to_json(), T, BITEXACT,
+            return Violation(S, T, BITEXACT,
                              f"version {m} is older than the latest complete {latest}")
         if payload != messages[m]:
-            return Violation(S.to_json(), T, BITEXACT,
-                             f"payload mismatch for version {m}")
+            return Violation(S, T, BITEXACT, f"payload mismatch for version {m}")
     return None
 
 
@@ -419,10 +418,6 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
             "violations_total": total, "states": stop - start}
 
 
-def _range_worker(args) -> dict:
-    return _verify_range(*args)
-
-
 def verify(scheme: Scheme, p: Params, mode: VerifyMode,
            layers: tuple[str, ...] = (COUNTING, BITEXACT),
            jobs: int = 1, max_violations: int = 100,
@@ -446,14 +441,8 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
             raise ValueError(f"unknown layer {layer!r}")
     if not layers or len(set(layers)) < len(layers):
         raise ValueError(f"layers must name at least one layer, none twice; got {list(layers)}")
-    n_reads = len(read_sets(p))
-    if mode.kind == "exhaustive":
-        n_states = state_count(p)
-    elif mode.kind == "sampled":
-        n_states = mode.count
-    else:
-        raise ValueError(f"unknown mode {mode.kind!r}")
-    check_work(n_states, n_reads, budget)
+    n_states = state_count(p) if mode.kind == "exhaustive" else mode.count
+    n_reads = check_work(p, n_states, budget)
 
     started = time.monotonic()
     chunk = max(1, -(-n_states // jobs))
@@ -462,14 +451,14 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     arg_sets = [(scheme, p, mode, layers, lo, hi, max_violations)
                 for lo, hi in ranges]
     if jobs == 1 or len(arg_sets) == 1:
-        partials = [_range_worker(a) for a in arg_sets]
+        partials = [_verify_range(*a) for a in arg_sets]
     else:
         # multiprocessing loads only for runs that use it
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                partials = list(pool.map(_range_worker, arg_sets))
+                partials = list(pool.map(_verify_range, *zip(*arg_sets)))
         except BrokenProcessPool as exc:
             raise WorkerError(f"a verification worker stopped abnormally: {exc}") from exc
 

@@ -47,7 +47,7 @@ def _drop_one_symbol_at_server_0(monkeypatch):
         alloc = original(view, p)
         if view.center != 0:
             return alloc
-        return Allocation.of({u: s - 1 for u, s in alloc.symbols}, alloc.granularity)
+        return Allocation.of({u: s - 1 for u, s in alloc.symbols})
 
     def crippled_block(scheme, masks, p):
         counts, latest = block_allocations(scheme, masks, p)
@@ -67,7 +67,7 @@ def _overfill_server_0(monkeypatch):
         alloc = original(view, p)
         if view.center != 0 or 1 not in view.center_state:
             return alloc
-        return Allocation.of({**dict(alloc.symbols), 1: p.c + 3}, alloc.granularity)
+        return Allocation.of({**dict(alloc.symbols), 1: p.c + 3})
 
     def overfilled_block(scheme, masks, p):
         counts, latest = block_allocations(scheme, masks, p)
@@ -87,7 +87,7 @@ def _store_unreceived_at_server_0(monkeypatch):
         alloc = original(view, p)
         if view.center != 0 or 2 in view.center_state:
             return alloc
-        return Allocation.of({**dict(alloc.symbols), 2: 1}, alloc.granularity)
+        return Allocation.of({**dict(alloc.symbols), 2: 1})
 
     def unreceived_block(scheme, masks, p):
         counts, latest = block_allocations(scheme, masks, p)
@@ -275,7 +275,7 @@ class TestReports:
     def test_verify_passes_without_building_an_allocation(self, monkeypatch):
         # both layers run on the count arrays; only a state a block check
         # cannot clear goes through the Allocation-based reference
-        def refuse(cls, counts, granularity):
+        def refuse(cls, counts):
             raise AssertionError("an Allocation was built")
 
         monkeypatch.setattr(Allocation, "of", classmethod(refuse))

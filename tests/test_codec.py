@@ -239,7 +239,7 @@ class TestServerEncode:
             alloc = original(scheme, S, i, p)
             if i != 0:
                 return alloc
-            return Allocation.of({**dict(alloc.symbols), 2: 1}, alloc.granularity)
+            return Allocation.of({**dict(alloc.symbols), 2: 1})
 
         monkeypatch.setattr(codec, "allocation_for", faulty)
         S = SystemState.of(P6, [{1}] + [{1, 2}] * 5)

@@ -45,8 +45,7 @@ def _rows(scheme, S, p):
 
 
 def _short_by_reference(scheme, states, holdings, p):
-    gran = scheme_granularity(scheme, p)
-    return [check_state_counting(scheme, S, p, [Allocation.of(dict(enumerate(row, 1)), gran)
+    return [check_state_counting(scheme, S, p, [Allocation.of(dict(enumerate(row, 1)))
                                                 for row in rows.tolist()]) is not None
             for S, rows in zip(states, holdings)]
 

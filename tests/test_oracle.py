@@ -267,9 +267,8 @@ class TestSharedCountingRule:
         return strategy
 
     def counting_passes(self, scheme, strategy):
-        gran = scheme_granularity(scheme, self.P6)
         for S in all_states(self.P6):
-            allocs = [Allocation.of(strategy.get(side_view(S, i, self.P6), {}), gran)
+            allocs = [Allocation.of(strategy.get(side_view(S, i, self.P6), {}))
                       for i in range(self.P6.n)]
             if check_state_counting(scheme, S, self.P6, allocs) is not None:
                 return False

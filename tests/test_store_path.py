@@ -112,9 +112,9 @@ def test_the_lowest_faulty_server_names_the_error(monkeypatch):
     def faulty(scheme, S, i, p):
         alloc = original(scheme, S, i, p)
         if i == 1:
-            return Allocation.of({**dict(alloc.symbols), 2: 1}, alloc.granularity)
+            return Allocation.of({**dict(alloc.symbols), 2: 1})
         if i == 3:
-            return Allocation.of({1: 99}, alloc.granularity)
+            return Allocation.of({1: 99})
         return alloc
 
     monkeypatch.setattr(codec, "allocation_for", faulty)

@@ -8,7 +8,7 @@ import pytest
 from mvcode import (BudgetExceededError, Params, Scheme, SystemState,
                     allocation_for, check_state_bitexact, check_state_counting,
                     encode_all, verify, VerifyMode)
-from mvcode.allocation import Allocation, Granularity
+from mvcode.allocation import Allocation
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import (BITEXACT, COUNTING, bitexact_violations,
                              random_payloads, read_sets)
@@ -25,13 +25,12 @@ class TestCounting:
 
     def test_disabled_branch_is_caught(self):
         pair = fixture_thm3(P6)
-        gran = Granularity(16)
         # strip every version-2 share: version 2 can no longer be decoded
         crippled = []
         for i in range(P6.n):
             alloc = allocation_for(Scheme.C1, pair.s1, i, P6)
             counts = {u: s for u, s in alloc.symbols if u != 2}
-            crippled.append(Allocation.of(counts, gran))
+            crippled.append(Allocation.of(counts))
         violation = check_state_counting(Scheme.C1, pair.s1, P6, crippled)
         assert violation is not None
         assert violation.layer == COUNTING
@@ -118,12 +117,11 @@ class TestVerify:
         # halve the version-2 shares so state s1 cannot assemble a message;
         # the violation must carry the state, the read set and the counts
         pair = fixture_thm3(P6)
-        gran = Granularity(16)
         allocs = []
         for i in range(P6.n):
             alloc = allocation_for(Scheme.C1, pair.s1, i, P6)
             counts = {u: (s // 2 if u == 2 else s) for u, s in alloc.symbols}
-            allocs.append(Allocation.of(counts, gran))
+            allocs.append(Allocation.of(counts))
         violation = check_state_counting(Scheme.C1, pair.s1, P6, allocs)
         assert violation is not None
         payload = violation.to_dict()
@@ -172,6 +170,10 @@ class TestDegenerateAndGuards:
         # counting layer is indifferent to bit alignment
         rep = verify(Scheme.C1, p, VerifyMode.exhaustive(), layers=(COUNTING,))
         assert rep.passed
+
+    def test_unknown_mode_kind_is_refused_by_the_mode(self):
+        with pytest.raises(ValueError, match="unknown mode 'random'"):
+            VerifyMode("random")
 
     def test_env_var_budget_override(self, monkeypatch):
         from mvcode.model import work_budget
