@@ -37,14 +37,16 @@ def work_budget(override: int | None = None) -> int:
 
 def check_work(p: Params, states: int, budget: int | None = None) -> int:
     """Raise BudgetExceededError when the (state, read set) pairs a check
-    visits, states x C(n, cr), exceed the work budget; return C(n, cr), the
-    read sets per state, counted without listing one."""
+    visits, states x C(n, cr), or the entries of its server by read set
+    matrix, n x C(n, cr), exceed the work budget; return C(n, cr), the read
+    sets per state, counted without listing one."""
     reads = math.comb(p.n, p.cr)
     limit = work_budget(budget)
-    if states * reads > limit:
-        raise BudgetExceededError(
-            f"{states} states x {reads} read sets exceeds budget {limit}; "
-            "set MVCODE_BUDGET to override")
+    for count, what in ((states, "states"), (p.n, "servers")):
+        if count * reads > limit:
+            raise BudgetExceededError(
+                f"{count} {what} x {reads} read sets exceeds budget {limit}; "
+                "set MVCODE_BUDGET to override")
     return reads
 
 
@@ -240,6 +242,31 @@ def rank_masks(p: Params, start: int, stop: int) -> np.ndarray:
     return (ranks[:, None] >> shifts) & ((1 << p.nu) - 1)
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its counter increment and
+# the multipliers of its finalizer
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on a uint64 array, wrapping mod 2**64."""
+    z = (z ^ z >> np.uint64(30)) * _MIX1
+    z = (z ^ z >> np.uint64(27)) * _MIX2
+    return z ^ z >> np.uint64(31)
+
+
+def sample_masks(p: Params, seed: int, lo: int, hi: int) -> np.ndarray:
+    """The per-server masks of sampled states [lo, hi) under seed, one row
+    each: server i of state idx holds the top nu bits of
+    w(idx * n + i), where w(j) = mix64(mix64(seed mod 2**64) + (j + 1) *
+    0x9E3779B97F4A7C15), mod 2**64. A row depends on (seed, idx) alone,
+    so any cut of a range gives the same rows. Needs nu <= 63."""
+    key = _mix64(np.array([seed % 2**64], dtype=np.uint64))
+    counters = np.arange(lo * p.n + 1, hi * p.n + 1, dtype=np.uint64)
+    words = _mix64(key + counters * _GOLDEN)
+    return (words >> np.uint64(64 - p.nu)).astype(np.int64).reshape(hi - lo, p.n)
+
+
 def view_codes(masks: np.ndarray, p: Params) -> np.ndarray:
     """One integer per (state, server) of a (states, n) mask block: the masks
     of the server's ring window in ring_window order, nu bits each, then the
@@ -326,103 +353,9 @@ def view_orbits(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     return _first_appearance(np.floor_divide(codes, p.n, out=codes))
 
 
-def random_masks(p: Params, seed: int) -> list[int]:
-    """The per-server masks of random_state(p, seed): n draws of
-    getrandbits(nu) from random.Random(seed), server 0's first. CPython
-    seeds that generator from |seed|: the 32-bit words of |seed|, least
-    significant first, are the key of MT19937's init_by_array. Sampled state
-    idx of `verify` under seed k is random_masks(p, k * 1_000_003 + idx), so
-    seeds k and -k draw the same state 0, and from idx 1_000_003 on seed k
-    draws the states of seed k + 1. random_mask_block computes a range of
-    seeds at once."""
-    rng = random.Random(seed)
-    return [rng.getrandbits(p.nu) for _ in range(p.n)]
-
-
-# MT19937 (Matsumoto & Nishimura, ACM TOMACS 8(1), 1998) as CPython's
-# random module runs it: 624 state words, twist offset 397
-_MT_N, _MT_M = 624, 397
-_MT_MULT1, _MT_MULT2 = np.uint32(1664525), np.uint32(1566083941)
-
-
-@lru_cache(maxsize=1)
-def _mt_genrand_init() -> tuple[np.uint32, ...]:
-    """init_genrand(19650218), the state init_by_array starts from."""
-    words = [19650218]
-    for i in range(1, _MT_N):
-        words.append((1812433253 * (words[-1] ^ words[-1] >> 30) + i) & 0xFFFFFFFF)
-    return tuple(np.uint32(w) for w in words)
-
-
-def random_mask_block(p: Params, first: int, count: int) -> np.ndarray:
-    """random_masks(p, s) for s in range(first, first + count), one row each,
-    as a (count, n) int64 array.
-
-    random.Random(s) runs MT19937's init_by_array over the 32-bit words of
-    |s|, least significant first, and getrandbits(nu) for nu <= 32 is the
-    next tempered output shifted right by 32 - nu. Here both loops of
-    init_by_array run as uint32 steps over every seed at once. Loop 2 starts
-    from loop 1's last words, so loop 1 runs once to its end and then again
-    in step with loop 2, which keeps memory at a few words per seed. The
-    first twist then makes only the n words the outputs use, from the
-    2n + 1 state words they read. Outside that
-    definition (n > 227, nu > 32, or |s| >= 2**64, a key over two words) the
-    rows come from random_masks itself."""
-    seeds = range(first, first + count)
-    if p.n > _MT_N - _MT_M or p.nu > 32 or max(abs(first), abs(first + count - 1)) >> 64:
-        return np.array([random_masks(p, s) for s in seeds],
-                        dtype=np.int64).reshape(count, p.n)
-    key = np.fromiter(map(abs, seeds), dtype=np.uint64, count=count)
-    low, high = (key & 0xFFFFFFFF).astype(np.uint32), (key >> 32).astype(np.uint32)
-    # loop 1's step t adds key word j = t mod (key length), plus j: low at
-    # every step for a one-word key, low and high + 1 in turn for two words
-    adds = (low, np.where(high > 0, high + np.uint32(1), low))
-    init = _mt_genrand_init()
-    t = np.empty(count, np.uint32)
-
-    def step(prev, base, mult, add, out):
-        """out = (base ^ (prev ^ prev >> 30) * mult) + add, mod 2**32; out
-        may be prev or base."""
-        np.right_shift(prev, 30, out=t)
-        np.bitwise_xor(t, prev, out=t)
-        np.multiply(t, mult, out=t)
-        np.bitwise_xor(t, base, out=out)
-        return np.add(out, add, out=out)
-
-    word1 = step(np.full(count, init[0]), init[1], _MT_MULT1, adds[0], np.empty_like(t))
-    x = word1.copy()
-    for i in range(2, _MT_N):
-        step(x, init[i], _MT_MULT1, adds[(i - 1) & 1], x)
-    # loop 1 wraps (word 0 = word 623) and its last step rewrites word 1
-    again1 = step(x, word1, _MT_MULT1, adds[1], x)
-    # loop 1 again, in step with loop 2, which reads its words in order;
-    # loop 2 subtracts i, which is adding -i mod 2**32
-    y, x = again1.copy(), word1
-    early = np.empty((p.n + 1, count), np.uint32)  # final words 0..n
-    late = np.empty((p.n, count), np.uint32)       # final words 397..396+n
-    for i in range(2, _MT_N):
-        step(x, init[i], _MT_MULT1, adds[(i - 1) & 1], x)
-        step(y, x, _MT_MULT2, np.uint32(-i % 2**32), y)
-        if i <= p.n:
-            early[i] = y
-        elif 0 <= i - _MT_M < p.n:
-            late[i - _MT_M] = y
-    # loop 2 wraps and rewrites word 1; init_by_array then sets word 0
-    early[1] = step(y, again1, _MT_MULT2, np.uint32(2**32 - 1), y)
-    early[0] = 0x80000000
-    masks = np.empty((count, p.n), np.int64)
-    for k in range(p.n):
-        # output k of the first twist reads words k, k + 1 and k + 397
-        z = (early[k] & 0x80000000) | (early[k + 1] & 0x7FFFFFFF)
-        z = late[k] ^ (z >> 1) ^ (z & 1) * np.uint32(0x9908B0DF)
-        z ^= z >> 11
-        z ^= (z << 7) & 0x9D2C5680
-        z ^= (z << 15) & 0xEFC60000
-        z ^= z >> 18
-        masks[:, k] = z >> 32 - p.nu
-    return masks
-
-
 def random_state(p: Params, seed: int) -> SystemState:
-    """Uniform random state, a deterministic function of the seed."""
-    return state_from_masks(random_masks(p, seed))
+    """Uniform random state, a deterministic function of the seed: server i
+    holds the bits of the i-th of n getrandbits(nu) draws from
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    return state_from_masks([rng.getrandbits(p.nu) for _ in range(p.n)])

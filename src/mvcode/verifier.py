@@ -46,22 +46,19 @@ from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slot_indices, slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
-from .model import (Params, SystemState, check_work, latest_complete, random_mask_block,
-                    rank_masks, state_at, state_count, state_from_masks)
+from .model import (Params, SystemState, check_work, latest_complete, rank_masks,
+                    sample_masks, state_at, state_count, state_from_masks)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
 
-_SEED_STRIDE = 1_000_003  # spreads per-state seeds; keeps sampling jobs-independent
+_SEED_STRIDE = 1_000_003  # spreads per-state payload seeds; keeps payloads jobs-independent
 # a block of states holds at most _BLOCK states, or when the bit-exact
 # layer runs at most _BITEXACT_BLOCK states and about _BLOCK_BYTES of
 # messages, which bounds the arrays either layer stacks
 _BLOCK = 512
 _BITEXACT_BLOCK = 256
 _BLOCK_BYTES = 1 << 22
-# masks are drawn about _CHUNK states at a time and cut into blocks: the
-# sampled kernel costs about 10 ms per call plus 1-2 us per state
-_CHUNK = 8 * _BLOCK
 # states are int64 bit masks, one bit per version
 _MAX_NU = 63
 
@@ -356,26 +353,19 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
 
 def _block_masks(p: Params, mode: VerifyMode, lo: int, hi: int) -> np.ndarray:
     """The masks of states [lo, hi), one row each. Exhaustive state idx is
-    rank idx (state_at); sampled state idx under seed k is
-    random_masks(p, k * _SEED_STRIDE + idx): n draws of getrandbits(nu)
-    from random.Random(k * 1_000_003 + idx), which CPython seeds with
-    MT19937's init_by_array over the 32-bit words of |k * 1_000_003 + idx|.
-    So seeds k and -k draw the same state 0, and from idx 1_000_003 on seed
-    k draws the states of seed k + 1."""
+    rank idx (state_at); sampled state idx under seed k is row idx of
+    sample_masks(p, k, ...)."""
     if mode.kind == "exhaustive":
         return rank_masks(p, lo, hi)
-    return random_mask_block(p, mode.seed * _SEED_STRIDE + lo, hi - lo)
+    return sample_masks(p, mode.seed, lo, hi)
 
 
 def _mask_blocks(p: Params, mode: VerifyMode, start: int, stop: int, block: int):
     """(lo, hi, masks of states [lo, hi)) for the blocks of `block` states
-    that cover [start, stop), drawn a chunk of blocks at a time."""
-    chunk = block * max(1, _CHUNK // block)
-    for first in range(start, stop, chunk):
-        last = min(first + chunk, stop)
-        masks = _block_masks(p, mode, first, last)
-        for lo in range(first, last, block):
-            yield lo, min(lo + block, last), masks[lo - first:lo - first + block]
+    that cover [start, stop)."""
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        yield lo, hi, _block_masks(p, mode, lo, hi)
 
 
 def _state(p: Params, mode: VerifyMode, masks: np.ndarray, idx: int, b: int) -> SystemState:
@@ -405,8 +395,7 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
                 found.append((b, check_state_counting(scheme, S, p)))
         if BITEXACT in layers:
             states = [_state(p, mode, masks, lo + b, b) for b in range(hi - lo)]
-            payload_seed = mode.seed if mode.kind == "exhaustive" else mode.seed + 1
-            seeds = [payload_seed * _SEED_STRIDE + idx for idx in range(lo, hi)]
+            seeds = [mode.seed * _SEED_STRIDE + idx for idx in range(lo, hi)]
             found.extend(enumerate(bitexact_block(scheme, p, states, counts, seeds, latest)))
         # in state order, a state's counting violation before its bit-exact one
         for _, violation in sorted(found, key=lambda pair: pair[0]):
@@ -425,8 +414,8 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     """Run the requested layers over all (or sampled) states.
 
     Deterministic for a fixed (scheme, params, mode, layers) regardless of
-    jobs: sampled states are seeded per index, and partial results merge in
-    range order.
+    jobs: sampled states and payloads are functions of (seed, index), and
+    partial results merge in range order.
     """
     validate_regime(scheme, p)
     if p.nu > _MAX_NU:

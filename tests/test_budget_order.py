@@ -2,8 +2,10 @@
 
 c1 at n=28, cw=27, cr=14, h=13 has C(28, 14) = 40,116,600 read sets per
 state, twice the default budget even for one sampled state; listing them
-would take gigabytes. `read_sets` is patched to raise, so each entry point
-must refuse from the count alone.
+would take gigabytes. c1 at n=26, cw=25, cr=13, h=12 has C(26, 13) =
+10,400,600, inside the budget for one state, but its 26 x 10,400,600
+server by read set matrix is about 2.2 GB of float64. `read_sets` is
+patched to raise, so each entry point must refuse from the count alone.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from mvcode import BudgetExceededError, Params, Scheme, VerifyMode, oracle, veri
 from mvcode.cli import EXIT_CONFIG, main
 
 P = Params(n=28, cw=27, cr=14, nu=2, h=13, k_bits=1024)
+P26 = Params(n=26, cw=25, cr=13, nu=2, h=12, k_bits=1024)
 SUFFIX = " read sets exceeds budget 20000000; set MVCODE_BUDGET to override"
 
 
@@ -28,6 +31,12 @@ def test_verify_refuses_from_the_count():
     with pytest.raises(BudgetExceededError) as exc:
         verifier.verify(Scheme.C1, P, VerifyMode.sampled(1, 0))
     assert str(exc.value) == "1 states x 40116600" + SUFFIX
+
+
+def test_verify_refuses_the_read_set_matrix_from_the_count():
+    with pytest.raises(BudgetExceededError) as exc:
+        verifier.verify(Scheme.C1, P26, VerifyMode.sampled(1, 0))
+    assert str(exc.value) == "26 servers x 10400600" + SUFFIX
 
 
 def test_strategy_feasible_refuses_from_the_count():

@@ -11,14 +11,14 @@ import random
 import numpy as np
 import pytest
 
-from mvcode import Params, Scheme, model
+from mvcode import Params, Scheme
 from mvcode.allocation import (Allocation, allocation_for, block_allocations,
                                scheme_granularity)
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import (latest_complete, random_mask_block, random_masks, random_state,
-                          rank_masks, state_at, state_count, state_from_masks)
-from mvcode.verifier import (_SEED_STRIDE, COUNTING, VerifyMode, _block_masks,
-                             check_state_counting, short_states, verify)
+from mvcode.model import (latest_complete, random_state, rank_masks, sample_masks, state_at,
+                          state_count, state_from_masks)
+from mvcode.verifier import (COUNTING, VerifyMode, _block_masks, check_state_counting,
+                             short_states, verify)
 from helpers import all_states
 
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
@@ -33,6 +33,9 @@ P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
 # recorded with the per-state counting loop before the block kernel replaced it
 C2_N8_SAMPLED_SHA256 = "d7a5d7473f4296469740a037da5067bc317c8787651e670c015bf369ed15af6e"
 P8_RANDOM_STATES_SHA256 = "3399f3747d172d9cacd3c548f3feeffae5f032374805ee368a0abc52ebb41d36"
+# SHA-256 of the JSON of sampled states 0..999 of P8 under seed 0 joined by
+# newlines, recorded from the scalar reference in test_sampled_masks.py
+P8_SAMPLED_STATES_SHA256 = "ec1b84e40cfae59ca60af7ce354b8a3016a0673c9ccc3594c6c3a62d40f640da"
 
 EXHAUSTIVE = [(Scheme.C1, P4), (Scheme.C1, P4_NU1), (Scheme.C1, P4_CR4),
               (Scheme.C2, P4_CR4), (Scheme.C2, P4_C2_NU1),
@@ -81,7 +84,7 @@ class TestDifferential:
     def test_seeded_c2_n8(self):
         seeds = range(5000, 8000)
         states = [random_state(P8, s) for s in seeds]
-        masks = np.array([random_masks(P8, s) for s in seeds])
+        masks = np.array([[sum(1 << u - 1 for u in s) for s in S.subsets] for S in states])
         assert _agree(Scheme.C2, P8, states, masks).any()
 
     def test_versions_older_than_the_latest_complete_do_not_count(self):
@@ -102,22 +105,20 @@ class TestMasks:
             state_at(P6, idx) for idx in range(100, 300)]
 
     def test_sampled_masks_draw_the_recorded_states(self):
-        text = "\n".join(state_from_masks(random_masks(P8, s)).to_json()
-                         for s in range(1000))
+        text = "\n".join(random_state(P8, s).to_json() for s in range(1000))
         assert hashlib.sha256(text.encode()).hexdigest() == P8_RANDOM_STATES_SHA256
         rng = random.Random(17)
-        assert random_masks(P8, 17) == [rng.getrandbits(P8.nu) for _ in range(P8.n)]
+        assert random_state(P8, 17) == state_from_masks(
+            [rng.getrandbits(P8.nu) for _ in range(P8.n)])
 
     def test_block_sampler_draws_the_recorded_states(self):
         text = "\n".join(state_from_masks(row).to_json()
-                         for row in random_mask_block(P8, 0, 1000).tolist())
-        assert hashlib.sha256(text.encode()).hexdigest() == P8_RANDOM_STATES_SHA256
+                         for row in sample_masks(P8, 0, 0, 1000).tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == P8_SAMPLED_STATES_SHA256
 
-    def test_verify_blocks_sample_random_state(self):
+    def test_verify_blocks_sample_the_counter_hash(self):
         mode = VerifyMode.sampled(40, seed=3)
-        masks = _block_masks(P8, mode, 10, 40)
-        assert [state_from_masks(row) for row in masks.tolist()] == [
-            random_state(P8, 3 * _SEED_STRIDE + idx) for idx in range(10, 40)]
+        assert _block_masks(P8, mode, 10, 40).tolist() == sample_masks(P8, 3, 10, 40).tolist()
 
 
 class TestReports:
@@ -134,7 +135,7 @@ class TestReports:
 
     def test_jobs_do_not_change_a_report_whose_ranges_start_inside_a_chunk(self):
         # 9,001 states over 2 or 3 jobs: ranges start at 4,501, 3,001 and
-        # 6,002, so their 4,096-state chunks cut the run at other states
+        # 6,002, so their 512-state blocks cut the run at other states
         mode = VerifyMode.sampled(9_001, 1)
         reports = [verify(Scheme.C2, P8, mode, layers=(COUNTING,), jobs=jobs).to_dict()
                    for jobs in (1, 2, 3)]
@@ -143,8 +144,8 @@ class TestReports:
         assert reports[0]["states_checked"] == 9_001
 
     def test_sampled_c2_n8_run_makes_no_per_state_draw(self, monkeypatch):
-        def refuse(p, seed):
-            raise AssertionError(f"random_masks called for seed {seed}")
-        monkeypatch.setattr(model, "random_masks", refuse)
+        def refuse(seed):
+            raise AssertionError(f"random.Random called with seed {seed}")
+        monkeypatch.setattr(random, "Random", refuse)
         text = verify(Scheme.C2, P8, VerifyMode.sampled(12_000, 1), layers=(COUNTING,)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == C2_N8_SAMPLED_SHA256
