@@ -36,20 +36,6 @@ class Scheme(str, Enum):
 
 
 @dataclass(frozen=True)
-class Granularity:
-    """How finely a message is split: denom symbols of k_bits/denom each."""
-
-    denom: int
-
-    def __post_init__(self) -> None:
-        if self.denom < 1:
-            raise ValueError(f"denominator must be >= 1, got {self.denom}")
-
-    def symbol_bits(self, k_bits: int) -> Fraction:
-        return Fraction(k_bits, self.denom)
-
-
-@dataclass(frozen=True)
 class Allocation:
     """Symbol counts per version for one server."""
 
@@ -86,13 +72,14 @@ def validate_regime(scheme: Scheme, p: Params) -> None:
             f"scheme central requires full information (2h+1 >= n), got h={p.h}, n={p.n}")
 
 
-def scheme_granularity(scheme: Scheme, p: Params) -> Granularity:
+def scheme_granularity(scheme: Scheme, p: Params) -> int:
+    """The scheme's `denom`: the code dimension, symbols per message."""
     validate_regime(scheme, p)
     if scheme is Scheme.C1:
-        return Granularity(p.c * p.c)
+        return p.c * p.c
     if scheme is Scheme.C2:
-        return Granularity(p.c - 2 * (p.nu - 1))
-    return Granularity(p.c)
+        return p.c - 2 * (p.nu - 1)
+    return p.c
 
 
 def alpha_symbols(scheme: Scheme, p: Params) -> int:
@@ -103,7 +90,7 @@ def alpha_symbols(scheme: Scheme, p: Params) -> int:
 
 def alpha_bits(scheme: Scheme, p: Params) -> Fraction:
     """Worst-case per-server budget in bits, exact."""
-    return alpha_symbols(scheme, p) * scheme_granularity(scheme, p).symbol_bits(p.k_bits)
+    return Fraction(alpha_symbols(scheme, p) * p.k_bits, scheme_granularity(scheme, p))
 
 
 def alloc_c1(view: SideView, p: Params) -> Allocation:

@@ -48,16 +48,6 @@ class CodedSymbol:
     payload: bytes
 
 
-@dataclass(frozen=True)
-class ServerStore:
-    server: int
-    symbols: tuple[CodedSymbol, ...]
-
-    @property
-    def total_bits(self) -> int:
-        return sum(len(cs.payload) * 8 for cs in self.symbols)
-
-
 def mds_encode(message: bytes, spec: MdsSpec, indices: Sequence[int]) -> list[bytes]:
     """Coded payloads for the given global indices.
 
@@ -152,8 +142,7 @@ def _slot_generator(scheme: Scheme, p: Params, version: int) -> np.ndarray:
     order: row j is the symbol with global index j. Read-only, since every
     later encode of the version shares it."""
     slots = slots_per_server(scheme, version, p)
-    denom = scheme_granularity(scheme, p).denom
-    G = gf.generator_matrix(denom, tuple(range(p.n * slots)))
+    G = gf.generator_matrix(scheme_granularity(scheme, p), tuple(range(p.n * slots)))
     G.flags.writeable = False
     return G
 
@@ -190,14 +179,12 @@ def _check_message_args(messages: Mapping[int, bytes], own: frozenset[int],
 
 
 def _server_slots(scheme: Scheme, S: SystemState, i: int,
-                  messages: Mapping[int, bytes], p: Params
-                  ) -> tuple[MdsSpec, list[tuple[int, range]]]:
-    """Server i's checked allocation: its code and, per allocated version,
-    the global indices it stores. Raises CodecError for anything
-    server_encode could not write."""
+                  messages: Mapping[int, bytes], p: Params) -> list[tuple[int, range]]:
+    """Server i's checked allocation: per allocated version, the global
+    indices it stores. Raises CodecError for anything server_encode could
+    not write."""
     alloc = allocation_for(scheme, S, i, p)
     _check_message_args(messages, S[i], p)
-    spec = MdsSpec(scheme_granularity(scheme, p).denom)
     slotted = []
     for u, count in alloc.symbols:
         if u not in messages:
@@ -209,26 +196,27 @@ def _server_slots(scheme: Scheme, S: SystemState, i: int,
         if p.n * slots > gf.ORDER:
             raise CodecError("global index universe exhausted")
         slotted.append((u, slot_indices(i, count, slots)))
-    return spec, slotted
+    return slotted
 
 
 def server_encode(scheme: Scheme, S: SystemState, i: int,
-                  messages: Mapping[int, bytes], p: Params) -> ServerStore:
+                  messages: Mapping[int, bytes], p: Params) -> tuple[CodedSymbol, ...]:
     """Produce server i's store: its allocated symbols at its reserved indices.
 
     `messages` must hold exactly the versions in S(i); the store depends on
     S only through the side view of i (full state for the central scheme).
     """
-    spec, slotted = _server_slots(scheme, S, i, messages, p)
+    slotted = _server_slots(scheme, S, i, messages, p)
+    spec = MdsSpec(scheme_granularity(scheme, p))
     coded: list[CodedSymbol] = []
     for u, indices in slotted:
         payloads = mds_encode(_pad(messages[u], p.k_bits, spec.k), spec, indices)
         coded.extend(CodedSymbol(u, idx, pl) for idx, pl in zip(indices, payloads))
-    return ServerStore(server=i, symbols=tuple(coded))
+    return tuple(coded)
 
 
 def quorum_decode(scheme: Scheme, S: SystemState, T: Sequence[int],
-                  stores: Mapping[int, ServerStore],
+                  stores: Mapping[int, Sequence[CodedSymbol]],
                   p: Params) -> tuple[int, bytes] | None:
     """Decode from a read set: (version, message) with version >= the latest
     complete one, or None when no version is complete.
@@ -248,11 +236,11 @@ def quorum_decode(scheme: Scheme, S: SystemState, T: Sequence[int],
     latest = latest_complete(S, p)
     if latest is None:
         return None
-    denom = scheme_granularity(scheme, p).denom
+    denom = scheme_granularity(scheme, p)
     spec = MdsSpec(denom)
     for m in range(p.nu, latest - 1, -1):
         pairs = [(cs.index, cs.payload)
-                 for t in read_set for cs in stores[t].symbols if cs.version == m]
+                 for t in read_set for cs in stores[t] if cs.version == m]
         if len({idx for idx, _ in pairs}) < denom:
             continue
         padded = mds_decode(pairs, spec)
@@ -262,7 +250,7 @@ def quorum_decode(scheme: Scheme, S: SystemState, T: Sequence[int],
 
 
 def encode_all(scheme: Scheme, S: SystemState, messages: Mapping[int, bytes],
-               p: Params) -> dict[int, ServerStore]:
+               p: Params) -> dict[int, tuple[CodedSymbol, ...]]:
     """Stores for all n servers; `messages` holds all nu versions and is
     restricted per server. Equal to server_encode per server: every server
     is checked first, in id order, then each version is encoded once over
@@ -270,22 +258,20 @@ def encode_all(scheme: Scheme, S: SystemState, messages: Mapping[int, bytes],
     the payloads are handed back to their servers."""
     slotted = [_server_slots(scheme, S, i, {u: messages[u] for u in S[i]}, p)
                for i in range(p.n)]
-    union: dict[tuple[int, MdsSpec], list[int]] = {}
-    for spec, versions in slotted:
+    spec = MdsSpec(scheme_granularity(scheme, p))
+    union: dict[int, list[int]] = {}
+    for versions in slotted:
         for u, indices in versions:
-            union.setdefault((u, spec), []).extend(indices)
+            union.setdefault(u, []).extend(indices)
     payload: dict[tuple[int, int], bytes] = {}
-    for (u, spec), indices in union.items():
+    for u, indices in union.items():
         coded = mds_encode(_pad(messages[u], p.k_bits, spec.k), spec, indices)
         payload.update(zip(((u, j) for j in indices), coded))
-    return {
-        i: ServerStore(server=i, symbols=tuple(
-            CodedSymbol(u, j, payload[u, j]) for u, indices in versions for j in indices))
-        for i, (_, versions) in enumerate(slotted)
-    }
+    return {i: tuple(CodedSymbol(u, j, payload[u, j]) for u, indices in versions for j in indices)
+            for i, versions in enumerate(slotted)}
 
 
-def stores_to_json(stores: Mapping[int, ServerStore]) -> str:
+def stores_to_json(stores: Mapping[int, Sequence[CodedSymbol]]) -> str:
     """The store file, {server: [[version, index, hex payload], ...]}, byte
     for byte as json.dumps(doc, sort_keys=True, indent=2) writes it: keys in
     string order, two-space indent. Hex needs no escaping, so the text is
@@ -297,11 +283,11 @@ def stores_to_json(stores: Mapping[int, ServerStore]) -> str:
     for i, store in sorted(stores.items(), key=lambda item: str(item[0])):
         pieces += (open_server, str(i))
         open_server = ',\n  "'
-        if not store.symbols:
+        if not store:
             pieces.append('": []')
             continue
         open_entry = '": [\n    [\n      '
-        for cs in store.symbols:
+        for cs in store:
             pieces += (open_entry, str(cs.version), ",\n      ", str(cs.index),
                        ',\n      "', cs.payload.hex(), '"\n    ]')
             open_entry = ",\n    [\n      "
@@ -321,7 +307,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def stores_from_json(text: str) -> dict[int, ServerStore]:
+def stores_from_json(text: str) -> dict[int, tuple[CodedSymbol, ...]]:
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
@@ -344,5 +330,5 @@ def stores_from_json(text: str) -> dict[int, ServerStore]:
                 raise CodecError(f"bad store entry for server {key}: {entry!r}")
             version, index, hexpayload = entry
             symbols.append(CodedSymbol(version, index, bytes.fromhex(hexpayload)))
-        stores[int(key)] = ServerStore(server=int(key), symbols=tuple(symbols))
+        stores[int(key)] = tuple(symbols)
     return stores

@@ -90,6 +90,13 @@ def make_thm4_params(n: int, c: int, k_bits: int, h: int | None = None,
                   h=(n - c) // 4 if h is None else h, k_bits=k_bits)
 
 
+def _thm4_blocks(n: int, c: int) -> tuple[set[int], set[int]]:
+    """The thm4 pair's holders of version 1, [0, (n+3c-4)/4] and
+    [(3n+c)/4, n), and its far block [(n+3c)/4, (3n+c-4)/4]."""
+    holders = set(range((n + 3 * c - 4) // 4 + 1)) | set(range((3 * n + c) // 4, n))
+    return holders, set(range((n + 3 * c) // 4, (3 * n + c - 4) // 4 + 1))
+
+
 def fixture_thm4(p: Params) -> FixturePair:
     """Blind-block pair: the first c servers see neither changed server.
 
@@ -109,9 +116,8 @@ def fixture_thm4(p: Params) -> FixturePair:
     if p.h > (n - c) // 4:
         raise RegimeError(f"the thm4 pair needs h <= (n-c)/4, got h={p.h}")
 
-    far_lo, far_hi = (n + 3 * c) // 4, (3 * n + c - 4) // 4
-    a1_s1 = set(range(0, (n + 3 * c - 4) // 4 + 1)) | set(range((3 * n + c) // 4, n))
-    a2_s1 = set(range(c)) | set(range(far_lo, far_hi + 1))
+    a1_s1, far = _thm4_blocks(n, c)
+    a2_s1 = set(range(c)) | far
     a2_s2 = set(range(c))
 
     def build(a1: set[int], a2: set[int]) -> SystemState:
@@ -144,11 +150,9 @@ def thm4_read_sets(p: Params, l: int) -> tuple[tuple[int, ...], tuple[int, ...]]
     if 2 * c - l - 2 > (n + 3 * c - 4) // 4:
         raise RegimeError(
             f"l={l} violates 2c-l-2 <= (n+3c-4)/4 for n={n}, c={c}")
-    r1 = tuple(sorted(set(range(0, (n + 3 * c - 4) // 4 + 1))
-                      | set(range((3 * n + c) // 4, n))))
-    r2 = tuple(sorted(set(range(0, l + 1))
-                      | set(range((n + 3 * c) // 4, (3 * n + c - 4) // 4 + 1))
-                      | set(range(c, 2 * c - l - 1))))
+    holders, far = _thm4_blocks(n, c)
+    r1 = tuple(sorted(holders))
+    r2 = tuple(sorted(set(range(l + 1)) | far | set(range(c, 2 * c - l - 1))))
     assert len(r1) == len(r2) == p.cr
     return r1, r2
 

@@ -118,10 +118,6 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
     capped = np.flatnonzero(received.any(1))
     row_first = len(capped) + np.cumsum(span + 1) - (span + 1)
     n_rows = len(capped) + int((span + 1).sum())
-    # a label repeated in a read set enters its row once, with its multiplicity
-    lead = np.ones(sets.shape, dtype=bool)
-    lead[:, 1:] = sets[:, 1:] != sets[:, :-1]
-    mult = (sets[:, :, None] == sets[:, None, :]).sum(2)
 
     cap_row, cap_u = np.nonzero(received[capped])
     rows = [cap_row, np.arange(len(capped))]
@@ -130,11 +126,12 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
     for m in p.versions:
         key = np.flatnonzero(top <= m)
         row, z = row_first[key] + m - top[key], z_first[key] + m - top[key]
-        k, t = np.nonzero(lead[key] & received[sets[key], m - 1])
+        # one entry per read-set member: the matrix sums a label repeated in
+        # a read set into its multiplicity
+        k, t = np.nonzero(received[sets[key], m - 1])
         rows += [row, row[k], row_first[key] + span[key]]
         cols += [z, a_cols[sets[key][k, t], m - 1], z]
-        vals += [np.full(len(key), -float(g)), mult[key][k, t].astype(float),
-                 np.ones(len(key))]
+        vals += [np.full(len(key), -float(g)), np.ones(len(k)), np.ones(len(key))]
     A = sparse.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n_rows, z_base + int(span.sum())))
     lb = np.zeros(n_rows)

@@ -29,6 +29,7 @@ zero tolerance.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -72,8 +73,8 @@ class VerifyMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.kind!r}")
-        if self.count < 0:
-            raise ValueError(f"sample count must be >= 0, got {self.count}")
+        if self.kind == "sampled" and self.count < 1:
+            raise ValueError(f"sample count must be >= 1, got {self.count}")
 
     @classmethod
     def exhaustive(cls, seed: int = 0) -> "VerifyMode":
@@ -212,7 +213,7 @@ def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
     how broken-scheme behavior is exercised."""
     if allocs is None:
         allocs = [allocation_for(scheme, S, i, p) for i in range(p.n)]
-    denom = scheme_granularity(scheme, p).denom
+    denom = scheme_granularity(scheme, p)
     latest = latest_complete(S, p)
     if latest is None:
         return None
@@ -314,7 +315,7 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     """
     if states:
         _require_byte_aligned(p)
-    denom = scheme_granularity(scheme, p).denom
+    denom = scheme_granularity(scheme, p)
     counts, latest = np.asarray(counts), np.asarray(latest)
     ids = p.versions
     slots = np.array([slots_per_server(scheme, u, p) for u in ids])
@@ -377,8 +378,10 @@ def _state(p: Params, mode: VerifyMode, masks: np.ndarray, idx: int, b: int) -> 
 
 def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
                   layers: tuple[str, ...], start: int, stop: int,
-                  max_violations: int) -> dict:
-    gran = scheme_granularity(scheme, p)
+                  max_violations: int) -> tuple[Fraction, list[Violation], int]:
+    """States [start, stop) of the run: the worst per-server cost in bits,
+    the first max_violations violations and the count of all of them."""
+    denom = scheme_granularity(scheme, p)
     block = _BLOCK
     if BITEXACT in layers:
         block = max(1, min(_BITEXACT_BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
@@ -390,7 +393,7 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
         worst_symbols = max(worst_symbols, int(counts.sum(-1).max()))
         found: list[tuple[int, Violation | None]] = []  # (block position, violation)
         if COUNTING in layers:
-            for b in np.flatnonzero(short_states(counts, latest, p, gran.denom)).tolist():
+            for b in np.flatnonzero(short_states(counts, latest, p, denom)).tolist():
                 S = _state(p, mode, masks, lo + b, b)
                 found.append((b, check_state_counting(scheme, S, p)))
         if BITEXACT in layers:
@@ -403,8 +406,7 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
                 total += 1
                 if len(violations) < max_violations:
                     violations.append(violation)
-    return {"worst": worst_symbols * gran.symbol_bits(p.k_bits), "violations": violations,
-            "violations_total": total, "states": stop - start}
+    return Fraction(worst_symbols * p.k_bits, denom), violations, total
 
 
 def verify(scheme: Scheme, p: Params, mode: VerifyMode,
@@ -415,7 +417,8 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
 
     Deterministic for a fixed (scheme, params, mode, layers) regardless of
     jobs: sampled states and payloads are functions of (seed, index), and
-    partial results merge in range order.
+    partial results merge in range order. The states are cut into one range
+    per worker, and at most one worker runs per CPU.
     """
     validate_regime(scheme, p)
     if p.nu > _MAX_NU:
@@ -434,38 +437,35 @@ def verify(scheme: Scheme, p: Params, mode: VerifyMode,
     n_reads = check_work(p, n_states, budget)
 
     started = time.monotonic()
-    chunk = max(1, -(-n_states // jobs))
-    ranges = [(lo, min(lo + chunk, n_states))
-              for lo in range(0, n_states, chunk)] or [(0, 0)]
-    arg_sets = [(scheme, p, mode, layers, lo, hi, max_violations)
-                for lo, hi in ranges]
-    if jobs == 1 or len(arg_sets) == 1:
-        partials = [_verify_range(*a) for a in arg_sets]
+    # the pool forks every worker at its first task; more than one per CPU
+    # would only add forks
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = -(-n_states // workers)
+    arg_sets = [(scheme, p, mode, layers, lo, min(lo + chunk, n_states), max_violations)
+                for lo in range(0, n_states, chunk)]
+    if len(arg_sets) == 1:
+        partials = [_verify_range(*arg_sets[0])]
     else:
         # multiprocessing loads only for runs that use it
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 partials = list(pool.map(_verify_range, *zip(*arg_sets)))
         except BrokenProcessPool as exc:
             raise WorkerError(f"a verification worker stopped abnormally: {exc}") from exc
 
-    worst = max((part["worst"] for part in partials), default=Fraction(0))
-    violations: list[Violation] = []
-    for part in partials:
-        violations.extend(part["violations"])
-    violations = violations[:max_violations]
+    violations = [v for _, found, _ in partials for v in found][:max_violations]
     report = VerifyReport(
         scheme=scheme.value,
         params=p.to_dict(),
         mode=mode.to_dict(),
         layers=layers,
-        states_checked=sum(part["states"] for part in partials),
+        states_checked=n_states,
         read_sets_per_state=n_reads,
-        violations_total=sum(part["violations_total"] for part in partials),
+        violations_total=sum(total for _, _, total in partials),
         violations=violations,
-        worst_case_bits=worst,
+        worst_case_bits=max(worst for worst, _, _ in partials),
         alpha_bits=alpha_bits(scheme, p),
         jobs=jobs,
         elapsed_s=time.monotonic() - started,

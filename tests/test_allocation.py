@@ -38,11 +38,11 @@ class TestRegimes:
             scheme_granularity(Scheme.CENTRAL, P6)
 
     def test_granularities(self):
-        assert scheme_granularity(Scheme.C1, P6).denom == 16
-        assert scheme_granularity(Scheme.C2, P6).denom == 2
-        assert scheme_granularity(Scheme.C2, P8).denom == 2
+        assert scheme_granularity(Scheme.C1, P6) == 16
+        assert scheme_granularity(Scheme.C2, P6) == 2
+        assert scheme_granularity(Scheme.C2, P8) == 2
         full = Params(n=6, cw=5, cr=5, nu=2, h=3, k_bits=1024)
-        assert scheme_granularity(Scheme.CENTRAL, full).denom == 4
+        assert scheme_granularity(Scheme.CENTRAL, full) == 4
 
     def test_alpha(self):
         assert alpha_symbols(Scheme.C1, P6) == 6

@@ -132,7 +132,7 @@ def _kernel_and_reference(scheme, p, states, seeds):
     latest = [latest_complete(S, p) or 0 for S in states]
     complete = [b for b, top in enumerate(latest) if top]
     messages = random_payloads(p, 0)
-    versions = decode_versions(counts, np.array(latest), p, scheme_granularity(scheme, p).denom)
+    versions = decode_versions(counts, np.array(latest), p, scheme_granularity(scheme, p))
     expected = []
     for b in complete:
         stores = encode_all(scheme, states[b], messages, p)
@@ -205,7 +205,7 @@ class TestDifferential:
         # encoded, so the full state's column counts those before it
         column = sum(top > 0 for top in latest[:20])
         assert 0 < column < 20
-        denom = scheme_granularity(Scheme.C1, P6).denom
+        denom = scheme_granularity(Scheme.C1, P6)
         slots = np.array([slots_per_server(Scheme.C1, u, P6) for u in P6.versions])
         versions = decode_versions(counts, np.array(latest), P6, denom)
         reads, _, _ = verifier._decode_pairs(counts, versions, slots, P6, denom)
@@ -282,6 +282,7 @@ class TestReports:
         text = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_jobs_do_not_change_the_report(self):
         one = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=1).to_dict()
         two = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=2).to_dict()

@@ -56,7 +56,7 @@ class TestVerifyCommand:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("flags,message", [
-        (["--mode", "sampled", "--samples", "-5"], "sample count must be >= 0, got -5"),
+        (["--mode", "sampled", "--samples", "-5"], "sample count must be >= 1, got -5"),
         (["--max-violations", "-1"], "max_violations must be >= 0, got -1"),
         (["--jobs", "0"], "jobs must be >= 1, got 0"),
         (["--jobs", "-3"], "jobs must be >= 1, got -3"),
@@ -74,6 +74,7 @@ class TestVerifyCommand:
         assert run(args + ["--nu", "63"]) == EXIT_OK
         assert "states=5 " in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_deterministic_report_files(self, tmp_path):
         args = ["verify", "--scheme", "c2", "--n", "6", "--cw", "5", "--cr", "5",
                 "--nu", "2", "--h", "2", "--K", "1024", "--mode", "sampled",
@@ -425,6 +426,8 @@ class TestDispatch:
             assert code == 0 and loaded() == [], ("verify", loaded())
             from mvcode import Params, Scheme, VerifyMode, verify
             p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
+            import os
+            os.cpu_count = lambda: 4  # jobs=2 reaches the worker pool on any runner
             one, two = (verify(Scheme.C1, p, VerifyMode.exhaustive(seed=1), jobs=jobs).to_dict()
                         for jobs in (1, 2))
             assert (one.pop("jobs"), two.pop("jobs")) == (1, 2) and one == two
@@ -453,6 +456,7 @@ class _CrashingPool:
         raise BrokenProcessPool("A process in the process pool was terminated abruptly")
 
 
+@pytest.mark.usefixtures("four_cpus")
 def test_a_crashed_worker_is_a_config_error(monkeypatch, capsys):
     # verify imports the pool from concurrent.futures when it needs one
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CrashingPool)

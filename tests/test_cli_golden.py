@@ -56,6 +56,8 @@ BATTERY = [
     ("verify-repeated-layer", ["verify", "--scheme", "c1", *RING6,
                                "--layers", "counting,counting"], []),
     ("verify-bad-mode", ["verify", "--scheme", "c1", *RING6, "--mode", "random"], []),
+    ("verify-zero-samples", ["verify", "--scheme", "c2", *RING6, "--mode", "sampled",
+                             "--samples", "0"], []),
     ("table-csv", ["table", "--nu", "2", "--c", "3:10"], []),
     ("table-json-file", ["table", "--nu", "3", "--c", "4:6", "--K", "999", "--format", "json",
                          "--out", "{tmp}/table.json"], ["table.json"]),

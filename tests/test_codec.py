@@ -183,10 +183,10 @@ class TestServerEncode:
         msgs = random_payloads(P6, 3)
         store = server_encode(Scheme.C1, S, 0, {1: msgs[1], 2: msgs[2]}, P6)
         by_version = {}
-        for cs in store.symbols:
+        for cs in store:
             by_version.setdefault(cs.version, []).append(cs.index)
         assert len(by_version[2]) == 4 and len(by_version[1]) == 2
-        assert store.total_bits == 384
+        assert 8 * sum(len(cs.payload) for cs in store) == 384
         # reserved index blocks: server * slots + slot
         assert by_version[2] == [0, 1, 2, 3]
         assert by_version[1] == [0, 1]
@@ -194,14 +194,14 @@ class TestServerEncode:
     def test_empty_server_empty_store(self):
         S = SystemState.of(P6, [set()] * 6)
         store = server_encode(Scheme.C1, S, 0, {}, P6)
-        assert store.symbols == () and store.total_bits == 0
+        assert store == ()
 
     def test_c2_single_symbol(self):
         S = SystemState.of(P8, [{1, 2}] * 7 + [set()])
         msgs = random_payloads(P8, 3)
         store = server_encode(Scheme.C2, S, 0, {1: msgs[1], 2: msgs[2]}, P8)
-        assert [(cs.version, cs.index) for cs in store.symbols] == [(2, 0)]
-        assert store.total_bits == 512
+        assert [(cs.version, cs.index) for cs in store] == [(2, 0)]
+        assert 8 * len(store[0].payload) == 512
 
     @pytest.mark.parametrize("scheme,p", [(Scheme.C1, P6), (Scheme.C2, P8),
                                           (Scheme.CENTRAL, P6_FULL)])
@@ -209,14 +209,14 @@ class TestServerEncode:
         # and encode_slots, the block encoder, holds each symbol at its index
         S = SystemState.of(p, [p.versions] * p.n)
         msgs = random_payloads(p, 4)
-        denom = scheme_granularity(scheme, p).denom
+        denom = scheme_granularity(scheme, p)
         coded = {u: encode_slots(scheme, p, u, message_elements([msgs[u]], p, denom))
                  for u in p.versions}
         for i, store in encode_all(scheme, S, msgs, p).items():
-            assert store.symbols
+            assert store
             alloc = allocation_for(scheme, S, i, p)
             for u in p.versions:
-                mine = [cs for cs in store.symbols if cs.version == u]
+                mine = [cs for cs in store if cs.version == u]
                 indices = slot_indices(i, alloc.count(u), slots_per_server(scheme, u, p))
                 assert [cs.index for cs in mine] == list(indices)
                 assert [cs.payload for cs in mine] == [
@@ -254,9 +254,9 @@ class TestServerEncode:
             for i in range(P6.n):
                 store = server_encode(Scheme.C1, S, i, {u: msgs[u] for u in S[i]}, P6)
                 alloc = allocation_for(Scheme.C1, S, i, P6)
-                held = [(u, sum(cs.version == u for cs in store.symbols)) for u in P6.versions]
+                held = [(u, sum(cs.version == u for cs in store)) for u in P6.versions]
                 assert [(u, s) for u, s in held if s] == list(alloc.symbols)
-                assert store.total_bits == len(store.symbols) * P6.k_bits // 16  # K/c^2 each
+                assert all(8 * len(cs.payload) == P6.k_bits // 16 for cs in store)  # K/c^2 each
 
     def test_global_index_disjointness(self):
         msgs = random_payloads(P6, 5)
@@ -264,7 +264,7 @@ class TestServerEncode:
         stores = encode_all(Scheme.C1, S, msgs, P6)
         seen = set()
         for store in stores.values():
-            for cs in store.symbols:
+            for cs in store:
                 assert (cs.version, cs.index) not in seen
                 seen.add((cs.version, cs.index))
 
@@ -313,8 +313,7 @@ class TestQuorumDecode:
     def test_contract_error_when_store_is_gutted(self):
         pair = fixture_thm3(P6)
         msgs = random_payloads(P6, 23)
-        stores = {i: type(s)(server=i, symbols=()) for i, s in
-                  encode_all(Scheme.C1, pair.s1, msgs, P6).items()}
+        stores = {i: () for i in encode_all(Scheme.C1, pair.s1, msgs, P6)}
         with pytest.raises(DecodeContractError):
             quorum_decode(Scheme.C1, pair.s1, (0, 1, 2, 3, 5), stores, P6)
 

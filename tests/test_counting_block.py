@@ -66,7 +66,7 @@ def _agree(scheme, p, states, masks):
     assert [counts[b].tolist() for b in range(len(states))] == [
         _rows(scheme, S, p) for S in states]
     assert latest.tolist() == [latest_complete(S, p) or 0 for S in states]
-    denom = scheme_granularity(scheme, p).denom
+    denom = scheme_granularity(scheme, p)
     short = short_states(counts, latest, p, denom)
     assert short.tolist() == _short_by_reference(scheme, states, counts, p)
     cut = _cut(counts, seed=len(states))
@@ -126,6 +126,7 @@ class TestReports:
         text = verify(Scheme.C2, P8, VerifyMode.sampled(12_000, 1), layers=(COUNTING,)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == C2_N8_SAMPLED_SHA256
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_jobs_do_not_change_the_sampled_report(self):
         mode = VerifyMode.sampled(12_000, 1)
         one = verify(Scheme.C2, P8, mode, layers=(COUNTING,), jobs=1).to_dict()
@@ -133,6 +134,7 @@ class TestReports:
         assert (one.pop("jobs"), two.pop("jobs")) == (1, 2)
         assert one == two
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_jobs_do_not_change_a_report_whose_ranges_start_inside_a_chunk(self):
         # 9,001 states over 2 or 3 jobs: ranges start at 4,501, 3,001 and
         # 6,002, so their 512-state blocks cut the run at other states

@@ -191,7 +191,7 @@ def test_small_shapes_sampled(ab):
 
 # Messages whose symbols are one element wider than a column chunk.
 def _wide(p, scheme):
-    denom = scheme_granularity(scheme, p).denom
+    denom = scheme_granularity(scheme, p)
     k_bits = 16 * denom * CHUNK + 8  # padded to CHUNK + 1 elements per symbol
     return Params(n=p.n, cw=p.cw, cr=p.cr, nu=p.nu, h=p.h, k_bits=k_bits)
 

@@ -55,7 +55,7 @@ def test_every_small_subset(k):
 def test_c1_n6_decodes_seeded():
     # k = 16 from the 36 slot indices of version 1 at c1 n=6
     p = make_thm3_params(6, 1024)
-    k = scheme_granularity(Scheme.C1, p).denom
+    k = scheme_granularity(Scheme.C1, p)
     universe = range(p.n * slots_per_server(Scheme.C1, 1, p))
     assert (k, len(universe)) == (16, 36)
     rng = random.Random(1416)

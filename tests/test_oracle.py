@@ -275,7 +275,7 @@ class TestSharedCountingRule:
         return True
 
     def agree(self, scheme, strategy):
-        denom = scheme_granularity(scheme, self.P6).denom
+        denom = scheme_granularity(scheme, self.P6)
         feasible = strategy_feasible(self.P6, denom, strategy)
         assert feasible == self.counting_passes(scheme, strategy)
         return feasible
@@ -298,7 +298,7 @@ class TestSharedCountingRule:
         # slack at n=6, so it has no such read set.)
         scheme = Scheme.C1
         strategy = self.scheme_strategy(scheme)
-        denom = scheme_granularity(scheme, self.P6).denom
+        denom = scheme_granularity(scheme, self.P6)
         for S in all_states(self.P6):
             latest = latest_complete(S, self.P6)
             if latest is None:
@@ -526,7 +526,7 @@ class TestStrategyFeasibleAgainstReference:
     @pytest.mark.parametrize("scheme", [Scheme.C1, Scheme.C2])
     def test_scheme_strategies_and_one_unit_cuts(self, scheme):
         strategy = scheme_strategy(scheme, P6)
-        g = scheme_granularity(scheme, P6).denom
+        g = scheme_granularity(scheme, P6)
         assert self.agree(P6, g, strategy)
         rng = random.Random(9)
         held = [(view, u) for view, alloc in strategy.items() for u, s in alloc.items() if s]
@@ -545,7 +545,7 @@ class TestStrategyFeasibleAgainstReference:
     def test_views_of_a_foreign_window_never_match(self):
         # a strategy built for h=1 (windows of 3) and h=3 (all 6 servers)
         # names no view of h=2, however much it stores
-        g = scheme_granularity(Scheme.C1, P6).denom
+        g = scheme_granularity(Scheme.C1, P6)
         generous = {side_view(S, i, foreign): {u: g for u in S[i]}
                     for foreign in (Params(6, 5, 5, 2, 1, K), Params(6, 5, 5, 2, 3, K))
                     for S in all_states(foreign) for i in range(foreign.n)}

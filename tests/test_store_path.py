@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mvcode import (CodecError, Params, Scheme, SystemState, codec, encode_all,
                     server_encode)
 from mvcode.allocation import Allocation
-from mvcode.codec import CodedSymbol, ServerStore, stores_from_json, stores_to_json
+from mvcode.codec import CodedSymbol, stores_from_json, stores_to_json
 from mvcode.model import random_state
 from mvcode.verifier import random_payloads
 from helpers import all_states
@@ -20,7 +20,7 @@ from test_gf_matmul import WIDE
 
 def reference_stores_json(stores):
     """The store file as json.dumps writes it: the writer's specification."""
-    doc = {str(i): [[cs.version, cs.index, cs.payload.hex()] for cs in st.symbols]
+    doc = {str(i): [[cs.version, cs.index, cs.payload.hex()] for cs in st]
            for i, st in sorted(stores.items())}
     return json.dumps(doc, sort_keys=True, indent=2)
 
@@ -28,8 +28,7 @@ def reference_stores_json(stores):
 # small ids so that string order ("10" < "2") differs from numeric order
 number = st.one_of(st.integers(0, 12), st.integers(0, 1 << 70))
 symbol = st.builds(CodedSymbol, number, number, st.binary(max_size=7))
-store_maps = st.dictionaries(number, st.lists(symbol, max_size=4).map(tuple), max_size=12).map(
-    lambda doc: {i: ServerStore(server=i, symbols=symbols) for i, symbols in doc.items()})
+store_maps = st.dictionaries(number, st.lists(symbol, max_size=4).map(tuple), max_size=12)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -42,11 +41,10 @@ def test_writer_equals_json_dumps(stores):
 
 def test_writer_edge_cases():
     assert stores_to_json({}) == reference_stores_json({}) == "{}"
-    stores = {i: ServerStore(server=i, symbols=()) for i in (2, 10, 0)}
+    stores = {i: () for i in (2, 10, 0)}
     assert stores_to_json(stores) == reference_stores_json(stores) == (
         '{\n  "0": [],\n  "10": [],\n  "2": []\n}')
-    odd = {1: ServerStore(server=1, symbols=(CodedSymbol(3, 1 << 40, b""),
-                                             CodedSymbol(1, 0, b"\x01\xff\x00")))}
+    odd = {1: (CodedSymbol(3, 1 << 40, b""), CodedSymbol(1, 0, b"\x01\xff\x00"))}
     assert stores_to_json(odd) == reference_stores_json(odd)
 
 
@@ -98,8 +96,8 @@ def test_batched_encode_all_seeded(scheme, p, monkeypatch):
     for S, stores in zip(states, expected):
         assert encode_all(scheme, S, messages, p) == stores
         # one encode per allocated version, over every server's symbols of it
-        assert len(calls) == len({cs.version for st in stores.values() for cs in st.symbols})
-        assert sum(calls) == sum(len(st.symbols) for st in stores.values())
+        assert len(calls) == len({cs.version for st in stores.values() for cs in st})
+        assert sum(calls) == sum(len(st) for st in stores.values())
         calls.clear()
 
 

@@ -1,6 +1,8 @@
 """Verifier layers, reports, sampling determinism and fault injection."""
 
+import concurrent.futures
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -58,12 +60,12 @@ class TestBitexact:
         stores = encode_all(Scheme.C1, pair.s1, messages, P6)
         # corrupt a version-2 share: state s1 forces version 2, so every
         # read set through server 0 decodes through the flipped payload
-        symbols = list(stores[0].symbols)
+        symbols = list(stores[0])
         pos = next(k for k, cs in enumerate(symbols) if cs.version == 2)
         victim = symbols[pos]
         flipped = bytes([victim.payload[0] ^ 1]) + victim.payload[1:]
         symbols[pos] = type(victim)(victim.version, victim.index, flipped)
-        stores[0] = type(stores[0])(server=0, symbols=tuple(symbols))
+        stores[0] = tuple(symbols)
         violation = bitexact_violations(Scheme.C1, pair.s1, stores, messages, P6)
         assert violation is not None
         assert violation.layer == BITEXACT
@@ -85,6 +87,7 @@ class TestVerify:
         assert report.passed
         assert report.worst_case_bits == 256  # K/c at c=4
 
+    @pytest.mark.usefixtures("four_cpus")
     def test_sampled_is_deterministic_and_jobs_invariant(self):
         mode = VerifyMode.sampled(300, seed=9)
         r1 = verify(Scheme.C2, P6, mode, layers=(COUNTING,))
@@ -95,6 +98,32 @@ class TestVerify:
         d1, d4 = r1.to_dict(), r4.to_dict()
         d1.pop("jobs"), d4.pop("jobs")
         assert d1 == d4
+
+    @pytest.mark.usefixtures("four_cpus")
+    def test_jobs_beyond_the_cpu_count_start_one_worker_per_cpu(self, monkeypatch):
+        seen = []
+
+        class InProcessPool:
+            """Stands in for ProcessPoolExecutor: records max_workers, maps here."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        many = verify(Scheme.C1, P4, VerifyMode.exhaustive(seed=3), jobs=10_000).to_dict()
+        one = verify(Scheme.C1, P4, VerifyMode.exhaustive(seed=3), jobs=1).to_dict()
+        assert seen == [os.cpu_count()]
+        assert (many.pop("jobs"), one.pop("jobs")) == (10_000, 1)
+        assert many == one
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_are_refused(self, jobs):
@@ -184,17 +213,14 @@ class TestDegenerateAndGuards:
         monkeypatch.delenv("MVCODE_BUDGET")
         assert work_budget() == 20_000_000
 
-    def test_zero_samples_pass_with_any_jobs(self, tmp_path, capsys):
-        from mvcode.cli import EXIT_OK, main
+    def test_zero_samples_are_refused_with_any_jobs(self, tmp_path, capsys):
+        from mvcode.cli import EXIT_CONFIG, main
         args = ["verify", "--scheme", "c1", "--n", "6", "--cw", "5", "--cr", "5",
                 "--h", "2", "--mode", "sampled", "--samples", "0"]
-        docs = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}.json"
-            assert main(args + ["--jobs", jobs, "--out", str(out)]) == EXIT_OK
-            assert "states=0 " in capsys.readouterr().out
-            doc = json.loads(out.read_text())
-            assert doc.pop("jobs") == int(jobs)
-            docs.append(doc)
-        assert docs[0] == docs[1]
-        assert docs[0]["states_checked"] == 0 and docs[0]["passed"] is True
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: sample count must be >= 1, got 0\n"
+            assert not out.exists()
