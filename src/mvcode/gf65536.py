@@ -22,8 +22,11 @@ matrix in chunks of CHUNK, reusing one set of index, product and
 accumulator buffers, so no temporary grows with the message width.
 
 `matmul_stack` takes a stack of small products, (P x m x k) @ (P x k x w),
-through the same kernel in one pass, with no unit-row copies: the shape of
-many decodes of a few symbols each.
+the shape of many decodes of a few symbols each, through the same loop
+body, with no unit-row copies: a caller that knows its unit rows copies
+them itself. Its passes run stack-major, on operands laid out (k, m, P) and
+(k, w, P), so each pass is one array operation over the whole stack, not
+over a message a few elements wide.
 
 The code realized here is a polynomial evaluation code with a systematic
 prefix: message symbols are the values of a degree-< k polynomial at the
@@ -36,9 +39,10 @@ matrices, built in closed form by `_lagrange`: the generator interpolates
 through the anchors and evaluates at the coded points, and the inverse of
 the generator submatrix of any k distinct points interpolates through those
 points and evaluates at the anchors (MacWilliams & Sloane, *The Theory of
-Error-Correcting Codes*, ch. 10). No elimination is needed; `mat_inv`, a
-Gauss-Jordan inverse, stays as the reference the closed form is tested
-against.
+Error-Correcting Codes*, ch. 10). `_lagrange` takes a stack of point sets,
+so many decode matrices are one call; `decode_matrix` is its cached batch
+of one. No elimination is needed; `mat_inv`, a Gauss-Jordan inverse, stays
+as the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -89,12 +93,6 @@ def mul(a, b):
     return _EXP[_LOG[a] + _LOG[b]]
 
 
-def mul_s(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return int(_EXP[int(_LOG[a]) + int(_LOG[b])])
-
-
 def inv_s(a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no inverse in GF(2^16)")
@@ -119,51 +117,63 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         out[r] = B[ones[r].argmax()]
     rest = np.flatnonzero(~unit)
     if rest.size:
-        _accumulate(A[None, rest], B[None], out[None], rest)
+        _accumulate(A[rest], B, out, rest)
     return out
 
 
 def matmul_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(P x m x k) @ (P x k x w) over the field: slice p of the result is
-    matmul(A[p], B[p]). Every row goes through `_accumulate`, so the whole
-    stack is one pass of the kernel."""
+    matmul(A[p], B[p]). Every row is a product, and the passes run with the
+    stack axis innermost, on operands laid out (k, m, P) and (k, w, P), so
+    each of the k passes is one array operation over the whole stack."""
     P, m, k = A.shape
     assert B.shape[:2] == (P, k), (A.shape, B.shape)
-    out = np.empty((P, m, B.shape[2]), dtype=np.uint16)
-    _accumulate(A, B, out, slice(None))
-    return out
+    log_a = np.ascontiguousarray(_LOG[A].transpose(2, 1, 0))
+    log_b = np.ascontiguousarray(_LOG[B].transpose(1, 2, 0))
+    index, product, total = _buffers((m, B.shape[2], P))
+    _sum_products(((log_a[t, :, None], log_b[t, None]) for t in range(k)),
+                  index, product, total)
+    return total.transpose(2, 0, 1)
+
+
+def _buffers(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index, product and accumulator buffers of `_sum_products`."""
+    return (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.uint16),
+            np.empty(shape, dtype=np.uint16))
+
+
+def _sum_products(terms, index: np.ndarray, product: np.ndarray, total: np.ndarray) -> None:
+    """total = the XOR over (log a, log b) in terms of _EXP[log a + log b],
+    each pair broadcast to the buffers' shape: one add, one antilog lookup
+    and one XOR per term, all in place."""
+    total.fill(0)
+    for log_a, log_b in terms:
+        np.add(log_a, log_b, out=index)
+        np.take(_EXP, index, out=product, mode="clip")
+        np.bitwise_xor(total, product, out=total)
 
 
 def _accumulate(A: np.ndarray, B: np.ndarray, out: np.ndarray, rows) -> None:
-    """out[:, rows] = A @ B for stacks A (P x r x k) and B (P x k x w), by
-    log/antilog lookups, CHUNK columns at a time.
+    """out[rows] = A @ B for A (r x k) and B (k x w), by log/antilog
+    lookups, CHUNK columns at a time.
 
     The logs of A are taken once, and the logs of each chunk of B once per
     chunk. Each column t of A then adds one block of products to the
-    chunk's accumulator: index = log A[:, :, t] + log B[:, t], product =
-    _EXP[index], accumulator ^= product. The three buffers are allocated
-    once, at one chunk's size, and reused by every chunk.
+    chunk's accumulator (`_sum_products`). The buffers are allocated once,
+    at one chunk's size, and reused by every chunk.
     """
-    P, r, k = A.shape
-    w = B.shape[2]
+    r, k = A.shape
+    w = B.shape[1]
     log_a = _LOG[A]
-    size = P * min(w, CHUNK)
-    log_b = np.empty(k * size, dtype=np.int32)
-    index = np.empty(r * size, dtype=np.int32)
-    product = np.empty(r * size, dtype=np.uint16)
-    acc = np.empty(r * size, dtype=np.uint16)
+    log_b = np.empty(k * min(w, CHUNK), dtype=np.int32)
+    buffers = _buffers(r * min(w, CHUNK))
     for lo in range(0, w, CHUNK):
         cw = min(CHUNK, w - lo)
-        lb = log_b[:P * k * cw].reshape(P, k, cw)
-        idx, prod, total = (buf[:P * r * cw].reshape(P, r, cw)
-                            for buf in (index, product, acc))
-        np.take(_LOG, B[:, :, lo:lo + cw], out=lb, mode="clip")
-        total.fill(0)
-        for t in range(k):
-            np.add(log_a[:, :, t:t + 1], lb[:, t:t + 1], out=idx)
-            np.take(_EXP, idx, out=prod, mode="clip")
-            np.bitwise_xor(total, prod, out=total)
-        out[:, rows, lo:lo + cw] = total
+        lb = log_b[:k * cw].reshape(k, cw)
+        idx, prod, total = (buf[:r * cw].reshape(r, cw) for buf in buffers)
+        np.take(_LOG, B[:, lo:lo + cw], out=lb, mode="clip")
+        _sum_products(((log_a[:, t:t + 1], lb[t]) for t in range(k)), idx, prod, total)
+        out[rows, lo:lo + cw] = total
 
 
 def mat_inv(A: np.ndarray) -> np.ndarray:
@@ -191,10 +201,12 @@ def mat_inv(A: np.ndarray) -> np.ndarray:
 
 
 def _lagrange(points, at) -> np.ndarray:
-    """Entry [a, i] is the Lagrange basis polynomial of points[i] through
-    `points`, evaluated at at[a]: the product over s != i of
-    (at[a] + points[s]) / (points[i] + points[s]). A row whose `at` is one
-    of the points is the unit row of that point.
+    """Entry [..., a, i] is the Lagrange basis polynomial of points[..., i]
+    through points[...], evaluated at at[..., a]: the product over s != i
+    of (at[a] + points[s]) / (points[i] + points[s]). A row whose `at` is
+    one of the points is the unit row of that point. `points` may be a
+    stack of point sets, (..., k), and `at`, (..., a), is broadcast against
+    it, so a stack of interpolations is one call.
 
     The products are sums of logs, taken for all entries at once: the
     denominator of column i is the sum over s != i of log(points[i] +
@@ -204,20 +216,24 @@ def _lagrange(points, at) -> np.ndarray:
     """
     p = np.asarray(points, dtype=np.int64)
     x = np.asarray(at, dtype=np.int64)
-    both = np.concatenate([p, x])
-    outside = both[(both < 0) | (both >= ORDER)]
-    if outside.size:
-        raise ValueError(f"symbol index {outside[0]} outside the field universe [0, {ORDER})")
-    if np.unique(p).size != p.size:
-        raise ValueError(f"repeated interpolation point in {p.tolist()}")
+    for values in (p, x):
+        outside = values[(values < 0) | (values >= ORDER)]
+        if outside.size:
+            raise ValueError(f"symbol index {outside[0]} outside the field universe "
+                             f"[0, {ORDER})")
+    ordered = np.sort(p, axis=-1)
+    repeated = (ordered[..., 1:] == ordered[..., :-1]).any(-1)
+    if repeated.any():
+        raise ValueError(f"repeated interpolation point in {p[repeated][0].tolist()}")
     # the diagonal's log of 0, the sentinel 2(ORDER-1), is 0 modulo ORDER-1;
     # rows that hit a point are wrong through it and are overwritten
-    near = x[:, None] ^ p
+    near = x[..., :, None] ^ p[..., None, :]
     logs = _LOG[near]
-    out = _EXP[(logs.sum(1, keepdims=True) - logs - _LOG[p[:, None] ^ p].sum(1)) % (ORDER - 1)]
-    hit_row, hit_col = np.nonzero(near == 0)
-    out[hit_row] = 0
-    out[hit_row, hit_col] = 1
+    den = _LOG[p[..., :, None] ^ p[..., None, :]].sum(-1)
+    out = _EXP[(logs.sum(-1, keepdims=True) - logs - den[..., None, :]) % (ORDER - 1)]
+    hit = near == 0
+    out[hit.any(-1)] = 0
+    out[hit] = 1
     return out
 
 
@@ -240,8 +256,9 @@ def generator_matrix(k: int, indices: tuple[int, ...]) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def decode_matrix(k: int, indices: tuple[int, ...]) -> np.ndarray:
     """Inverse of the k x k generator submatrix for k distinct indices: the
-    interpolation through those points, evaluated at the anchors 0..k-1.
-    Read-only, since every later decode of the same indices shares it."""
+    interpolation through those points, evaluated at the anchors 0..k-1,
+    as `_lagrange` builds it for a batch of one. Read-only, since every
+    later decode of the same indices shares it."""
     if len(indices) != k:
         raise ValueError(f"a decode needs {k} indices, got {len(indices)}")
     D = _lagrange(indices, range(k))

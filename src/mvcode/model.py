@@ -289,6 +289,45 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number[inverse].reshape(keys.shape), first[order]
 
 
+def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) for a 2-D array of
+    non-negative integers: the distinct rows in lexicographic order, and
+    each row's position among them. Each column takes the bits its largest
+    entry needs, and the columns are packed, first column most significant,
+    into as few 63-bit words as those widths allow, so the words order as
+    the rows do. One word goes through 1-D np.unique, several through
+    np.lexsort and a comparison of neighbours; no row is sorted as an
+    opaque record. Raises ValueError for a negative entry."""
+    rows = np.asarray(rows)
+    count = rows.shape[0]
+    if count == 0:
+        return rows.copy(), np.zeros(0, dtype=np.intp)
+    if rows.min() < 0:
+        raise ValueError("unique_rows needs non-negative entries")
+    values = rows.astype(np.int64, copy=False)
+    words: list[np.ndarray] = []
+    used = 63
+    for col, top in enumerate(rows.max(0).tolist()):
+        bits = max(1, int(top).bit_length())
+        if used + bits > 63:
+            words.append(np.zeros(count, dtype=np.int64))
+            used = 0
+        words[-1] = words[-1] << bits | values[:, col]
+        used += bits
+    if len(words) == 1:
+        keys, inverse = np.unique(words[0], return_inverse=True)
+        first = np.empty(len(keys), dtype=np.intp)
+        first[inverse] = np.arange(count)
+        return rows[first], inverse
+    order = np.lexsort(words[::-1])  # lexsort's last key is its primary one
+    packed = np.stack(words)[:, order]
+    starts = np.ones(count, dtype=bool)
+    starts[1:] = (packed[:, 1:] != packed[:, :-1]).any(0)
+    inverse = np.empty(count, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return rows[order[starts]], inverse
+
+
 def view_classes(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     """The view class of each (state, server) of a mask block: its distinct
     view_codes, numbered by first appearance (state by state, server by

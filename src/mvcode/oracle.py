@@ -59,7 +59,8 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest
 from .model import (Params, SideView, check_work, rank_masks, side_view, state_at,
-                    state_count, view_classes, view_code, view_codes, view_orbits)
+                    state_count, unique_rows, view_classes, view_code, view_codes,
+                    view_orbits)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
@@ -110,8 +111,7 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
     latest = block_latest(masks, p)
     reads = np.array(read_sets(p))
     keys = np.sort(labels[latest > 0][:, reads], axis=2).reshape(-1, p.cr)
-    keys = np.unique(np.column_stack([keys, np.repeat(latest[latest > 0], len(reads))]),
-                     axis=0)
+    keys, _ = unique_rows(np.column_stack([keys, np.repeat(latest[latest > 0], len(reads))]))
     sets, top = keys[:, :-1], keys[:, -1]
     span = p.nu + 1 - top  # z variables per key; the key's rows are span + 1
     z_first = z_base + np.cumsum(span) - span

@@ -13,11 +13,14 @@ Both layers run on blocks of states and take the block's symbol counts
 from `block_allocations` as one (states, n, nu) array. `decode_versions`
 gives, for every read set of every state, the version the counting rule
 decodes there: the counting layer flags the states where some read set has
-none (`short_states`), and the bit-exact layer makes one encode per version
-for the whole block and one stacked decode per version: every distinct
-(state, read) pair goes through the cached decode matrix of the symbols it
-reads, in one field product over the stack (`bitexact_block`). A state either block check
-cannot clear goes back through its per-state reference,
+none (`short_states`), and the bit-exact layer (`bitexact_block`) makes one
+encode per version for the whole block and decodes every distinct (state,
+read) pair, the reads keyed as packed integers (`model.unique_rows`). The
+block's decode matrices come from one batched interpolation. A decoded
+symbol whose anchor the read holds verbatim is checked as a copy of that
+systematic symbol; only the other rows go through the field product, one
+stack-major product per version and count of such rows. A state either
+block check cannot clear goes back through its per-state reference,
 `check_state_counting` or `check_state_bitexact`, which reports its
 violation.
 
@@ -44,11 +47,11 @@ from . import gf65536 as gf
 from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
                          block_allocations, scheme_granularity, validate_regime)
 from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
-                    slot_indices, slots_per_server)
+                    slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
 from .model import (Params, SystemState, check_work, latest_complete, rank_masks,
-                    sample_masks, state_at, state_count, state_from_masks)
+                    sample_masks, state_at, state_count, state_from_masks, unique_rows)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
@@ -58,7 +61,7 @@ _SEED_STRIDE = 1_000_003  # spreads per-state payload seeds; keeps payloads jobs
 # layer runs at most _BITEXACT_BLOCK states and about _BLOCK_BYTES of
 # messages, which bounds the arrays either layer stacks
 _BLOCK = 512
-_BITEXACT_BLOCK = 256
+_BITEXACT_BLOCK = 1024
 _BLOCK_BYTES = 1 << 22
 # states are int64 bit masks, one bit per version
 _MAX_NU = 63
@@ -272,55 +275,66 @@ def check_state_bitexact(scheme: Scheme, S: SystemState, p: Params,
 
 
 def _decode_pairs(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
-                  p: Params, denom: int) -> tuple[list[tuple[int, tuple[int, ...]]],
-                                                  np.ndarray, np.ndarray]:
+                  p: Params, denom: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What quorum_decode reads, for every read set of every state of a
-    block. Server t of read set r contributes its counts[b, t, m-1] slots of
-    version m = versions[b, r], and the decode reads the `denom` smallest of
-    those indices. Returns the distinct reads, as (version, indices), and
-    the distinct (state, read) pairs, as block positions and positions in
-    that list."""
-    states, reads = versions.shape
+    block that decodes a version. Server t of read set r contributes its
+    counts[b, t, m-1] slots of version m = versions[b, r], and the decode
+    reads the `denom` smallest of those indices. Returns the distinct
+    reads, one row each: the version, then the indices in ascending order;
+    and the distinct (state, read) pairs, as block positions and rows of
+    the reads."""
+    reads = versions.shape[1]
     in_read = _read_set_matrix(p).T.astype(counts.dtype)  # (reads, n)
     at = np.take_along_axis(counts, np.broadcast_to(versions[:, None, :] - 1,
-                                                    (states, p.n, reads)), axis=2)
-    keys = np.concatenate([versions[:, :, None], at.transpose(0, 2, 1) * in_read], axis=2)
-    unique, inverse = np.unique(keys.reshape(-1, p.n + 1), axis=0, return_inverse=True)
-    distinct: dict[tuple[int, tuple[int, ...]], int] = {}  # read -> its position
-    read_of_key = []
-    for m, *held in unique.tolist():
-        chosen = tuple(j for t, count in enumerate(held)
-                       for j in slot_indices(t, count, int(slots[m - 1])))[:denom]
-        read_of_key.append(distinct.setdefault((m, chosen), len(distinct)))
-    pairs = np.unique(np.arange(states).repeat(reads) * len(distinct)
-                      + np.array(read_of_key)[inverse.reshape(-1)])
-    return list(distinct), pairs // len(distinct), pairs % len(distinct)
+                                                    (len(versions), p.n, reads)), axis=2)
+    keys = np.concatenate([versions[:, :, None], at.transpose(0, 2, 1) * in_read],
+                          axis=2).reshape(-1, p.n + 1)
+    decodes = np.flatnonzero(keys[:, 0])  # state * reads + read set
+    unique, inverse = unique_rows(keys[decodes])
+    version, held = unique[:, 0], unique[:, 1:]
+    # slot s of server t is index t * slots + s (slot_indices), so walking
+    # (server, slot) in order walks the held indices in ascending order
+    slot = np.arange(int(slots.max()))
+    index = np.arange(p.n)[:, None] * slots[version - 1][:, None, None] + slot
+    taken = slot < held[:, :, None]
+    taken &= taken.reshape(len(unique), -1).cumsum(1).reshape(taken.shape) <= denom
+    chosen = index[taken].reshape(-1, denom)
+    distinct, read_of_key = unique_rows(np.column_stack([version, chosen]))
+    pairs = np.unique(decodes // reads * len(distinct) + read_of_key[inverse])
+    return distinct, pairs // len(distinct), pairs % len(distinct)
 
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
                    counts: np.ndarray, seeds: Sequence[int],
-                   latest: Sequence[int] | np.ndarray) -> list[Violation | None]:
+                   latest: Sequence[int] | np.ndarray,
+                   masks: np.ndarray | None = None) -> list[Violation | None]:
     """check_state_bitexact for a block of states, given their symbol counts
-    as block_allocations returns them and their latest complete versions
-    (0 for none).
+    as block_allocations returns them, their latest complete versions (0
+    for none) and, optionally, their version masks (taken from `states`
+    when not given).
 
     The states with a complete version are encoded together, one matmul per
-    version, and decoded together, one stacked product per version: each
-    distinct (state, read) pair multiplies the symbols it reads by the
-    cached decode matrix of their indices. The stack is cut into slices of
-    about _BLOCK_BYTES of temporaries; at c1 n=6 a version's stack is one
-    slice. A state that is not encodable, has a read set with no decodable
-    version, or decodes to other bytes goes through check_state_bitexact,
-    which reports exactly what the reference reports.
+    version, and decoded together. Every distinct read's decode matrix
+    comes from one batched `_lagrange` call. In a read's decode matrix, the
+    row of an anchor the read holds verbatim is a unit row: that decoded
+    symbol is a copy of the systematic symbol read, and is compared as
+    such. The other rows go through the field product, one stacked,
+    stack-major `matmul_stack` per version and count of unit rows, so every
+    pair of a stack has as many product rows. A stack is cut into slices of
+    about _BLOCK_BYTES of temporaries. A state that is not encodable, has a
+    read set with no decodable version, or decodes to other bytes goes
+    through check_state_bitexact, which reports exactly what the reference
+    reports.
     """
     if states:
         _require_byte_aligned(p)
     denom = scheme_granularity(scheme, p)
     counts, latest = np.asarray(counts), np.asarray(latest)
-    ids = p.versions
-    slots = np.array([slots_per_server(scheme, u, p) for u in ids])
-    held = np.array([u in s for S in states for s in S.subsets for u in ids],
-                    dtype=bool).reshape(counts.shape)
+    slots = np.array([slots_per_server(scheme, u, p) for u in p.versions])
+    if masks is None:
+        masks = np.array([[sum(1 << (u - 1) for u in s) for s in S.subsets] for S in states],
+                         dtype=np.int64).reshape(len(states), p.n)
+    held = (masks[:, :, None] >> np.arange(p.nu)) & 1 == 1
     # what server_encode accepts: only versions the server received, within
     # their slots, and every version's slots inside the index universe
     encodable = ((counts == 0) | (held & (counts > 0) & (counts <= slots)
@@ -332,21 +346,33 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     if live.size:
         payloads = [random_payloads(p, seeds[b]) for b in live.tolist()]
         reads, owner, which = _decode_pairs(counts[live], versions[live], slots, p, denom)
-        version = np.array([m for m, _ in reads])[which]
-        matrices = np.stack([gf.decode_matrix(denom, chosen) for _, chosen in reads])
-        indices = np.array([chosen for _, chosen in reads])
+        version, indices = reads[:, 0], reads[:, 1:]
+        matrices = gf._lagrange(indices, range(denom))
+        # indices ascend, so the anchors a read holds verbatim come first;
+        # the rest of its anchors, ascending, are its product rows
+        verbatim = indices < denom
+        copies = verbatim.sum(1)
+        product_rows = np.ones((len(indices), denom), dtype=bool)
+        product_rows[np.nonzero(verbatim)[0], indices[verbatim]] = False
+        pair_version, pair_copies = version[which], copies[which]
         for m in np.unique(version).tolist():
             messages = message_elements([pl[m] for pl in payloads], p, denom)
             coded = encode_slots(scheme, p, m, messages)
-            # the product's temporaries take about 6 bytes per decode-matrix
-            # entry and 20 per decoded element of each pair
-            step = max(1, _BLOCK_BYTES // (denom * (6 * denom + 20 * messages.shape[2])))
-            pair_b, pair_r = owner[version == m], which[version == m]
-            for lo in range(0, pair_b.size, step):
-                b, r = pair_b[lo:lo + step], pair_r[lo:lo + step]
-                decoded = gf.matmul_stack(matrices[r], coded[indices[r], b[:, None]])
-                wrong = (decoded != messages[:, b].transpose(1, 0, 2)).any(axis=(1, 2))
-                redo[live[b[wrong]]] = True
+            # a pair's temporaries take about 10 bytes per decode-matrix
+            # entry, 10 per element read and 11 per element decoded
+            step = max(1, _BLOCK_BYTES // (denom * (10 * denom + 21 * messages.shape[2])))
+            for copied in np.unique(pair_copies[pair_version == m]).tolist():
+                group = (pair_version == m) & (pair_copies == copied)
+                pair_b, pair_r = owner[group], which[group]
+                for lo in range(0, pair_b.size, step):
+                    b, r = pair_b[lo:lo + step, None], pair_r[lo:lo + step]
+                    rest = np.nonzero(product_rows[r])[1].reshape(len(r), denom - copied)
+                    read = coded[indices[r], b]
+                    wrong = (read[:, :copied] != messages[indices[r, :copied], b]).any((1, 2))
+                    if copied < denom:
+                        decoded = gf.matmul_stack(matrices[r[:, None], rest], read)
+                        wrong |= (decoded != messages[rest, b]).any((1, 2))
+                    redo[live[b[wrong, 0]]] = True
 
     return [check_state_bitexact(scheme, S, p, seed) if again else None
             for S, seed, again in zip(states, seeds, redo.tolist())]
@@ -399,7 +425,8 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
         if BITEXACT in layers:
             states = [_state(p, mode, masks, lo + b, b) for b in range(hi - lo)]
             seeds = [mode.seed * _SEED_STRIDE + idx for idx in range(lo, hi)]
-            found.extend(enumerate(bitexact_block(scheme, p, states, counts, seeds, latest)))
+            found.extend(enumerate(bitexact_block(scheme, p, states, counts, seeds, latest,
+                                                  masks)))
         # in state order, a state's counting violation before its bit-exact one
         for _, violation in sorted(found, key=lambda pair: pair[0]):
             if violation is not None:

@@ -2,7 +2,16 @@
 
 import numpy as np
 
+from mvcode import gf65536 as gf
 from mvcode.model import SideView, ring_window, side_view, state_at, state_count
+
+
+def mul_s(a, b):
+    """The product of two field elements as Python ints, one table lookup
+    at a time: the scalar reference for gf65536's array arithmetic."""
+    if a == 0 or b == 0:
+        return 0
+    return int(gf._EXP[int(gf._LOG[a]) + int(gf._LOG[b])])
 
 
 def all_states(p):

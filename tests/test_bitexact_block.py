@@ -209,7 +209,7 @@ class TestDifferential:
         slots = np.array([slots_per_server(Scheme.C1, u, P6) for u in P6.versions])
         versions = decode_versions(counts, np.array(latest), P6, denom)
         reads, _, _ = verifier._decode_pairs(counts, versions, slots, P6, denom)
-        assert len({chosen for m, chosen in reads if m == 2}) > 1
+        assert len({tuple(read[1:]) for read in reads.tolist() if read[0] == 2}) > 1
         encode_slots = verifier.encode_slots
 
         def corrupt(scheme, p, version, elements):
@@ -317,3 +317,106 @@ class TestBoundaryChecks:
         p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=65)
         with pytest.raises(CodecError, match=r"^the bit-exact layer needs byte-aligned K, got 65$"):
             verify(Scheme.C1, p, VerifyMode.exhaustive(), layers=(BITEXACT,))
+
+
+def _live_pairs(scheme, p, states):
+    """The block's counts and latest versions, its states with a complete
+    version (all of them decode under an honest scheme, so they are the
+    columns the kernel encodes), and _decode_pairs over those states."""
+    counts = _counts(scheme, p, states)
+    latest = np.array([latest_complete(S, p) or 0 for S in states])
+    denom = scheme_granularity(scheme, p)
+    slots = np.array([slots_per_server(scheme, u, p) for u in p.versions])
+    versions = decode_versions(counts, latest, p, denom)
+    live = np.flatnonzero(latest > 0)
+    assert (versions[live] > 0).all()
+    reads, owner, which = verifier._decode_pairs(counts[live], versions[live], slots, p, denom)
+    return counts, latest, live, reads, owner, which
+
+
+def _isolated_symbols(reads, owner, which, denom):
+    """{(column, version, index): product rows} for every symbol that all
+    the reads of its column using it decode with the same number of product
+    rows (the anchors they do not hold verbatim)."""
+    rows = {}
+    for b, r in zip(owner.tolist(), which.tolist()):
+        m, *indices = reads[r].tolist()
+        product_rows = denom - sum(j < denom for j in indices)
+        for j in indices:
+            rows.setdefault((b, m, j), set()).add(product_rows)
+    return {key: next(iter(n)) for key, n in rows.items() if len(n) == 1}
+
+
+def _asked_after_a_flip(monkeypatch, scheme, p, states, counts, latest, column, version, index):
+    """The states bitexact_block sends to the reference when coded symbol
+    `index` of `version` is flipped in the message of live column `column`."""
+    encode_slots = verifier.encode_slots
+
+    def corrupt(scheme, p, m, elements):
+        coded = encode_slots(scheme, p, m, elements)
+        if m == version:
+            coded[index, column, 0] ^= 1
+        return coded
+
+    asked = []
+
+    def reference(scheme, S, p, seed):
+        asked.append(S)
+        return None
+
+    monkeypatch.setattr(verifier, "encode_slots", corrupt)
+    monkeypatch.setattr(verifier, "check_state_bitexact", reference)
+    seeds = list(range(len(states)))
+    assert bitexact_block(scheme, p, states, counts, seeds, latest) == [None] * len(states)
+    monkeypatch.undo()
+    return asked
+
+
+class TestUnitRowsAndProductRows:
+    """A decoded symbol the read holds verbatim is checked as a copy, the
+    others through the product: each check must see a wrong symbol that
+    only it can see."""
+
+    def test_a_wrong_systematic_symbol_read_only_verbatim(self, monkeypatch):
+        # every read of the state using this anchor holds all its anchors
+        # verbatim, so no product row sees the flip; the copy check must
+        states = all_states(P4)
+        counts, latest, live, reads, owner, which = _live_pairs(Scheme.C1, P4, states)
+        denom = scheme_granularity(Scheme.C1, P4)
+        verbatim = [key for key, rows in _isolated_symbols(reads, owner, which, denom).items()
+                    if key[2] < denom and rows == 0]
+        assert len(verbatim) > 10
+        for column, version, index in verbatim[::10]:
+            asked = _asked_after_a_flip(monkeypatch, Scheme.C1, P4, states, counts, latest,
+                                        column, version, index)
+            assert asked == [states[live[column]]]
+
+    @pytest.mark.parametrize("p", [P4, P6], ids=["n4", "n6"])
+    def test_a_wrong_parity_symbol_in_every_group_of_product_rows(self, monkeypatch, p):
+        # one flip per (version, product rows) group, in a symbol that only
+        # reads of that group use; a group left out of the product misses it
+        states = all_states(p)
+        counts, latest, live, reads, owner, which = _live_pairs(Scheme.C1, p, states)
+        denom = scheme_granularity(Scheme.C1, p)
+        groups = {}
+        for (column, version, index), rows in _isolated_symbols(reads, owner, which,
+                                                                denom).items():
+            if index >= denom:
+                groups.setdefault((version, rows), (column, version, index))
+        assert len(groups) >= 4 and all(rows >= 2 for _, rows in groups)
+        for column, version, index in groups.values():
+            asked = _asked_after_a_flip(monkeypatch, Scheme.C1, p, states, counts, latest,
+                                        column, version, index)
+            assert asked == [states[live[column]]]
+
+
+@pytest.mark.parametrize("inject", [None, _drop_one_symbol_at_server_0], ids=["honest", "faulty"])
+def test_block_size_does_not_change_the_report(monkeypatch, inject):
+    if inject is not None:
+        inject(monkeypatch)
+    reports = []
+    for size in (verifier._BITEXACT_BLOCK, 1, 7, 256, 4096):
+        monkeypatch.setattr(verifier, "_BITEXACT_BLOCK", size)
+        reports.append(verify(Scheme.C1, P4, VerifyMode.exhaustive(seed=3)).to_json())
+    assert len(set(reports)) == 1
+    assert json.loads(reports[0])["passed"] is (inject is None)

@@ -17,6 +17,7 @@ from mvcode.codec import (encode_slots, message_elements, padded_len_bytes, slot
 from mvcode import gf65536 as gf
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import random_payloads
+from helpers import mul_s
 
 P6 = make_thm3_params(6, 1024)
 P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
@@ -32,13 +33,13 @@ class TestField:
         rng = random.Random(1)
         for _ in range(200):
             a = rng.randrange(1, gf.ORDER)
-            assert gf.mul_s(a, gf.inv_s(a)) == 1
+            assert mul_s(a, gf.inv_s(a)) == 1
 
     def test_distributes(self):
         rng = random.Random(2)
         for _ in range(200):
             a, b, c = (rng.randrange(gf.ORDER) for _ in range(3))
-            assert gf.mul_s(a, b ^ c) == gf.mul_s(a, b) ^ gf.mul_s(a, c)
+            assert mul_s(a, b ^ c) == mul_s(a, b) ^ mul_s(a, c)
 
     def test_generator_rows_are_systematic(self):
         for k in (1, 2, 4, 16):
@@ -56,14 +57,14 @@ class TestField:
         rng = random.Random(3)
         sample = [rng.randrange(gf.ORDER) for _ in range(10_000)]
         for a in (0, 1, 2, gf.ORDER - 1):
-            assert gf.mul(a, sample).tolist() == [gf.mul_s(a, b) for b in sample]
-            assert gf.mul(sample, a).tolist() == [gf.mul_s(b, a) for b in sample]
+            assert gf.mul(a, sample).tolist() == [mul_s(a, b) for b in sample]
+            assert gf.mul(sample, a).tolist() == [mul_s(b, a) for b in sample]
 
     def test_mul_matches_scalar_on_random_pairs(self):
         rng = random.Random(4)
         a = [rng.randrange(gf.ORDER) for _ in range(10_000)]
         b = [rng.randrange(gf.ORDER) for _ in range(10_000)]
-        assert gf.mul(a, b).tolist() == [gf.mul_s(x, y) for x, y in zip(a, b)]
+        assert gf.mul(a, b).tolist() == [mul_s(x, y) for x, y in zip(a, b)]
 
     def test_inverse_of_random_matrices(self):
         rng = np.random.default_rng(5)

@@ -21,6 +21,7 @@ from mvcode import gf65536 as gf
 from mvcode.allocation import scheme_granularity
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import latest_complete
+from helpers import mul_s
 
 CHUNK = gf.CHUNK
 WIDTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
@@ -35,7 +36,7 @@ def scalar_matmul(A, B):
         for c in range(w):
             acc = 0
             for t in range(k):
-                acc ^= gf.mul_s(a[r][t], b[t][c])
+                acc ^= mul_s(a[r][t], b[t][c])
             out[r, c] = acc
     return out
 

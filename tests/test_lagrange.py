@@ -17,6 +17,7 @@ from mvcode import gf65536 as gf
 from mvcode.allocation import scheme_granularity
 from mvcode.codec import slots_per_server
 from mvcode.fixtures import make_thm3_params
+from helpers import mul_s
 
 
 def lagrange_reference(points, at):
@@ -29,9 +30,9 @@ def lagrange_reference(points, at):
             num, den = 1, 1
             for s, other in enumerate(points):
                 if s != i:
-                    num = gf.mul_s(num, x ^ other)
-                    den = gf.mul_s(den, point ^ other)
-            row.append(gf.mul_s(num, gf.inv_s(den)))
+                    num = mul_s(num, x ^ other)
+                    den = mul_s(den, point ^ other)
+            row.append(mul_s(num, gf.inv_s(den)))
         rows.append(row)
     return np.array(rows, dtype=np.uint16).reshape(len(at), len(points))
 
