@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from pathlib import Path
 
 from .allocation import Scheme
 from .codec import encode_all, quorum_decode, stores_from_json, stores_to_json
 from .errors import CodecError, MvcodeError
-from .model import Params, SystemState, latest_complete, random_state
+from .model import Params, SystemState, latest_complete, random_state, seeded_words
 from .verifier import VerifyMode, random_payloads, verify
 
 EXIT_OK = 0
@@ -201,8 +200,8 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     if args.read_set:
         T = tuple(int(x) for x in args.read_set.split(","))
     else:
-        rng = random.Random(args.read_seed)
-        T = tuple(sorted(rng.sample(range(p.n), p.cr)))
+        words = seeded_words([args.read_seed], 0, p.n)[0]  # one word per server
+        T = tuple(sorted(words.argsort(kind="stable")[:p.cr].tolist()))
 
     result = quorum_decode(scheme, S, T, stores, p)
     if result is None:

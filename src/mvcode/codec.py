@@ -226,7 +226,7 @@ def quorum_decode(scheme: Scheme, S: SystemState, T: Sequence[int],
     latest complete version is decodable: that means the scheme is broken.
     """
     read_set = sorted(set(T))
-    if len(read_set) != p.cr:
+    if len(read_set) != p.cr or len(T) != p.cr:
         raise ValueError(f"read set must contain {p.cr} distinct servers, got {T!r}")
     for t in read_set:
         if not 0 <= t < p.n:

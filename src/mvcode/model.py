@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -255,15 +254,21 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ z >> np.uint64(31)
 
 
+def seeded_words(seeds: Iterable[int], lo: int, hi: int) -> np.ndarray:
+    """Words lo..hi-1 of each seed's stream, one uint64 row per seed: w_s(j) =
+    mix64(mix64(s mod 2**64) + (j + 1) * 0x9E3779B97F4A7C15), mod 2**64.
+    Every seeded draw (states, payloads, read sets) is defined on them."""
+    keys = _mix64(np.array([s % 2**64 for s in seeds], dtype=np.uint64))
+    return _mix64(keys[:, None] + np.arange(lo + 1, hi + 1, dtype=np.uint64) * _GOLDEN)
+
+
 def sample_masks(p: Params, seed: int, lo: int, hi: int) -> np.ndarray:
-    """The per-server masks of sampled states [lo, hi) under seed, one row
-    each: server i of state idx holds the top nu bits of
-    w(idx * n + i), where w(j) = mix64(mix64(seed mod 2**64) + (j + 1) *
-    0x9E3779B97F4A7C15), mod 2**64. A row depends on (seed, idx) alone,
-    so any cut of a range gives the same rows. Needs nu <= 63."""
-    key = _mix64(np.array([seed % 2**64], dtype=np.uint64))
-    counters = np.arange(lo * p.n + 1, hi * p.n + 1, dtype=np.uint64)
-    words = _mix64(key + counters * _GOLDEN)
+    """The masks of sampled states [lo, hi) under seed, one row each: server
+    i of state idx holds the top nu bits of w(idx * n + i) of seeded_words,
+    so a row depends on (seed, idx) alone. Raises ValueError for nu > 63."""
+    if p.nu > 63:
+        raise ValueError(f"sampled states need nu <= 63 (int64 bit masks), got nu={p.nu}")
+    words = seeded_words([seed], lo * p.n, hi * p.n)
     return (words >> np.uint64(64 - p.nu)).astype(np.int64).reshape(hi - lo, p.n)
 
 
@@ -393,8 +398,5 @@ def view_orbits(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
 
 
 def random_state(p: Params, seed: int) -> SystemState:
-    """Uniform random state, a deterministic function of the seed: server i
-    holds the bits of the i-th of n getrandbits(nu) draws from
-    random.Random(seed)."""
-    rng = random.Random(seed)
-    return state_from_masks([rng.getrandbits(p.nu) for _ in range(p.n)])
+    """Uniform random state of the seed: sampled state 0 under it (sample_masks)."""
+    return state_from_masks(sample_masks(p, seed, 0, 1)[0].tolist())

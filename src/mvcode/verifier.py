@@ -5,7 +5,7 @@ Two layers with independent failure modes:
   counting  for every read set, some version at or above the latest
             complete one must reach `denom` allocated symbols: the pure
             budget argument, no coded bytes involved.
-  bitexact  random payloads are encoded through the real codec and decoded
+  bitexact  seeded payloads are encoded through the real codec and decoded
             through every read set; the returned bytes must equal the
             original message of the returned version.
 
@@ -13,16 +13,16 @@ Both layers run on blocks of states and take the block's symbol counts
 from `block_allocations` as one (states, n, nu) array. `decode_versions`
 gives, for every read set of every state, the version the counting rule
 decodes there: the counting layer flags the states where some read set has
-none (`short_states`), and the bit-exact layer (`bitexact_block`) makes one
-encode per version for the whole block and decodes every distinct (state,
-read) pair, the reads keyed as packed integers (`model.unique_rows`). The
-block's decode matrices come from one batched interpolation. A decoded
-symbol whose anchor the read holds verbatim is checked as a copy of that
-systematic symbol; only the other rows go through the field product, one
-stack-major product per version and count of such rows. A state either
-block check cannot clear goes back through its per-state reference,
-`check_state_counting` or `check_state_bitexact`, which reports its
-violation.
+none (`short_states`), and the bit-exact layer (`bitexact_block`) draws the
+block's payloads in one call, makes one encode per version for the whole
+block and decodes every distinct (state, read) pair, the reads keyed as
+packed integers (`model.unique_rows`). The block's decode matrices come
+from one batched interpolation. A decoded symbol whose anchor the read
+holds verbatim is checked as a copy of that systematic symbol; only the
+other rows go through the field product, one stack-major product per
+version and count of such rows. A state either block check cannot clear
+goes back through its per-state reference, `check_state_counting` or
+`check_state_bitexact`, which reports its violation.
 
 Worst-case cost is measured over every (state, server) pair as an exact
 fraction of k_bits, so it can be compared against the scheme budget with
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,8 +49,8 @@ from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
-from .model import (Params, SystemState, check_work, latest_complete, rank_masks,
-                    sample_masks, state_at, state_count, state_from_masks, unique_rows)
+from .model import (Params, SystemState, check_work, latest_complete, rank_masks, sample_masks,
+                    seeded_words, state_at, state_count, state_from_masks, unique_rows)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
@@ -234,11 +233,17 @@ def _require_byte_aligned(p: Params) -> None:
         raise CodecError(f"the bit-exact layer needs byte-aligned K, got {p.k_bits}")
 
 
-def random_payloads(p: Params, seed: int) -> dict[int, bytes]:
+def _payload_bytes(p: Params, seeds: Sequence[int]) -> np.ndarray:
+    """Each seed's payloads, (seeds, nu, K/8) bytes: version u's are the big-endian
+    bytes of the seed's seeded_words (u-1)W .. uW-1, W = ceil(K/64), cut to K/8."""
     _require_byte_aligned(p)
-    rng = random.Random(seed)
-    return {u: rng.getrandbits(p.k_bits).to_bytes(p.k_bits // 8, "big")
-            for u in p.versions}
+    words = seeded_words(seeds, 0, p.nu * -(-p.k_bits // 64)).astype(">u8")
+    return words.view(np.uint8).reshape(len(seeds), p.nu, -1)[:, :, :p.k_bits // 8]
+
+
+def random_payloads(p: Params, seed: int) -> dict[int, bytes]:
+    """The payload of every version under one seed, as _payload_bytes draws it."""
+    return {u: row.tobytes() for u, row in zip(p.versions, _payload_bytes(p, [seed])[0])}
 
 
 def bitexact_violations(scheme: Scheme, S: SystemState, stores, messages,
@@ -344,7 +349,7 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     live = np.flatnonzero(~redo & (latest > 0))  # every read set returns None elsewhere
 
     if live.size:
-        payloads = [random_payloads(p, seeds[b]) for b in live.tolist()]
+        payloads = _payload_bytes(p, [seeds[b] for b in live.tolist()])
         reads, owner, which = _decode_pairs(counts[live], versions[live], slots, p, denom)
         version, indices = reads[:, 0], reads[:, 1:]
         matrices = gf._lagrange(indices, range(denom))
@@ -356,7 +361,7 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
         product_rows[np.nonzero(verbatim)[0], indices[verbatim]] = False
         pair_version, pair_copies = version[which], copies[which]
         for m in np.unique(version).tolist():
-            messages = message_elements([pl[m] for pl in payloads], p, denom)
+            messages = message_elements([pl.tobytes() for pl in payloads[:, m - 1]], p, denom)
             coded = encode_slots(scheme, p, m, messages)
             # a pair's temporaries take about 10 bytes per decode-matrix
             # entry, 10 per element read and 11 per element decoded
@@ -387,14 +392,6 @@ def _block_masks(p: Params, mode: VerifyMode, lo: int, hi: int) -> np.ndarray:
     return sample_masks(p, mode.seed, lo, hi)
 
 
-def _mask_blocks(p: Params, mode: VerifyMode, start: int, stop: int, block: int):
-    """(lo, hi, masks of states [lo, hi)) for the blocks of `block` states
-    that cover [start, stop)."""
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
-        yield lo, hi, _block_masks(p, mode, lo, hi)
-
-
 def _state(p: Params, mode: VerifyMode, masks: np.ndarray, idx: int, b: int) -> SystemState:
     """The SystemState of state `idx`, row b of its block's masks."""
     if mode.kind == "exhaustive":
@@ -414,7 +411,9 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
     worst_symbols = 0
     violations: list[Violation] = []
     total = 0
-    for lo, hi, masks in _mask_blocks(p, mode, start, stop, block):
+    for lo in range(start, stop, block):
+        hi = min(lo + block, stop)
+        masks = _block_masks(p, mode, lo, hi)
         counts, latest = block_allocations(scheme, masks, p)
         worst_symbols = max(worst_symbols, int(counts.sum(-1).max()))
         found: list[tuple[int, Violation | None]] = []  # (block position, violation)

@@ -1,6 +1,7 @@
 """CLI subcommands: happy paths, exit-code contract, determinism, config."""
 
 import concurrent.futures
+import itertools
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from mvcode.model import Params, latest_complete, random_state
 
 
 def run(argv):
@@ -155,10 +157,35 @@ class TestRoundtripCommand:
             "--nu", "2", "--h", "2", "--K", "1024"]
 
     def test_random_payloads_match(self, capsys):
-        code = run(self.ARGS + ["--state-seed", "0", "--payload-seed", "5",
+        # the first state seed whose state has a complete version
+        p = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024)
+        seed = next(s for s in itertools.count() if latest_complete(random_state(p, s), p))
+        code = run(self.ARGS + ["--state-seed", str(seed), "--payload-seed", "5",
                                 "--read-seed", "2"])
         assert code == EXIT_OK
         assert "match=true" in capsys.readouterr().out
+
+    def test_a_server_named_twice_is_a_config_error(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]")
+        code = run(self.ARGS + ["--state", str(state), "--read-set", "0,0,1,2,3,4"])
+        assert _config_error(code, capsys) == (
+            "error: read set must contain 5 distinct servers, got (0, 0, 1, 2, 3, 4)\n")
+
+    NU64 = ["roundtrip", "--scheme", "central", "--n", "2", "--cw", "2", "--cr", "2",
+            "--nu", "64", "--h", "1", "--K", "8"]
+
+    def test_a_state_seed_needs_nu_at_most_63(self, capsys):
+        code = run(self.NU64 + ["--state-seed", "3"])
+        assert _config_error(code, capsys) == (
+            "error: sampled states need nu <= 63 (int64 bit masks), got nu=64\n")
+
+    def test_a_state_file_works_at_nu_64(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text("[[1, 64], [64]]")
+        code = run(self.NU64 + ["--state", str(state), "--payload-seed", "3"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "read_set=[0, 1] decoded_version=64 match=true\n"
 
     def test_null_on_incomplete_state(self, tmp_path, capsys):
         state = tmp_path / "state.json"

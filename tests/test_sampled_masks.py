@@ -1,20 +1,27 @@
-"""The block sampler against a scalar reference.
+"""Every seeded draw against a scalar reference.
 
-`sample_masks(p, seed, lo, hi)` must give, row for row, what the
-Python-int SplitMix64 below gives: server i of sampled state idx holds the
-top nu bits of w(idx * n + i), where w(j) = mix64(mix64(seed mod 2**64) +
-(j + 1) * GOLDEN), all mod 2**64.
+`seeded_words(seeds, lo, hi)` must give what the Python-int SplitMix64
+below gives: w(j) = mix64(mix64(seed mod 2**64) + (j + 1) * GOLDEN), all
+mod 2**64. On it, server i of sampled state idx holds the top nu bits of
+w(idx * n + i); `random_state(p, s)` is sampled state 0 under s; version u's
+payload is the big-endian bytes of words (u-1)W .. uW-1, W = ceil(K/64),
+cut to K/8; and the roundtrip read set is the cr servers with the smallest
+of words 0..n-1, in ascending order.
 """
 
+import itertools
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mvcode import Scheme
-from mvcode.model import Params, sample_masks
-from mvcode.verifier import _SEED_STRIDE, COUNTING, VerifyMode, _block_masks, verify
+from mvcode.cli import EXIT_OK, main
+from mvcode.model import Params, latest_complete, random_state, sample_masks, seeded_words
+from mvcode.verifier import (_SEED_STRIDE, BITEXACT, COUNTING, VerifyMode, _block_masks,
+                             _payload_bytes, random_payloads, verify)
 
 GOLDEN = 0x9E3779B97F4A7C15
 WORD = 2**64 - 1
@@ -22,6 +29,11 @@ SEEDS = [0, 1, -1, 2**63, 2**64 - 1, 2**64,
          1234567890123456789012345678901234567890]
 SHAPES = [(n, nu) for n in (1, 4, 8, 228) for nu in (1, 3, 32, 33, 63)]
 P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
+P6 = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024)
+ROUNDTRIP_C1 = ["roundtrip", "--scheme", "c1", "--n", "6", "--cw", "5", "--cr", "5",
+                "--nu", "2", "--h", "2", "--K", "1024"]
+ROUNDTRIP_CR3 = ["roundtrip", "--scheme", "central", "--n", "6", "--cw", "6", "--cr", "3",
+                 "--nu", "1", "--h", "3", "--K", "64"]
 
 
 def mix64(z):
@@ -31,10 +43,28 @@ def mix64(z):
     return z ^ z >> 31
 
 
-def _reference(p, seed, lo, hi):
+def _words(seed, lo, hi):
+    """w(lo) .. w(hi - 1) of seed's stream."""
     key = mix64(seed % 2**64)
-    return [[mix64(key + (idx * p.n + i + 1) * GOLDEN & WORD) >> 64 - p.nu
-             for i in range(p.n)] for idx in range(lo, hi)]
+    return [mix64(key + (j + 1) * GOLDEN & WORD) for j in range(lo, hi)]
+
+
+def _reference(p, seed, lo, hi):
+    words = _words(seed, lo * p.n, hi * p.n)
+    return [[w >> 64 - p.nu for w in words[row * p.n:(row + 1) * p.n]]
+            for row in range(hi - lo)]
+
+
+def _payloads_reference(p, seed):
+    width = -(-p.k_bits // 64)
+    words = _words(seed, 0, p.nu * width)
+    return {u: b"".join(w.to_bytes(8, "big") for w in words[(u - 1) * width:u * width])
+            [:p.k_bits // 8] for u in p.versions}
+
+
+def _read_set_reference(n, cr, seed):
+    words = _words(seed, 0, n)
+    return sorted(sorted(range(n), key=words.__getitem__)[:cr])  # sorted() is stable
 
 
 def _params(n, nu):
@@ -137,3 +167,70 @@ def test_bits_are_balanced():
 def test_sampled_verify_draws_no_random_state(no_random):
     report = verify(Scheme.C2, P8, VerifyMode.sampled(2_000, 5), layers=(COUNTING,))
     assert report.passed and report.states_checked == 2_000
+
+
+def test_words_match_the_reference():
+    seeds = SEEDS + [-2**70, 5 * _SEED_STRIDE + 3]
+    words = seeded_words(seeds, 3, 11)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 8)
+    assert words.tolist() == [_words(seed, 3, 11) for seed in seeds]
+    assert seeded_words([], 0, 4).shape == (0, 4)
+
+
+@pytest.mark.parametrize("k_bits", [8, 64, 1000, 1024])
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_payload_bytes(k_bits, nu):
+    p = Params(n=4, cw=3, cr=3, nu=nu, h=1, k_bits=k_bits)
+    for seed in [-1, 0, 2**64 + 5] + [k * _SEED_STRIDE + idx for k in (0, 1, 7)
+                                      for idx in (0, 1, 999)]:
+        assert random_payloads(p, seed) == _payloads_reference(p, seed)
+
+
+@pytest.mark.parametrize("k_bits", [8, 1000])
+def test_block_payloads_stack_the_per_seed_ones(k_bits):
+    p = Params(n=4, cw=3, cr=3, nu=3, h=1, k_bits=k_bits)
+    seeds = [7 * _SEED_STRIDE + idx for idx in range(40)] + [-1, 2**64 + 5]
+    block = _payload_bytes(p, seeds)
+    assert block.dtype == np.uint8 and block.shape == (len(seeds), p.nu, k_bits // 8)
+    assert [{u: row.tobytes() for u, row in zip(p.versions, rows)} for rows in block] == [
+        random_payloads(p, seed) for seed in seeds]
+
+
+def test_random_state_is_sampled_state_zero():
+    for p in (P8, _params(5, 63), _params(1, 1)):
+        for seed in (-1, 0, 17, 2**64 + 5):
+            assert [sorted(s) for s in random_state(p, seed).subsets] == [
+                [u for u in p.versions if m >> (u - 1) & 1]
+                for m in sample_masks(p, seed, 0, 1)[0].tolist()]
+
+
+def _roundtrip(argv, capsys):
+    """The read set a passing roundtrip prints."""
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == EXIT_OK and "match=true" in out, out
+    return [int(t) for t in re.search(r"read_set=\[([^]]*)\]", out)[1].split(",")]
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 1, 2, 3, 2**64 + 5, 12345])
+@pytest.mark.parametrize("args,cr,state", [
+    (ROUNDTRIP_C1, 5, "[[1, 2], [1, 2], [1, 2], [1, 2], [1, 2], []]"),
+    (ROUNDTRIP_CR3, 3, "[[1], [1], [1], [1], [1], [1]]"),
+], ids=["c1-cr5", "central-cr3"])
+def test_read_set_draw(seed, args, cr, state, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    read_set = _roundtrip(args + ["--state", str(path), "--read-seed", str(seed)], capsys)
+    assert read_set == _read_set_reference(6, cr, seed)
+
+
+def test_exhaustive_c1_verify_draws_no_random_state(no_random):
+    report = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1), layers=(COUNTING, BITEXACT))
+    assert report.passed and report.states_checked == 4096
+
+
+def test_seeded_roundtrip_draws_no_random_state(no_random, capsys):
+    seed = next(s for s in itertools.count() if latest_complete(random_state(P6, s), P6))
+    read_set = _roundtrip(ROUNDTRIP_C1 + ["--state-seed", str(seed), "--payload-seed", "5",
+                                          "--read-seed", "2"], capsys)
+    assert read_set == _read_set_reference(6, 5, 2)

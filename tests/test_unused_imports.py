@@ -1,6 +1,7 @@
 """Every name a library module imports is used in it (`__init__.py` only
-re-exports), and every top-level function or class a library module defines
-is named outside its own def, so no dead kernel lingers."""
+re-exports), no library module imports the stdlib `random`, and every
+top-level function or class a library module defines is named outside its
+own def, so no dead kernel lingers."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,28 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Iterator, Sequence\nimport os\n\ndef f(x: 'Sequence') -> None:\n    pass\n"
     assert unused_imports(source) == ["line 1: Iterator", "line 2: os"]
+
+
+def imports_random(source: str) -> bool:
+    """Whether a module imports the stdlib random module or a name from it."""
+    return any(isinstance(node, ast.Import) and any(a.name.split(".")[0] == "random"
+                                                    for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module or "").split(".")[0] == "random"
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_random(path):
+    """Every seeded draw goes through model.seeded_words."""
+    assert not imports_random(path.read_text())
+
+
+def test_the_check_sees_a_random_import():
+    assert [imports_random(source) for source in (
+        "import random", "import os, random as r", "from random import Random",
+        "def f():\n    import random.x\n", "from . import random", "import numpy.random",
+        "x = 'random'")] == [True, True, True, True, False, False, False]
 
 
 def names_in(node: ast.AST) -> set[str]:
