@@ -45,12 +45,6 @@ class Allocation:
     def of(cls, counts: dict[int, int]) -> "Allocation":
         return cls(tuple(sorted((u, s) for u, s in counts.items() if s > 0)))
 
-    def count(self, u: int) -> int:
-        for v, s in self.symbols:
-            if v == u:
-                return s
-        return 0
-
 
 def validate_regime(scheme: Scheme, p: Params) -> None:
     """Raise RegimeError unless p satisfies the scheme's preconditions."""

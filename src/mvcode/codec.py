@@ -147,12 +147,12 @@ def _slot_generator(scheme: Scheme, p: Params, version: int) -> np.ndarray:
     return G
 
 
-def message_elements(messages: Sequence[bytes], p: Params, denom: int) -> np.ndarray:
-    """Padded messages as a (denom, len(messages), w) stack of field elements:
-    entry [r, b] is base symbol r of message b."""
-    data = b"".join(_pad(m, p.k_bits, denom) for m in messages)
-    elements = np.frombuffer(data, dtype=">u2").astype(np.uint16)
-    return elements.reshape(len(messages), denom, -1).transpose(1, 0, 2)
+def message_elements(payloads: np.ndarray, p: Params, denom: int) -> np.ndarray:
+    """Messages given as (count, K/8) bytes, padded, as a (denom, count, w)
+    stack of field elements: entry [r, b] is base symbol r of message b."""
+    data = np.zeros((len(payloads), padded_len_bytes(p.k_bits, denom)), dtype=np.uint8)
+    data[:, :p.k_bits // 8] = payloads
+    return data.view(">u2").astype(np.uint16).reshape(len(payloads), denom, -1).transpose(1, 0, 2)
 
 
 def encode_slots(scheme: Scheme, p: Params, version: int, elements: np.ndarray) -> np.ndarray:
@@ -255,8 +255,13 @@ def encode_all(scheme: Scheme, S: SystemState, messages: Mapping[int, bytes],
     restricted per server. Equal to server_encode per server: every server
     is checked first, in id order, then each version is encoded once over
     the union of the servers' slot indices (disjoint by construction) and
-    the payloads are handed back to their servers."""
-    slotted = [_server_slots(scheme, S, i, {u: messages[u] for u in S[i]}, p)
+    the payloads are handed back to their servers. Raises CodecError for a
+    version outside [1, nu], and as server_encode does for a server whose
+    versions `messages` lacks."""
+    for u in sorted(messages):
+        if u not in p.versions:
+            raise CodecError(f"message supplied for version {u}, outside [1, {p.nu}]")
+    slotted = [_server_slots(scheme, S, i, {u: messages[u] for u in S[i] if u in messages}, p)
                for i in range(p.n)]
     spec = MdsSpec(scheme_granularity(scheme, p))
     union: dict[int, list[int]] = {}

@@ -15,18 +15,17 @@ element is linear over GF(2), so each step is the split-table product of
 the same paper: two 256-entry tables, indexed by the low and the high byte
 of each element, whose entries are XORs of the images of the 16 bits.
 
-`matmul` is systematic-aware: a unit row of the left matrix is a row copy,
-not a product. The remaining rows go through one log/antilog kernel that
-takes the logs of each operand once and walks the columns of the right
-matrix in chunks of CHUNK, reusing one set of index, product and
-accumulator buffers, so no temporary grows with the message width.
+`matmul_stack` is the one product kernel: a stack of products, (P x m x
+k) @ (P x k x w), every row a product. It takes the logs of A once, then
+walks the columns of B about CHUNK // P at a time through one set of log,
+index, product and accumulator buffers, so no temporary grows with the
+message width. Its passes run stack-major, on operands laid out (k, m, P)
+and (k, w, P), so each pass is one array operation over the whole stack,
+not over a message a few elements wide.
 
-`matmul_stack` takes a stack of small products, (P x m x k) @ (P x k x w),
-the shape of many decodes of a few symbols each, through the same loop
-body, with no unit-row copies: a caller that knows its unit rows copies
-them itself. Its passes run stack-major, on operands laid out (k, m, P) and
-(k, w, P), so each pass is one array operation over the whole stack, not
-over a message a few elements wide.
+`matmul` is systematic-aware: a unit row of the left matrix is a row copy,
+not a product. The remaining rows are a stack of one through
+`matmul_stack`, written straight into the result.
 
 The code realized here is a polynomial evaluation code with a systematic
 prefix: message symbols are the values of a degree-< k polynomial at the
@@ -54,7 +53,7 @@ import numpy as np
 ORDER = 1 << 16
 _PRIM_POLY = 0x1100B
 _LOG_ZERO = 2 * (ORDER - 1)  # sum with any log indexes the zero tail of _EXP
-CHUNK = 4096  # columns of B per pass of the log/antilog kernel
+CHUNK = 4096  # columns of B per pass of the product kernel, summed over the stack
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +104,9 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A unit row of A (one nonzero entry, equal to 1, in column t) is a copy
     of row t of B: the systematic generator rows, and the decode-matrix rows
     of message symbols that were read verbatim. Every other row, a single
-    nonzero other than 1 included, goes through `_accumulate`.
+    nonzero other than 1 included, is a product, computed by `matmul_stack`
+    as a stack of one straight into the last rows of the result and then
+    moved up to its own row.
     """
     m, k = A.shape
     k2, w = B.shape
@@ -113,33 +114,44 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = np.empty((m, w), dtype=np.uint16)
     ones = A == 1
     unit = (np.count_nonzero(A, axis=1) == 1) & ones.any(axis=1)
-    for r in np.flatnonzero(unit).tolist():
-        out[r] = B[ones[r].argmax()]
     rest = np.flatnonzero(~unit)
     if rest.size:
-        _accumulate(A[rest], B, out, rest)
+        top = m - rest.size
+        matmul_stack(A[None, rest], B[None], out[None, top:])
+        # rest ascends, so rest[j] <= top + j: no move overwrites a product
+        # still to move, and the copies come after every move
+        for j, r in enumerate(rest.tolist()):
+            if r != top + j:
+                out[r] = out[top + j]
+    for r in np.flatnonzero(unit).tolist():
+        out[r] = B[ones[r].argmax()]
     return out
 
 
-def matmul_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(P x m x k) @ (P x k x w) over the field: slice p of the result is
-    matmul(A[p], B[p]). Every row is a product, and the passes run with the
-    stack axis innermost, on operands laid out (k, m, P) and (k, w, P), so
-    each of the k passes is one array operation over the whole stack."""
+def matmul_stack(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(P x m x k) @ (P x k x w) over the field, into `out` (P x m x w) when
+    given: slice p of the result is A[p] @ B[p], every row a product. The
+    passes run stack-axis innermost, CHUNK // P columns of B at a time (at
+    least one), so the buffers hold about k * CHUNK and m * CHUNK elements
+    whatever the width."""
     P, m, k = A.shape
+    w = B.shape[2]
     assert B.shape[:2] == (P, k), (A.shape, B.shape)
+    if out is None:
+        out = np.empty((P, m, w), dtype=np.uint16)
+    step = max(1, min(w, CHUNK // max(P, 1)))
     log_a = np.ascontiguousarray(_LOG[A].transpose(2, 1, 0))
-    log_b = np.ascontiguousarray(_LOG[B].transpose(1, 2, 0))
-    index, product, total = _buffers((m, B.shape[2], P))
-    _sum_products(((log_a[t, :, None], log_b[t, None]) for t in range(k)),
-                  index, product, total)
-    return total.transpose(2, 0, 1)
-
-
-def _buffers(shape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index, product and accumulator buffers of `_sum_products`."""
-    return (np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.uint16),
-            np.empty(shape, dtype=np.uint16))
+    log_b = np.empty(k * step * P, dtype=np.int32)
+    index = np.empty(m * step * P, dtype=np.int32)
+    product, total = np.empty((2, m * step * P), dtype=np.uint16)
+    for lo in range(0, w, step):
+        cw = min(step, w - lo)
+        lb = log_b[:k * cw * P].reshape(k, cw, P)
+        np.take(_LOG, B[:, :, lo:lo + cw].transpose(1, 2, 0), out=lb, mode="clip")
+        idx, prod, tot = (buf[:m * cw * P].reshape(m, cw, P) for buf in (index, product, total))
+        _sum_products(((log_a[t, :, None], lb[t, None]) for t in range(k)), idx, prod, tot)
+        out[:, :, lo:lo + cw] = tot.transpose(2, 0, 1)
+    return out
 
 
 def _sum_products(terms, index: np.ndarray, product: np.ndarray, total: np.ndarray) -> None:
@@ -151,29 +163,6 @@ def _sum_products(terms, index: np.ndarray, product: np.ndarray, total: np.ndarr
         np.add(log_a, log_b, out=index)
         np.take(_EXP, index, out=product, mode="clip")
         np.bitwise_xor(total, product, out=total)
-
-
-def _accumulate(A: np.ndarray, B: np.ndarray, out: np.ndarray, rows) -> None:
-    """out[rows] = A @ B for A (r x k) and B (k x w), by log/antilog
-    lookups, CHUNK columns at a time.
-
-    The logs of A are taken once, and the logs of each chunk of B once per
-    chunk. Each column t of A then adds one block of products to the
-    chunk's accumulator (`_sum_products`). The buffers are allocated once,
-    at one chunk's size, and reused by every chunk.
-    """
-    r, k = A.shape
-    w = B.shape[1]
-    log_a = _LOG[A]
-    log_b = np.empty(k * min(w, CHUNK), dtype=np.int32)
-    buffers = _buffers(r * min(w, CHUNK))
-    for lo in range(0, w, CHUNK):
-        cw = min(CHUNK, w - lo)
-        lb = log_b[:k * cw].reshape(k, cw)
-        idx, prod, total = (buf[:r * cw].reshape(r, cw) for buf in buffers)
-        np.take(_LOG, B[:, lo:lo + cw], out=lb, mode="clip")
-        _sum_products(((log_a[:, t:t + 1], lb[t]) for t in range(k)), idx, prod, total)
-        out[rows, lo:lo + cw] = total
 
 
 def mat_inv(A: np.ndarray) -> np.ndarray:

@@ -312,11 +312,10 @@ def _decode_pairs(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
                    counts: np.ndarray, seeds: Sequence[int],
                    latest: Sequence[int] | np.ndarray,
-                   masks: np.ndarray | None = None) -> list[Violation | None]:
+                   masks: np.ndarray) -> list[Violation | None]:
     """check_state_bitexact for a block of states, given their symbol counts
     as block_allocations returns them, their latest complete versions (0
-    for none) and, optionally, their version masks (taken from `states`
-    when not given).
+    for none) and their version masks, one row each.
 
     The states with a complete version are encoded together, one matmul per
     version, and decoded together. Every distinct read's decode matrix
@@ -336,9 +335,6 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     denom = scheme_granularity(scheme, p)
     counts, latest = np.asarray(counts), np.asarray(latest)
     slots = np.array([slots_per_server(scheme, u, p) for u in p.versions])
-    if masks is None:
-        masks = np.array([[sum(1 << (u - 1) for u in s) for s in S.subsets] for S in states],
-                         dtype=np.int64).reshape(len(states), p.n)
     held = (masks[:, :, None] >> np.arange(p.nu)) & 1 == 1
     # what server_encode accepts: only versions the server received, within
     # their slots, and every version's slots inside the index universe
@@ -361,7 +357,7 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
         product_rows[np.nonzero(verbatim)[0], indices[verbatim]] = False
         pair_version, pair_copies = version[which], copies[which]
         for m in np.unique(version).tolist():
-            messages = message_elements([pl.tobytes() for pl in payloads[:, m - 1]], p, denom)
+            messages = message_elements(payloads[:, m - 1], p, denom)
             coded = encode_slots(scheme, p, m, messages)
             # a pair's temporaries take about 10 bytes per decode-matrix
             # entry, 10 per element read and 11 per element decoded

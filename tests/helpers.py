@@ -14,6 +14,28 @@ def mul_s(a, b):
     return int(gf._EXP[int(gf._LOG[a]) + int(gf._LOG[b])])
 
 
+def coefficient_stack(A, B):
+    """(P x m x k) @ (P x k x w) over the field, one coefficient of each A
+    at a time through gf65536.mul: no unit-row copy, no column chunks. The
+    reference for matmul_stack, checked against a triple loop of mul_s."""
+    out = np.zeros((A.shape[0], A.shape[1], B.shape[2]), dtype=np.uint16)
+    for t in range(A.shape[2]):
+        out ^= gf.mul(A[:, :, t, None], B[:, None, t])
+    return out
+
+
+def alloc_count(alloc, u):
+    """How many symbols of version u an Allocation holds, 0 for none."""
+    return dict(alloc.symbols).get(u, 0)
+
+
+def state_masks(p, states):
+    """The version masks of `states`, one int64 row each: bit u-1 of entry
+    [b, i] is set when server i of state b holds version u."""
+    return np.array([[sum(1 << (u - 1) for u in s) for s in S.subsets] for S in states],
+                    dtype=np.int64).reshape(len(states), p.n)
+
+
 def all_states(p):
     """Every state of p once, in rank order."""
     return [state_at(p, b) for b in range(state_count(p))]

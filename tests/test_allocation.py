@@ -8,7 +8,7 @@ from mvcode import (Params, RegimeError, Scheme, SystemState, alloc_c1, alloc_c2
                     side_view)
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.model import ring_window
-from helpers import all_states
+from helpers import alloc_count, all_states
 
 
 P6 = make_thm3_params(6, 1024)   # n=6, cw=cr=5, h=2, c=4
@@ -56,8 +56,8 @@ class TestAllocC1:
         view = view_of([{1, 2}] * 5 + [set()], 0, P6)
         alloc = alloc_c1(view, P6)
         assert dict(alloc.symbols) == {2: 4, 1: 2}
-        assert alloc.count(2) == P6.c                       # K/c in symbols of K/c^2
-        assert alloc.count(1) == alpha_symbols(Scheme.C1, P6) - P6.c
+        assert alloc_count(alloc, 2) == P6.c                 # K/c in symbols of K/c^2
+        assert alloc_count(alloc, 1) == alpha_symbols(Scheme.C1, P6) - P6.c
 
     def test_threshold_missed_gives_all_to_version_1(self):
         # only three visible receivers of version 2
@@ -65,7 +65,7 @@ class TestAllocC1:
         assert view.receiver_count(2) == 3
         alloc = alloc_c1(view, P6)
         assert dict(alloc.symbols) == {1: 6}
-        assert alloc.count(1) == alpha_symbols(Scheme.C1, P6)
+        assert alloc_count(alloc, 1) == alpha_symbols(Scheme.C1, P6)
 
     def test_received_only_drops_version_1_share(self):
         view = view_of([{2}, {2}, {2}, {2}, {2}, set()], 0, P6)
@@ -98,19 +98,19 @@ class TestAllocC2:
         S = SystemState.of(P8, [{1, 2, 3}] * 7 + [set()])
         alloc = alloc_c2(side_view(S, 0, P8), P8)
         assert dict(alloc.symbols) == {3: 1}
-        assert alloc.count(3) == alpha_symbols(Scheme.C2, P8)
+        assert alloc_count(alloc, 3) == alpha_symbols(Scheme.C2, P8)
 
     def test_empty_server_stores_nothing(self):
         S = SystemState.of(P6, [set()] + [{1}] * 5)
         alloc = alloc_c2(side_view(S, 0, P6), P6)
         assert alloc.symbols == ()
-        assert alloc.count(1) == alloc.count(2) == 0
+        assert alloc_count(alloc, 1) == alloc_count(alloc, 2) == 0
 
     def test_local_latest_from_threshold_count(self):
         S = SystemState.of(P6, [{1}] * 6)
         alloc = alloc_c2(side_view(S, 0, P6), P6)
         assert dict(alloc.symbols) == {1: 1}
-        assert alloc.count(1) == alpha_symbols(Scheme.C2, P6)
+        assert alloc_count(alloc, 1) == alpha_symbols(Scheme.C2, P6)
 
 
 class TestAllocCentral:
@@ -120,7 +120,7 @@ class TestAllocCentral:
         S = SystemState.of(self.FULL, [{1, 2}] * 5 + [set()])
         alloc = alloc_centralized(S, 0, self.FULL)
         assert dict(alloc.symbols) == {2: 1}
-        assert alloc.count(2) == alpha_symbols(Scheme.CENTRAL, self.FULL)
+        assert alloc_count(alloc, 2) == alpha_symbols(Scheme.CENTRAL, self.FULL)
 
     def test_empty_when_nothing_complete(self):
         S = SystemState.of(self.FULL, [{1}] * 3 + [set()] * 3)

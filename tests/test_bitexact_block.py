@@ -22,7 +22,7 @@ from mvcode.fixtures import make_thm3_params
 from mvcode.model import latest_complete, random_state, rank_masks, state_count
 from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block, check_state_bitexact,
                              decode_versions, random_payloads, read_sets, verify)
-from helpers import all_states
+from helpers import alloc_count, all_states, state_masks
 
 DATA = Path(__file__).parent / "data"
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
@@ -105,14 +105,14 @@ def test_the_fault_reaches_both_rules(monkeypatch, inject):
     inject(monkeypatch)
     counts, _ = verifier.block_allocations(Scheme.C1, rank_masks(P6, 0, state_count(P6)), P6)
     for b, S in enumerate(all_states(P6)):
-        rows = [[allocation_for(Scheme.C1, S, i, P6).count(u) for u in P6.versions]
+        rows = [[alloc_count(allocation_for(Scheme.C1, S, i, P6), u) for u in P6.versions]
                 for i in range(P6.n)]
         assert counts[b].tolist() == rows
 
 
 def _counts(scheme, p, states):
     """The per-state allocations of `states` as a block_allocations array."""
-    return np.array([[[allocation_for(scheme, S, i, p).count(u) for u in p.versions]
+    return np.array([[[alloc_count(allocation_for(scheme, S, i, p), u) for u in p.versions]
                       for i in range(p.n)] for S in states], dtype=np.int32)
 
 
@@ -138,7 +138,7 @@ def _kernel_and_reference(scheme, p, states, seeds):
         stores = encode_all(scheme, states[b], messages, p)
         expected.append([_decoded_version(scheme, states[b], T, stores, p) for T in read_sets(p)])
     assert versions[complete].tolist() == expected
-    kernel = bitexact_block(scheme, p, states, counts, seeds, latest)
+    kernel = bitexact_block(scheme, p, states, counts, seeds, latest, state_masks(p, states))
     reference = [check_state_bitexact(scheme, S, p, seed) for S, seed in zip(states, seeds)]
     return kernel, reference
 
@@ -186,7 +186,8 @@ class TestDifferential:
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         states = [full, full, full]
         counts = _counts(Scheme.C1, P6, states)
-        assert bitexact_block(Scheme.C1, P6, states, counts, [1, 2, 3], [2] * 3) == [None] * 3
+        assert bitexact_block(Scheme.C1, P6, states, counts, [1, 2, 3], [2] * 3,
+                              state_masks(P6, states)) == [None] * 3
         assert asked == [full]
 
     @pytest.mark.parametrize("budget", [verifier._BLOCK_BYTES, 1])
@@ -227,7 +228,8 @@ class TestDifferential:
         monkeypatch.setattr(verifier, "encode_slots", corrupt)
         monkeypatch.setattr(verifier, "check_state_bitexact", reference)
         seeds = list(range(len(states)))
-        assert bitexact_block(Scheme.C1, P6, states, counts, seeds, latest) == [None] * len(states)
+        assert bitexact_block(Scheme.C1, P6, states, counts, seeds, latest,
+                              state_masks(P6, states)) == [None] * len(states)
         assert asked == [full]
 
     @pytest.mark.parametrize("budget", [1, 40_000])
@@ -257,7 +259,8 @@ class TestDifferential:
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         counts = _counts(Scheme.C1, P6, [odd, full])
         counts[0, 0, version - 1] = count
-        assert bitexact_block(Scheme.C1, P6, [odd, full], counts, [1, 2], [2, 2]) == [None] * 2
+        assert bitexact_block(Scheme.C1, P6, [odd, full], counts, [1, 2], [2, 2],
+                              state_masks(P6, [odd, full])) == [None] * 2
         assert asked == [odd]
 
 
@@ -302,7 +305,7 @@ class TestBoundaryChecks:
         S = SystemState.of(P6, [{1}] + [set()] * 5)
         counts = _counts(Scheme.C1, P6, [S])
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
-            bitexact_block(Scheme.C1, P6, [S], counts, [0], [0])
+            bitexact_block(Scheme.C1, P6, [S], counts, [0], [0], state_masks(P6, [S]))
 
     def test_an_unreceived_version_is_a_config_error_in_the_cli(self, monkeypatch, capsys):
         _store_unreceived_at_server_0(monkeypatch)
@@ -367,7 +370,8 @@ def _asked_after_a_flip(monkeypatch, scheme, p, states, counts, latest, column, 
     monkeypatch.setattr(verifier, "encode_slots", corrupt)
     monkeypatch.setattr(verifier, "check_state_bitexact", reference)
     seeds = list(range(len(states)))
-    assert bitexact_block(scheme, p, states, counts, seeds, latest) == [None] * len(states)
+    assert bitexact_block(scheme, p, states, counts, seeds, latest,
+                          state_masks(p, states)) == [None] * len(states)
     monkeypatch.undo()
     return asked
 

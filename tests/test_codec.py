@@ -17,7 +17,7 @@ from mvcode.codec import (encode_slots, message_elements, padded_len_bytes, slot
 from mvcode import gf65536 as gf
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import random_payloads
-from helpers import mul_s
+from helpers import alloc_count, mul_s
 
 P6 = make_thm3_params(6, 1024)
 P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
@@ -211,14 +211,15 @@ class TestServerEncode:
         S = SystemState.of(p, [p.versions] * p.n)
         msgs = random_payloads(p, 4)
         denom = scheme_granularity(scheme, p)
-        coded = {u: encode_slots(scheme, p, u, message_elements([msgs[u]], p, denom))
+        coded = {u: encode_slots(scheme, p, u, message_elements(
+                     np.frombuffer(msgs[u], dtype=np.uint8)[None], p, denom))
                  for u in p.versions}
         for i, store in encode_all(scheme, S, msgs, p).items():
             assert store
             alloc = allocation_for(scheme, S, i, p)
             for u in p.versions:
                 mine = [cs for cs in store if cs.version == u]
-                indices = slot_indices(i, alloc.count(u), slots_per_server(scheme, u, p))
+                indices = slot_indices(i, alloc_count(alloc, u), slots_per_server(scheme, u, p))
                 assert [cs.index for cs in mine] == list(indices)
                 assert [cs.payload for cs in mine] == [
                     coded[u][j, 0].astype(">u2").tobytes() for j in indices]
@@ -230,6 +231,19 @@ class TestServerEncode:
             server_encode(Scheme.C1, S, 0, {1: msgs[1], 2: msgs[2]}, P6)
         with pytest.raises(CodecError):
             server_encode(Scheme.C1, S, 0, {}, P6)
+
+    def test_encode_all_checks_the_message_set(self):
+        # a version that server 0 received is missing: server_encode's
+        # CodecError, not a KeyError; a version outside [1, nu] is refused
+        S = SystemState.of(P6, [{1, 2}] + [{1}] * 5)
+        msgs = random_payloads(P6, 3)
+        missing = r"^messages supplied for versions \[1\] but the server received \[1, 2\]$"
+        with pytest.raises(CodecError, match=missing):
+            server_encode(Scheme.C1, S, 0, {1: msgs[1]}, P6)
+        with pytest.raises(CodecError, match=missing):
+            encode_all(Scheme.C1, S, {1: msgs[1]}, P6)
+        with pytest.raises(CodecError, match=r"^message supplied for version 3, outside \[1, 2\]$"):
+            encode_all(Scheme.C1, S, {**msgs, 3: msgs[1]}, P6)
 
     def test_an_unreceived_version_in_the_allocation_is_a_codec_error(self, monkeypatch):
         # a faulty rule gives server 0, which holds only version 1, a symbol

@@ -19,7 +19,7 @@ from mvcode.model import (latest_complete, random_state, rank_masks, sample_mask
                           state_count, state_from_masks)
 from mvcode.verifier import (COUNTING, VerifyMode, _block_masks, check_state_counting,
                              short_states, verify)
-from helpers import all_states
+from helpers import alloc_count, all_states
 
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
 P4_NU1 = Params(n=4, cw=3, cr=3, nu=1, h=1, k_bits=64)
@@ -44,7 +44,7 @@ EXHAUSTIVE = [(Scheme.C1, P4), (Scheme.C1, P4_NU1), (Scheme.C1, P4_CR4),
 
 
 def _rows(scheme, S, p):
-    return [[allocation_for(scheme, S, i, p).count(u) for u in p.versions]
+    return [[alloc_count(allocation_for(scheme, S, i, p), u) for u in p.versions]
             for i in range(p.n)]
 
 

@@ -1,11 +1,14 @@
-"""gf65536.matmul against scalar references, and wide messages through the codec.
+"""gf65536.matmul and matmul_stack against scalar references, and wide
+messages through the codec.
 
-matmul copies unit rows and runs the other rows through a chunked
-log/antilog kernel. `scalar_matmul` is the definition: a triple loop of
-mul_s. `coefficient_matmul` multiplies one row of B by one coefficient at a
-time, with no unit-row copy and no chunking; it is checked against the
-triple loop here and stands in for it where a triple loop over messages
-wider than a chunk would take minutes.
+matmul copies unit rows and runs the other rows through matmul_stack, the
+one product kernel, which walks the columns in chunks of CHUNK // P.
+`scalar_matmul` is the definition: a triple loop of mul_s.
+`coefficient_stack` multiplies one row of each B by one coefficient at a
+time, through gf.mul, with no unit-row copy and no chunking; it is checked
+against the triple loop here and stands in for it where a triple loop over
+messages wider than a chunk, or over thousands of slices, would take
+minutes.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from mvcode import gf65536 as gf
 from mvcode.allocation import scheme_granularity
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import latest_complete
-from helpers import mul_s
+from helpers import coefficient_stack, mul_s
 
 CHUNK = gf.CHUNK
 WIDTHS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)
@@ -42,10 +45,7 @@ def scalar_matmul(A, B):
 
 
 def coefficient_matmul(A, B):
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.uint16)
-    for r, t in itertools.product(range(A.shape[0]), range(A.shape[1])):
-        out[r] ^= gf.mul(A[r, t], B[t])
-    return out
+    return coefficient_stack(A[None], B[None])[0]
 
 
 def structured(rng, m, k):
@@ -70,11 +70,11 @@ def structured(rng, m, k):
     return A
 
 
-def probe_columns(rng, w):
+def probe_columns(rng, w, step=CHUNK):
     """Every column of a narrow B; the chunk edges and a random few of a wide one."""
     if w <= 16:
         return np.arange(w)
-    edges = [c + d for c in range(0, w + 1, CHUNK) for d in (-2, -1, 0, 1)]
+    edges = [c + d for c in range(0, w + 1, step) for d in (-2, -1, 0, 1)]
     cols = {c for c in edges if 0 <= c < w} | set(rng.integers(0, w, 8).tolist())
     return np.array(sorted(cols))
 
@@ -112,6 +112,23 @@ class TestAgainstTheTripleLoop:
         expected[0] = gf.mul(3, B[perm[0]])
         assert np.array_equal(gf.matmul(P, B), expected)
 
+    @pytest.mark.parametrize("w", [CHUNK - 1, CHUNK + 1])
+    @pytest.mark.parametrize("layout", ["UUPPP", "PPPUU", "PUPUP", "UPPUU", "PPPPP", "UUUUU"])
+    def test_unit_and_product_rows_in_any_order(self, w, layout):
+        # the products land in the last rows and move up to their own
+        rng = np.random.default_rng(w)
+        k = 4
+        B = rng.integers(0, gf.ORDER, (k, w), dtype=np.uint16)
+        A = rng.integers(2, gf.ORDER, (len(layout), k), dtype=np.uint16)
+        for r, kind in enumerate(layout):
+            if kind == "U":
+                A[r] = 0
+                A[r, (3 * r) % k] = 1
+        got = gf.matmul(A, B)
+        assert np.array_equal(got, coefficient_matmul(A, B))
+        cols = probe_columns(rng, w)
+        assert np.array_equal(got[:, cols], scalar_matmul(A, B[:, cols]))
+
     def test_all_zero_operands(self):
         rng = np.random.default_rng(5)
         B = rng.integers(0, gf.ORDER, (6, CHUNK + 1), dtype=np.uint16)
@@ -140,25 +157,51 @@ class TestAgainstTheTripleLoop:
         assert np.array_equal(coefficient_matmul(A, B), scalar_matmul(A, B))
 
 
+def check_stack(rng, P, w):
+    """A stack of P structured slices through matmul_stack, against the
+    coefficient reference, and slice 0 against the triple loop at the edges
+    of its column chunks."""
+    m, k = (int(x) for x in rng.integers(1, 9, 2))
+    # unit, repeated, scaled and zero rows, and zero columns, per slice
+    A = np.array([structured(rng, m, k) for _ in range(P)], dtype=np.uint16).reshape(P, m, k)
+    B = rng.integers(0, gf.ORDER, (P, k, w), dtype=np.uint16)
+    got = gf.matmul_stack(A, B)
+    assert got.dtype == np.uint16 and got.shape == (P, m, w)
+    assert np.array_equal(got, coefficient_stack(A, B))
+    if P:
+        cols = probe_columns(rng, w, max(1, CHUNK // P))
+        assert np.array_equal(got[0][:, cols], scalar_matmul(A[0], B[0][:, cols]))
+
+
 class TestStack:
-    """matmul_stack against one 2-D matmul per slice, which is checked
-    against the triple loop above."""
+    """matmul_stack against the coefficient reference, not against matmul,
+    which calls it."""
 
     @pytest.mark.parametrize("P", [0, 1, 2, 7])
     @pytest.mark.parametrize("w", [1, 4, CHUNK + 1])
     def test_each_slice_is_a_matmul(self, P, w):
-        rng = np.random.default_rng(1400 + 10 * P + w)
-        m, k = (int(x) for x in rng.integers(1, 9, 2))
-        # unit, repeated, scaled and zero rows, and zero columns, per slice
-        A = np.array([structured(rng, m, k) for _ in range(P)], dtype=np.uint16).reshape(P, m, k)
-        B = rng.integers(0, gf.ORDER, (P, k, w), dtype=np.uint16)
-        got = gf.matmul_stack(A, B)
-        assert got.dtype == np.uint16 and got.shape == (P, m, w)
-        for a, b, out in zip(A, B, got):
-            assert np.array_equal(out, gf.matmul(a, b))
-        if P:
-            cols = probe_columns(rng, w)
-            assert np.array_equal(got[0][:, cols], scalar_matmul(A[0], B[0][:, cols]))
+        check_stack(np.random.default_rng(1400 + 10 * P + w), P, w)
+
+    @pytest.mark.parametrize("P", [0, 1, 3, CHUNK + 1])
+    @pytest.mark.parametrize("edge", ["0", "1", "step-1", "step", "step+1", "2step+1"])
+    def test_the_chunk_edges(self, P, edge):
+        # the columns go CHUNK // P at a time, so the edges move with P
+        step = max(1, CHUNK // max(P, 1))
+        w = {"0": 0, "1": 1, "step-1": step - 1, "step": step, "step+1": step + 1,
+             "2step+1": 2 * step + 1}[edge]
+        check_stack(np.random.default_rng(1500 + P + w), P, w)
+
+    def test_into_a_given_output(self):
+        # the result lands in `out`, a strided view here, and nowhere else
+        rng = np.random.default_rng(15)
+        A = rng.integers(0, gf.ORDER, (3, 4, 5), dtype=np.uint16)
+        B = rng.integers(0, gf.ORDER, (3, 5, 2 * CHUNK // 3 + 1), dtype=np.uint16)
+        frame = np.zeros((3, 6, B.shape[2] + 2), dtype=np.uint16)
+        view = frame[:, 1:5, 1:-1]
+        assert gf.matmul_stack(A, B, view) is view
+        assert np.array_equal(view, coefficient_stack(A, B))
+        view[:] = 0
+        assert not frame.any()
 
     def test_a_gathered_stack_of_read_only_matrices(self):
         # the shape bitexact_block gives it: cached decode matrices, gathered

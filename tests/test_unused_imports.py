@@ -1,7 +1,8 @@
 """Every name a library module imports is used in it (`__init__.py` only
 re-exports), no library module imports the stdlib `random`, and every
 top-level function or class a library module defines is named outside its
-own def, so no dead kernel lingers."""
+own def, so no dead kernel lingers; and field products run through one
+loop, which only `gf65536.matmul_stack` calls."""
 
 import ast
 from pathlib import Path
@@ -114,3 +115,35 @@ def test_the_check_sees_a_dead_definition():
                "b.py": "from .a import used\n"}
     assert unnamed_definitions(library, ["TARGETS = [('a', 'traced')]"]) == [
         "a.py: dead", "a.py: Gone"]
+
+
+def globals_read(source: str) -> dict[str, set[str]]:
+    """For each top-level function of a module, the other top-level names
+    of the module (functions and assigned globals) that it reads."""
+    tree = ast.parse(source)
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    top = {node.name for node in functions} | {
+        name.id for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets for name in ast.walk(target) if isinstance(name, ast.Name)}
+    return {node.name: {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Load) and sub.id in top} - {node.name}
+            for node in functions}
+
+
+def test_one_field_product_kernel():
+    """`_sum_products`, the loop of field products, has one caller,
+    `matmul_stack`, and `matmul` reaches products only through it."""
+    calls = globals_read((SRC / "gf65536.py").read_text())
+    assert [name for name, called in calls.items() if "_sum_products" in called] == [
+        "matmul_stack"]
+    assert calls["matmul"] == {"matmul_stack"}
+    assert not any("_sum_products" in names_in(ast.parse(path.read_text()))
+                   for path in MODULES if path.name != "gf65536.py")
+
+
+def test_the_check_sees_a_second_product_loop():
+    source = ("_EXP, _LOG = 1, 2\n\ndef kernel(x):\n    return _EXP[x]\n\n"
+              "def stack(x):\n    return kernel(x)\n\n"
+              "def wide(x):\n    y = _LOG[x]\n    return kernel(y) + stack(y)\n")
+    assert globals_read(source) == {"kernel": {"_EXP"}, "stack": {"kernel"},
+                                    "wide": {"_LOG", "kernel", "stack"}}
