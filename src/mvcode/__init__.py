@@ -9,11 +9,10 @@ optimality oracle.
 
 from importlib import import_module
 
-from .allocation import (Allocation, Scheme, alloc_c1, alloc_c2, alloc_centralized,
-                         allocation_for, alpha_bits, alpha_symbols,
-                         scheme_granularity, validate_regime)
-from .codec import (CodedSymbol, MdsSpec, encode_all, mds_decode, mds_encode,
-                    quorum_decode, server_encode)
+from .allocation import (Scheme, alloc_c1, alloc_c2, alloc_centralized, allocation_for,
+                         alpha_bits, alpha_symbols, scheme_granularity, validate_regime)
+from .codec import (CodedSymbol, encode_all, mds_decode, mds_encode, quorum_decode,
+                    server_encode)
 from .errors import (BudgetExceededError, CodecError, DecodeContractError,
                      InconsistentSymbolsError, InsufficientSymbolsError,
                      MvcodeError, RegimeError, SolverError, WorkerError)

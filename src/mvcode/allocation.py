@@ -3,7 +3,9 @@
 Budgets are counted in base symbols: a message of k_bits is split into
 `denom` equal symbols, so one symbol is worth k_bits/denom bits. The two
 side-information schemes are pure functions of a server's SideView, which
-is exactly the information its encoder is allowed to use.
+is exactly the information its encoder is allowed to use. A server's
+allocation is the {version: symbols} dict its scheme's rule returns; it
+names only versions the server received, each with a positive count.
 
 Schemes, by their CLI names:
   c1      two-version split: a server that sees version 2 at >= n-2 servers
@@ -17,7 +19,6 @@ Schemes, by their CLI names:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -33,17 +34,6 @@ class Scheme(str, Enum):
     C1 = "c1"
     C2 = "c2"
     CENTRAL = "central"
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Symbol counts per version for one server."""
-
-    symbols: tuple[tuple[int, int], ...]  # (version, count), version-sorted
-
-    @classmethod
-    def of(cls, counts: dict[int, int]) -> "Allocation":
-        return cls(tuple(sorted((u, s) for u, s in counts.items() if s > 0)))
 
 
 def validate_regime(scheme: Scheme, p: Params) -> None:
@@ -87,7 +77,7 @@ def alpha_bits(scheme: Scheme, p: Params) -> Fraction:
     return Fraction(alpha_symbols(scheme, p) * p.k_bits, scheme_granularity(scheme, p))
 
 
-def alloc_c1(view: SideView, p: Params) -> Allocation:
+def alloc_c1(view: SideView, p: Params) -> dict[int, int]:
     """Two-version split allocation, from the side view alone.
 
     The split formula is applied first, then versions the server never
@@ -103,24 +93,24 @@ def alloc_c1(view: SideView, p: Params) -> Allocation:
         counts[2] = sym2
     if 1 in own and sym1:
         counts[1] = sym1
-    return Allocation.of(counts)
+    return counts
 
 
-def alloc_c2(view: SideView, p: Params) -> Allocation:
+def alloc_c2(view: SideView, p: Params) -> dict[int, int]:
     """Local-latest allocation: one symbol of the locally confirmed latest."""
     validate_regime(Scheme.C2, p)
     lc = view_local_candidate(view, p)
-    return Allocation.of({} if lc is None else {lc: 1})
+    return {} if lc is None else {lc: 1}
 
 
-def alloc_centralized(S: SystemState, i: int, p: Params) -> Allocation:
+def alloc_centralized(S: SystemState, i: int, p: Params) -> dict[int, int]:
     """Full-information allocation: one symbol of the latest complete version."""
     validate_regime(Scheme.CENTRAL, p)
     latest = latest_complete(S, p)
-    return Allocation.of({latest: 1} if latest is not None and latest in S[i] else {})
+    return {latest: 1} if latest is not None and latest in S[i] else {}
 
 
-def allocation_for(scheme: Scheme, S: SystemState, i: int, p: Params) -> Allocation:
+def allocation_for(scheme: Scheme, S: SystemState, i: int, p: Params) -> dict[int, int]:
     if scheme is Scheme.C1:
         return alloc_c1(side_view(S, i, p), p)
     if scheme is Scheme.C2:

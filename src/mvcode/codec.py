@@ -29,33 +29,27 @@ from .model import Params, SystemState, latest_complete
 
 
 @dataclass(frozen=True)
-class MdsSpec:
-    """Dimension-k evaluation code over the 2^16 field."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"code dimension must be >= 1, got {self.k}")
-        if self.k > gf.ORDER:
-            raise ValueError("dimension exceeds the field universe")
-
-
-@dataclass(frozen=True)
 class CodedSymbol:
     version: int
     index: int
     payload: bytes
 
 
-def mds_encode(message: bytes, spec: MdsSpec, indices: Sequence[int]) -> list[bytes]:
-    """Coded payloads for the given global indices.
+def _check_dimension(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"code dimension must be >= 1, got {k}")
+    if k > gf.ORDER:
+        raise ValueError("dimension exceeds the field universe")
+
+
+def mds_encode(message: bytes, k: int, indices: Sequence[int]) -> list[bytes]:
+    """Coded payloads of the dimension-k code at the given global indices.
 
     The message must already be padded to a multiple of 2*k bytes; each
     output payload has length len(message)/k. Any k outputs with distinct
     indices reconstruct the message.
     """
-    k = spec.k
+    _check_dimension(k)
     if len(message) == 0 or len(message) % (2 * k) != 0:
         raise CodecError(
             f"message length {len(message)} bytes is not a positive multiple of 2*k={2 * k}")
@@ -72,8 +66,8 @@ def mds_encode(message: bytes, spec: MdsSpec, indices: Sequence[int]) -> list[by
     return [coded[r * size:(r + 1) * size] for r in range(len(indices))]
 
 
-def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
-    """Reconstruct the (padded) message from coded symbols.
+def mds_decode(symbols: Iterable[tuple[int, bytes]], k: int) -> bytes:
+    """Reconstruct the (padded) message from symbols of the dimension-k code.
 
     Raises InsufficientSymbolsError with fewer than k distinct indices and
     InconsistentSymbolsError when duplicate indices disagree. With k or more
@@ -81,7 +75,7 @@ def mds_decode(symbols: Iterable[tuple[int, bytes]], spec: MdsSpec) -> bytes:
     (whole field elements), decoding always succeeds; any other index or
     length is a CodecError.
     """
-    k = spec.k
+    _check_dimension(k)
     by_index: dict[int, bytes] = {}
     for idx, payload in symbols:
         if idx in by_index:
@@ -172,6 +166,10 @@ def _check_message_args(messages: Mapping[int, bytes], own: frozenset[int],
         raise CodecError(
             f"messages supplied for versions {sorted(messages)} but the server "
             f"received {sorted(own)}")
+    _check_message_lengths(messages, p)
+
+
+def _check_message_lengths(messages: Mapping[int, bytes], p: Params) -> None:
     for u, msg in messages.items():
         if len(msg) != p.k_bits // 8:
             raise CodecError(
@@ -186,7 +184,7 @@ def _server_slots(scheme: Scheme, S: SystemState, i: int,
     alloc = allocation_for(scheme, S, i, p)
     _check_message_args(messages, S[i], p)
     slotted = []
-    for u, count in alloc.symbols:
+    for u, count in sorted(alloc.items()):
         if u not in messages:
             raise CodecError(
                 f"allocation gives server {i} symbols of version {u}, which it never received")
@@ -207,10 +205,10 @@ def server_encode(scheme: Scheme, S: SystemState, i: int,
     S only through the side view of i (full state for the central scheme).
     """
     slotted = _server_slots(scheme, S, i, messages, p)
-    spec = MdsSpec(scheme_granularity(scheme, p))
+    denom = scheme_granularity(scheme, p)
     coded: list[CodedSymbol] = []
     for u, indices in slotted:
-        payloads = mds_encode(_pad(messages[u], p.k_bits, spec.k), spec, indices)
+        payloads = mds_encode(_pad(messages[u], p.k_bits, denom), denom, indices)
         coded.extend(CodedSymbol(u, idx, pl) for idx, pl in zip(indices, payloads))
     return tuple(coded)
 
@@ -237,13 +235,12 @@ def quorum_decode(scheme: Scheme, S: SystemState, T: Sequence[int],
     if latest is None:
         return None
     denom = scheme_granularity(scheme, p)
-    spec = MdsSpec(denom)
     for m in range(p.nu, latest - 1, -1):
         pairs = [(cs.index, cs.payload)
                  for t in read_set for cs in stores[t] if cs.version == m]
         if len({idx for idx, _ in pairs}) < denom:
             continue
-        padded = mds_decode(pairs, spec)
+        padded = mds_decode(pairs, denom)
         return m, padded[:p.k_bits // 8]
     raise DecodeContractError(
         f"no version >= {latest} decodable from read set {read_set}")
@@ -256,21 +253,22 @@ def encode_all(scheme: Scheme, S: SystemState, messages: Mapping[int, bytes],
     is checked first, in id order, then each version is encoded once over
     the union of the servers' slot indices (disjoint by construction) and
     the payloads are handed back to their servers. Raises CodecError for a
-    version outside [1, nu], and as server_encode does for a server whose
-    versions `messages` lacks."""
+    version outside [1, nu] or a message of the wrong length, held or not,
+    and as server_encode does for a server whose versions `messages` lacks."""
     for u in sorted(messages):
         if u not in p.versions:
             raise CodecError(f"message supplied for version {u}, outside [1, {p.nu}]")
     slotted = [_server_slots(scheme, S, i, {u: messages[u] for u in S[i] if u in messages}, p)
                for i in range(p.n)]
-    spec = MdsSpec(scheme_granularity(scheme, p))
+    _check_message_lengths(messages, p)
+    denom = scheme_granularity(scheme, p)
     union: dict[int, list[int]] = {}
     for versions in slotted:
         for u, indices in versions:
             union.setdefault(u, []).extend(indices)
     payload: dict[tuple[int, int], bytes] = {}
     for u, indices in union.items():
-        coded = mds_encode(_pad(messages[u], p.k_bits, spec.k), spec, indices)
+        coded = mds_encode(_pad(messages[u], p.k_bits, denom), denom, indices)
         payload.update(zip(((u, j) for j in indices), coded))
     return {i: tuple(CodedSymbol(u, j, payload[u, j]) for u, indices in versions for j in indices)
             for i, versions in enumerate(slotted)}

@@ -161,16 +161,12 @@ class SideView:
 def ring_window(i: int, n: int, h: int) -> tuple[int, ...]:
     """Server ids visible from i, offsets -h..+h mod n, duplicates dropped.
 
-    When 2h+1 >= n the window saturates to all n servers (full information).
+    Offsets up from -h first repeat after n steps, so the window is the first
+    min(2h+1, n) of them: all n servers (full information) when 2h+1 >= n.
     """
     if not 0 <= i < n:
         raise ValueError(f"server id {i} outside [0, {n})")
-    seen: list[int] = []
-    for d in range(-h, h + 1):
-        j = (i + d) % n
-        if j not in seen:
-            seen.append(j)
-    return tuple(seen)
+    return tuple((i - h + t) % n for t in range(min(2 * h + 1, n)))
 
 
 def side_view(S: SystemState, i: int, p: Params) -> SideView:

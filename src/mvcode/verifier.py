@@ -43,8 +43,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import gf65536 as gf
-from .allocation import (Allocation, Scheme, allocation_for, alpha_bits,
-                         block_allocations, scheme_granularity, validate_regime)
+from .allocation import (Scheme, allocation_for, alpha_bits, block_allocations,
+                         scheme_granularity, validate_regime)
 from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
@@ -209,17 +209,17 @@ def short_states(holdings: np.ndarray, latest: np.ndarray, p: Params,
 
 
 def check_state_counting(scheme: Scheme, S: SystemState, p: Params,
-                         allocs: list[Allocation] | None = None) -> Violation | None:
+                         allocs: Sequence[Mapping[int, int]] | None = None) -> Violation | None:
     """First read set (if any) where no fresh-enough version reaches the
-    symbol threshold. `allocs` may inject alternative allocations, which is
-    how broken-scheme behavior is exercised."""
+    symbol threshold. `allocs` may inject other {version: symbols} allocations,
+    which is how broken-scheme behavior is exercised."""
     if allocs is None:
         allocs = [allocation_for(scheme, S, i, p) for i in range(p.n)]
     denom = scheme_granularity(scheme, p)
     latest = latest_complete(S, p)
     if latest is None:
         return None
-    short = short_read_set([dict(a.symbols) for a in allocs], p, latest, denom)
+    short = short_read_set(allocs, p, latest, denom)
     if short is None:
         return None
     T, totals = short

@@ -24,9 +24,15 @@ def coefficient_stack(A, B):
     return out
 
 
-def alloc_count(alloc, u):
-    """How many symbols of version u an Allocation holds, 0 for none."""
-    return dict(alloc.symbols).get(u, 0)
+def ring_window_walk(i, n, h):
+    """The reference of model.ring_window: offsets -h..+h mod n walked one
+    at a time, each server kept on its first appearance."""
+    seen = []
+    for d in range(-h, h + 1):
+        j = (i + d) % n
+        if j not in seen:
+            seen.append(j)
+    return tuple(seen)
 
 
 def state_masks(p, states):

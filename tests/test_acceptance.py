@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from mvcode import (MdsSpec, Params, Scheme, VerifyMode,
+from mvcode import (Params, Scheme, VerifyMode,
                     encode_all, latest_complete, mds_decode, mds_encode,
                     oracle_min_cost, quorum_decode, random_state, verify)
 from mvcode.bounds import (VERDICT_NO_HELP, compare_report, cost_baseline,
@@ -127,7 +127,7 @@ def test_criterion_5_indistinguishability_fixtures():
 def test_criterion_6_mds_property_and_round_trips():
     rng = random.Random(1234)
     payload = rng.getrandbits(1024).to_bytes(128, "big")
-    spec = MdsSpec(4)
+    spec = 4  # the code dimension k
     shares = mds_encode(payload, spec, list(range(8)))
     subsets_ok = all(
         mds_decode([(j, shares[j]) for j in sub], spec) == payload

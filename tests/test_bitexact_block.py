@@ -14,15 +14,14 @@ import pytest
 
 from mvcode import (CodecError, DecodeContractError, Params, Scheme, SystemState,
                     allocation, verifier)
-from mvcode.allocation import (Allocation, allocation_for, block_allocations,
-                               scheme_granularity)
+from mvcode.allocation import allocation_for, block_allocations, scheme_granularity
 from mvcode.cli import EXIT_CONFIG, main
 from mvcode.codec import encode_all, quorum_decode, slots_per_server
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import latest_complete, random_state, rank_masks, state_count
 from mvcode.verifier import (BITEXACT, VerifyMode, bitexact_block, check_state_bitexact,
                              decode_versions, random_payloads, read_sets, verify)
-from helpers import alloc_count, all_states, state_masks
+from helpers import all_states, state_masks
 
 DATA = Path(__file__).parent / "data"
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
@@ -47,7 +46,7 @@ def _drop_one_symbol_at_server_0(monkeypatch):
         alloc = original(view, p)
         if view.center != 0:
             return alloc
-        return Allocation.of({u: s - 1 for u, s in alloc.symbols})
+        return {u: s - 1 for u, s in alloc.items() if s > 1}
 
     def crippled_block(scheme, masks, p):
         counts, latest = block_allocations(scheme, masks, p)
@@ -67,7 +66,7 @@ def _overfill_server_0(monkeypatch):
         alloc = original(view, p)
         if view.center != 0 or 1 not in view.center_state:
             return alloc
-        return Allocation.of({**dict(alloc.symbols), 1: p.c + 3})
+        return {**alloc, 1: p.c + 3}
 
     def overfilled_block(scheme, masks, p):
         counts, latest = block_allocations(scheme, masks, p)
@@ -87,7 +86,7 @@ def _store_unreceived_at_server_0(monkeypatch):
         alloc = original(view, p)
         if view.center != 0 or 2 in view.center_state:
             return alloc
-        return Allocation.of({**dict(alloc.symbols), 2: 1})
+        return {**alloc, 2: 1}
 
     def unreceived_block(scheme, masks, p):
         counts, latest = block_allocations(scheme, masks, p)
@@ -105,14 +104,14 @@ def test_the_fault_reaches_both_rules(monkeypatch, inject):
     inject(monkeypatch)
     counts, _ = verifier.block_allocations(Scheme.C1, rank_masks(P6, 0, state_count(P6)), P6)
     for b, S in enumerate(all_states(P6)):
-        rows = [[alloc_count(allocation_for(Scheme.C1, S, i, P6), u) for u in P6.versions]
+        rows = [[allocation_for(Scheme.C1, S, i, P6).get(u, 0) for u in P6.versions]
                 for i in range(P6.n)]
         assert counts[b].tolist() == rows
 
 
 def _counts(scheme, p, states):
     """The per-state allocations of `states` as a block_allocations array."""
-    return np.array([[[alloc_count(allocation_for(scheme, S, i, p), u) for u in p.versions]
+    return np.array([[[allocation_for(scheme, S, i, p).get(u, 0) for u in p.versions]
                       for i in range(p.n)] for S in states], dtype=np.int32)
 
 
@@ -277,11 +276,12 @@ class TestReports:
 
     def test_verify_passes_without_building_an_allocation(self, monkeypatch):
         # both layers run on the count arrays; only a state a block check
-        # cannot clear goes through the Allocation-based reference
-        def refuse(cls, counts):
-            raise AssertionError("an Allocation was built")
+        # cannot clear goes through the per-server rules of the reference
+        def refuse(*args):
+            raise AssertionError("a per-server allocation was built")
 
-        monkeypatch.setattr(Allocation, "of", classmethod(refuse))
+        for rule in ("alloc_c1", "alloc_c2", "alloc_centralized"):
+            monkeypatch.setattr(allocation, rule, refuse)
         text = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
 

@@ -45,6 +45,13 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "worst_case_bits=512.0" in capsys.readouterr().out
 
+    def test_central_at_a_radius_of_a_billion(self, capsys):
+        # the window is computed in closed form, so a huge radius costs nothing
+        code = run(["verify", "--scheme", "central", "--n", "4", "--cw", "3", "--cr", "3",
+                    "--nu", "2", "--h", str(10**9), "--K", "1024", "--layers", "counting"])
+        assert code == EXIT_OK
+        assert "violations=0" in capsys.readouterr().out
+
     def test_odd_n_is_a_config_error(self, capsys):
         code = run(["verify", "--scheme", "c1", "--n", "7", "--cw", "6", "--cr", "6",
                     "--nu", "2", "--h", "2", "--K", "1024"])

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 
 from mvcode import (CodecError, DecodeContractError, InconsistentSymbolsError,
-                    InsufficientSymbolsError, MdsSpec, Params, Scheme, SystemState,
+                    InsufficientSymbolsError, Params, Scheme, SystemState,
                     allocation_for, encode_all, latest_complete, mds_decode,
                     mds_encode, quorum_decode, server_encode)
 from mvcode import codec
-from mvcode.allocation import Allocation, scheme_granularity
+from mvcode.allocation import scheme_granularity
 from mvcode.codec import (encode_slots, message_elements, padded_len_bytes, slot_indices,
                           slots_per_server, stores_from_json, stores_to_json)
 from mvcode import gf65536 as gf
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import random_payloads
-from helpers import alloc_count, mul_s
+from helpers import mul_s
 
 P6 = make_thm3_params(6, 1024)
 P8 = Params(n=8, cw=7, cr=7, nu=3, h=3, k_bits=1024)
@@ -90,58 +90,65 @@ class TestField:
 class TestMds:
     def test_dimension_one_is_repetition(self):
         msg = bytes(range(2))
-        outs = mds_encode(msg, MdsSpec(1), [0, 7, 300])
+        outs = mds_encode(msg, 1, [0, 7, 300])
         for j, payload in zip([0, 7, 300], outs):
-            assert mds_decode([(j, payload)], MdsSpec(1)) == msg
+            assert mds_decode([(j, payload)], 1) == msg
 
     def test_systematic_prefix_verbatim(self):
         msg = bytes(range(8))
-        outs = mds_encode(msg, MdsSpec(2), [0, 1])
+        outs = mds_encode(msg, 2, [0, 1])
         assert outs == [msg[:4], msg[4:]]
 
     def test_every_k_subset_reconstructs(self):
         rng = random.Random(42)
         msg = rng.getrandbits(1024).to_bytes(128, "big")
-        spec = MdsSpec(4)
-        payloads = mds_encode(msg, spec, list(range(8)))
+        payloads = mds_encode(msg, 4, list(range(8)))
         for sub in itertools.combinations(range(8), 4):
-            assert mds_decode([(j, payloads[j]) for j in sub], spec) == msg
+            assert mds_decode([(j, payloads[j]) for j in sub], 4) == msg
 
     def test_below_dimension_fails(self):
         msg = bytes(16)
-        payloads = mds_encode(msg, MdsSpec(4), list(range(8)))
+        payloads = mds_encode(msg, 4, list(range(8)))
         with pytest.raises(InsufficientSymbolsError):
-            mds_decode(list(enumerate(payloads[:3])), MdsSpec(4))
+            mds_decode(list(enumerate(payloads[:3])), 4)
 
     def test_conflicting_duplicate_fails(self):
         msg = bytes(range(16))
-        payloads = mds_encode(msg, MdsSpec(4), list(range(4)))
+        payloads = mds_encode(msg, 4, list(range(4)))
         corrupt = bytes([payloads[0][0] ^ 1]) + payloads[0][1:]
         with pytest.raises(InconsistentSymbolsError):
-            mds_decode(list(enumerate(payloads)) + [(0, corrupt)], MdsSpec(4))
+            mds_decode(list(enumerate(payloads)) + [(0, corrupt)], 4)
 
     def test_random_round_trips(self):
         rng = random.Random(7)
-        spec = MdsSpec(5)
         for _ in range(300):
             msg = rng.getrandbits(5 * 16).to_bytes(10, "big")
             indices = rng.sample(range(200), 9)
-            payloads = mds_encode(msg, spec, indices)
+            payloads = mds_encode(msg, 5, indices)
             take = rng.sample(range(9), 5)
-            assert mds_decode([(indices[t], payloads[t]) for t in take], spec) == msg
+            assert mds_decode([(indices[t], payloads[t]) for t in take], 5) == msg
+
+    @pytest.mark.parametrize("k,reason", [(0, "code dimension must be >= 1, got 0"),
+                                          (gf.ORDER + 1, "dimension exceeds the field universe")])
+    def test_dimension_checked_at_entry(self, k, reason):
+        # before the empty message or symbol list is looked at
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            mds_encode(b"", k, [])
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            mds_decode([], k)
 
     def test_rejects_duplicates_and_bad_indices(self):
         msg = bytes(4)
         with pytest.raises(CodecError):
-            mds_encode(msg, MdsSpec(2), [1, 1])
+            mds_encode(msg, 2, [1, 1])
         with pytest.raises(CodecError):
-            mds_encode(msg, MdsSpec(2), [0, 1 << 16])
+            mds_encode(msg, 2, [0, 1 << 16])
 
     @pytest.mark.parametrize("bad", [-1, 1 << 16])
     def test_decode_rejects_indices_outside_the_field(self, monkeypatch, bad):
         # checked before any matrix is built: a negative index would
         # otherwise index the log table from its end
-        payloads = mds_encode(bytes(range(8)), MdsSpec(2), [0, 1])
+        payloads = mds_encode(bytes(range(8)), 2, [0, 1])
 
         def refuse(*args):
             raise AssertionError("a decode matrix was built")
@@ -151,7 +158,7 @@ class TestMds:
                         [(0, payloads[0]), (1, payloads[1]), (bad, payloads[1])]):
             with pytest.raises(CodecError,
                                match=rf"^symbol index {bad} outside the field universe$"):
-                mds_decode(symbols, MdsSpec(2))
+                mds_decode(symbols, 2)
 
     def test_decode_matrix_needs_k_distinct_indices(self):
         with pytest.raises(ValueError, match="repeated interpolation point"):
@@ -219,7 +226,7 @@ class TestServerEncode:
             alloc = allocation_for(scheme, S, i, p)
             for u in p.versions:
                 mine = [cs for cs in store if cs.version == u]
-                indices = slot_indices(i, alloc_count(alloc, u), slots_per_server(scheme, u, p))
+                indices = slot_indices(i, alloc.get(u, 0), slots_per_server(scheme, u, p))
                 assert [cs.index for cs in mine] == list(indices)
                 assert [cs.payload for cs in mine] == [
                     coded[u][j, 0].astype(">u2").tobytes() for j in indices]
@@ -245,6 +252,13 @@ class TestServerEncode:
         with pytest.raises(CodecError, match=r"^message supplied for version 3, outside \[1, 2\]$"):
             encode_all(Scheme.C1, S, {**msgs, 3: msgs[1]}, P6)
 
+    def test_encode_all_checks_the_length_of_an_unheld_message(self):
+        # no server holds version 2, so no server's check sees its message
+        S = SystemState.of(P6, [{1}] * P6.n)
+        msgs = {1: random_payloads(P6, 3)[1], 2: b"x"}
+        with pytest.raises(CodecError, match=r"^message for version 2 is 1 bytes, expected 128$"):
+            encode_all(Scheme.C1, S, msgs, P6)
+
     def test_an_unreceived_version_in_the_allocation_is_a_codec_error(self, monkeypatch):
         # a faulty rule gives server 0, which holds only version 1, a symbol
         # of version 2: encode_all must refuse it, naming server and version
@@ -254,7 +268,7 @@ class TestServerEncode:
             alloc = original(scheme, S, i, p)
             if i != 0:
                 return alloc
-            return Allocation.of({**dict(alloc.symbols), 2: 1})
+            return {**alloc, 2: 1}
 
         monkeypatch.setattr(codec, "allocation_for", faulty)
         S = SystemState.of(P6, [{1}] + [{1, 2}] * 5)
@@ -270,7 +284,7 @@ class TestServerEncode:
                 store = server_encode(Scheme.C1, S, i, {u: msgs[u] for u in S[i]}, P6)
                 alloc = allocation_for(Scheme.C1, S, i, P6)
                 held = [(u, sum(cs.version == u for cs in store)) for u in P6.versions]
-                assert [(u, s) for u, s in held if s] == list(alloc.symbols)
+                assert [(u, s) for u, s in held if s] == sorted(alloc.items())
                 assert all(8 * len(cs.payload) == P6.k_bits // 16 for cs in store)  # K/c^2 each
 
     def test_global_index_disjointness(self):

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from mvcode import Params, Scheme
-from mvcode.allocation import (Allocation, allocation_for, block_allocations,
-                               scheme_granularity)
+from mvcode.allocation import allocation_for, block_allocations, scheme_granularity
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import (latest_complete, random_state, rank_masks, sample_masks, state_at,
                           state_count, state_from_masks)
 from mvcode.verifier import (COUNTING, VerifyMode, _block_masks, check_state_counting,
                              short_states, verify)
-from helpers import alloc_count, all_states
+from helpers import all_states
 
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
 P4_NU1 = Params(n=4, cw=3, cr=3, nu=1, h=1, k_bits=64)
@@ -44,12 +43,12 @@ EXHAUSTIVE = [(Scheme.C1, P4), (Scheme.C1, P4_NU1), (Scheme.C1, P4_CR4),
 
 
 def _rows(scheme, S, p):
-    return [[alloc_count(allocation_for(scheme, S, i, p), u) for u in p.versions]
+    return [[allocation_for(scheme, S, i, p).get(u, 0) for u in p.versions]
             for i in range(p.n)]
 
 
 def _short_by_reference(scheme, states, holdings, p):
-    return [check_state_counting(scheme, S, p, [Allocation.of(dict(enumerate(row, 1)))
+    return [check_state_counting(scheme, S, p, [dict(enumerate(row, 1))
                                                 for row in rows.tolist()]) is not None
             for S, rows in zip(states, holdings)]
 

@@ -8,7 +8,7 @@ from mvcode import (Params, SystemState, complete_versions, latest_complete, ran
 from mvcode.fixtures import fixture_thm3, fixture_thm4, make_thm3_params, make_thm4_params
 from mvcode.model import (SideView, rank_masks, ring_window, seeded_words, state_from_masks,
                           view_code, view_codes, view_local_candidate)
-from helpers import all_states
+from helpers import all_states, ring_window_walk
 
 
 def params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024):
@@ -45,6 +45,13 @@ class TestNeighborhood:
     def test_rejects_bad_server_id(self):
         with pytest.raises(ValueError):
             ring_window(6, 6, 2)
+
+    def test_equals_the_offset_walk(self):
+        # radii past saturation included: the closed form never walks them
+        for n in range(1, 13):
+            for h in range(3 * n + 1):
+                for i in range(n):
+                    assert ring_window(i, n, h) == ring_window_walk(i, n, h), (i, n, h)
 
     @pytest.mark.parametrize("n,h", [(4, 1), (6, 2), (9, 3), (11, 5), (64, 7)])
     def test_symmetry_and_size(self, n, h):

@@ -17,7 +17,6 @@ import mvcode.oracle
 from mvcode import (BudgetExceededError, Params, Scheme, VerifyMode,
                     allocation_for, check_state_counting, latest_complete,
                     oracle_min_cost, scheme_granularity, side_view, verify)
-from mvcode.allocation import Allocation
 from mvcode.bounds import cost_baseline, cost_c1, lb_thm4
 from mvcode.model import (SideView, dihedral_generators, rank_masks, state_at, state_count,
                           view_classes, view_orbits)
@@ -262,14 +261,12 @@ class TestSharedCountingRule:
         strategy = {}
         for S in all_states(self.P6):
             for i in range(self.P6.n):
-                alloc = allocation_for(scheme, S, i, self.P6)
-                strategy[side_view(S, i, self.P6)] = dict(alloc.symbols)
+                strategy[side_view(S, i, self.P6)] = allocation_for(scheme, S, i, self.P6)
         return strategy
 
     def counting_passes(self, scheme, strategy):
         for S in all_states(self.P6):
-            allocs = [Allocation.of(strategy.get(side_view(S, i, self.P6), {}))
-                      for i in range(self.P6.n)]
+            allocs = [strategy.get(side_view(S, i, self.P6), {}) for i in range(self.P6.n)]
             if check_state_counting(scheme, S, self.P6, allocs) is not None:
                 return False
         return True
@@ -510,7 +507,7 @@ def test_closing_solve_undercuts_the_invariant_optimum(solves, monkeypatch):
 
 
 def scheme_strategy(scheme, p):
-    return {side_view(S, i, p): dict(allocation_for(scheme, S, i, p).symbols)
+    return {side_view(S, i, p): allocation_for(scheme, S, i, p)
             for S in all_states(p) for i in range(p.n)}
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from mvcode import (CodecError, Params, Scheme, SystemState, codec, encode_all,
                     server_encode)
-from mvcode.allocation import Allocation
 from mvcode.codec import CodedSymbol, stores_from_json, stores_to_json
 from mvcode.model import random_state
 from mvcode.verifier import random_payloads
@@ -110,9 +109,9 @@ def test_the_lowest_faulty_server_names_the_error(monkeypatch):
     def faulty(scheme, S, i, p):
         alloc = original(scheme, S, i, p)
         if i == 1:
-            return Allocation.of({**dict(alloc.symbols), 2: 1})
+            return {**alloc, 2: 1}
         if i == 3:
-            return Allocation.of({1: 99})
+            return {1: 99}
         return alloc
 
     monkeypatch.setattr(codec, "allocation_for", faulty)

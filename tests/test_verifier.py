@@ -10,7 +10,6 @@ import pytest
 from mvcode import (BudgetExceededError, Params, Scheme, SystemState,
                     allocation_for, check_state_bitexact, check_state_counting,
                     encode_all, verify, VerifyMode)
-from mvcode.allocation import Allocation
 from mvcode.fixtures import fixture_thm3, make_thm3_params
 from mvcode.verifier import (BITEXACT, COUNTING, bitexact_violations,
                              random_payloads, read_sets)
@@ -31,8 +30,7 @@ class TestCounting:
         crippled = []
         for i in range(P6.n):
             alloc = allocation_for(Scheme.C1, pair.s1, i, P6)
-            counts = {u: s for u, s in alloc.symbols if u != 2}
-            crippled.append(Allocation.of(counts))
+            crippled.append({u: s for u, s in alloc.items() if u != 2})
         violation = check_state_counting(Scheme.C1, pair.s1, P6, crippled)
         assert violation is not None
         assert violation.layer == COUNTING
@@ -149,8 +147,7 @@ class TestVerify:
         allocs = []
         for i in range(P6.n):
             alloc = allocation_for(Scheme.C1, pair.s1, i, P6)
-            counts = {u: (s // 2 if u == 2 else s) for u, s in alloc.symbols}
-            allocs.append(Allocation.of(counts))
+            allocs.append({u: (s // 2 if u == 2 else s) for u, s in alloc.items()})
         violation = check_state_counting(Scheme.C1, pair.s1, P6, allocs)
         assert violation is not None
         payload = violation.to_dict()
