@@ -18,6 +18,14 @@ nothing to this: giving every view g/c units of its center's newest
 received version satisfies every row (a read set meets at least c servers
 whose newest version is fresh enough), so its optimum is exactly g/c.
 
+Optimality is proven in up to three steps:
+
+0. The rounded strategy, ceil(g/c) units of its center's newest received
+   version in every view, is checked on every state. It costs cap0, so
+   when no state is short it is optimal: it is the witness, and no integer
+   program is built or solved. When side information cannot help, as in
+   the paper's converse regime, this step settles the instance.
+
 Every rotation and reflection of the ring maps windows onto windows, so it
 maps states, side views, read sets and decodability onto themselves: the
 model is symmetric under the dihedral group. A rotation moves a view's
@@ -26,7 +34,7 @@ its own inverse. So a view's orbit is keyed by the lesser of its
 center-free code and its mirror's (model.view_orbits). The invariant model
 gives one allocation per orbit. It is a restriction of the full model, so
 each of its solutions is a feasible strategy and its optimum an upper bound
-on B. Optimality is proven in two steps:
+on B. When step 0 finds a short state:
 
 1. The invariant integer program is solved with B capped at cap0; while
    HiGHS proves the capped problem infeasible, the cap rises by one unit,
@@ -38,10 +46,12 @@ on B. Optimality is proven in two steps:
 
 A cap never removes a strategy cheaper than itself, so the result equals
 what exhaustive strategy enumeration would return, at desk scale where
-that enumeration is intractable. The witness is the optimal invariant
-strategy, or the full solve's when it undercuts inv.
+that enumeration is intractable. The witness is the rounded strategy when
+step 0 settles the instance, else the optimal invariant strategy, or the
+full solve's when it undercuts inv.
 
-The model and the witness check run on arrays of state masks: each
+The model, step 0 and the witness check run on arrays of state masks, and
+the last two share one loop over blocks of states: each
 (state, server) side view is one integer code (model.view_codes), and
 SideView objects appear only as the keys of a witness or of a strategy
 to check.
@@ -50,7 +60,7 @@ to check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -66,7 +76,7 @@ from .verifier import read_sets, short_states
 # instance limits of the exact search; only the granularity limit is per call
 MAX_N = 5
 MAX_NU = 2
-# states strategy_feasible checks at once
+# states _no_short_state checks at once
 _BLOCK = 1024
 
 
@@ -165,13 +175,11 @@ def _units(model: tuple, res) -> np.ndarray:
     return np.where(a_cols >= 0, np.rint(res.x[a_cols]), 0).astype(int)
 
 
-def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Minimum feasible worst-case total in symbol units, plus an optimal
-    strategy per view class: the first position of each class (as
-    view_classes gives it) and its units of each version, 0 where not
-    received."""
-    masks = rank_masks(p, 0, state_count(p))
-    classes, first = view_classes(masks, p)
+def _search(p: Params, g: int, masks: np.ndarray, classes: np.ndarray, first: np.ndarray
+            ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The integer programs' optimum and strategy, as _solve returns them,
+    over the masks of every state and their view classes and first views
+    (view_classes)."""
     orbits, _ = view_orbits(masks, p)
     invariant = _model(p, g, masks, orbits)
     # the first feasible capped invariant solve from the full-information
@@ -188,6 +196,42 @@ def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
     return best, first, units
 
 
+def _no_short_state(p: Params, g: int, holdings: Callable[[np.ndarray], np.ndarray]) -> bool:
+    """Whether every state with a complete version lets every read set
+    decode g units of a version at or above it, when a block of state masks
+    stores holdings(masks), (states, n, nu) units: the states in rank order,
+    _BLOCK at a time, up to the first block with a short state."""
+    total = state_count(p)
+    for lo in range(0, total, _BLOCK):
+        masks = rank_masks(p, lo, min(lo + _BLOCK, total))
+        if short_states(holdings(masks), block_latest(masks, p), p, g).any():
+            return False
+    return True
+
+
+def _rounded(p: Params, g: int, centers: np.ndarray) -> np.ndarray:
+    """The rounded full-information strategy for views whose centers hold
+    `centers` (version masks, any shape): ceil(g/c) units of the newest
+    version the center received and none of any other, one row of units
+    per version on a new last axis."""
+    newest = np.array([m.bit_length() for m in range(1 << p.nu)])[centers]
+    return -(-g // p.c) * (newest[..., None] == np.arange(1, p.nu + 1))
+
+
+def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Minimum feasible worst-case total in symbol units, plus an optimal
+    strategy per view class: the first position of each class (as
+    view_classes gives it) and its units of each version, 0 where not
+    received."""
+    masks = rank_masks(p, 0, state_count(p))
+    classes, first = view_classes(masks, p)
+    # the rounded strategy costs the lower bound, so if it is feasible it is
+    # optimal and no integer program is built
+    if _no_short_state(p, g, lambda block: _rounded(p, g, block)):
+        return -(-g // p.c), first, _rounded(p, g, masks.ravel()[first])
+    return _search(p, g, masks, classes, first)
+
+
 def _witness(p: Params, first: np.ndarray, units: np.ndarray) -> Strategy:
     """The per-class solution keyed by SideView: one state_at and side_view
     per view class, made only when a witness is asked for."""
@@ -201,8 +245,7 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     version reaching g units. Views that no state of p has are ignored."""
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
-    total = state_count(p)
-    check_work(p, total)
+    check_work(p, state_count(p))
     coded: dict[int, Mapping[int, int]] = {}
     for view, alloc in strategy.items():
         bad = [u for u in alloc if not 1 <= u <= p.nu]
@@ -217,14 +260,14 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     for row, code in enumerate(codes[:-1].tolist()):
         for u, s in coded[code].items():
             units[row, u - 1] = s
-    for lo in range(0, total, _BLOCK):
-        masks = rank_masks(p, lo, min(lo + _BLOCK, total))
+
+    def holdings(masks: np.ndarray) -> np.ndarray:
         block = view_codes(masks, p)
         pos = np.searchsorted(codes, block)
         pos[codes[pos] != block] = len(codes) - 1
-        if short_states(units[pos], block_latest(masks, p), p, g).any():
-            return False
-    return True
+        return units[pos]
+
+    return _no_short_state(p, g, holdings)
 
 
 def strategy_worst_units(strategy: Mapping[SideView, Mapping[int, int]]) -> int:

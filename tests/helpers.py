@@ -42,6 +42,13 @@ def state_masks(p, states):
                     dtype=np.int64).reshape(len(states), p.n)
 
 
+def certified(p, g):
+    """Whether the oracle's block check accepts its rounded strategy, which
+    settles the instance with no solve."""
+    from mvcode import oracle
+    return oracle._no_short_state(p, g, lambda masks: oracle._rounded(p, g, masks))
+
+
 def all_states(p):
     """Every state of p once, in rank order."""
     return [state_at(p, b) for b in range(state_count(p))]

@@ -13,6 +13,7 @@ import pytest
 
 from mvcode.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 from mvcode.model import Params, latest_complete, random_state
+from helpers import certified
 
 
 def run(argv):
@@ -395,10 +396,17 @@ class TestOracleCommand:
         assert "oracle_min_cost=1280/3" in capsys.readouterr().out
 
 
+    @staticmethod
+    def assert_the_search_runs():
+        # the rounded strategy is short at n=4, cw=cr=4, h=0, G=4, so the
+        # oracle reaches milp
+        assert not certified(Params(n=4, cw=4, cr=4, nu=2, h=0, k_bits=1024), 4)
+
     def test_solver_failure_is_a_config_error(self, monkeypatch, capsys):
         # HiGHS status 1 is an iteration or time limit: no proven optimum
         import types
         import mvcode.oracle
+        self.assert_the_search_runs()
         limit = types.SimpleNamespace(status=1, message="Time limit reached. (HiGHS Status 13)")
         monkeypatch.setattr(mvcode.oracle, "milp", lambda *args, **kwargs: limit)
         code = run(["oracle", "--n", "4", "--cw", "4", "--cr", "4", "--nu", "2",
@@ -414,6 +422,7 @@ class TestOracleCommand:
         # at 2 units that follows does not finish
         import types
         import mvcode.oracle
+        self.assert_the_search_runs()
         solve = mvcode.oracle.milp
         limit = types.SimpleNamespace(status=1, message="Time limit reached. (HiGHS Status 13)")
         monkeypatch.setattr(mvcode.oracle, "milp", lambda *args, **kwargs:

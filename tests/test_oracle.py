@@ -1,7 +1,9 @@
 """Strategy-search oracle: known values, feasibility witnesses, monotonicity,
-the symmetric solve sequence against the full-model search and a single
-uncapped solve, the paper's two claims at n=6 and n=7, and the array model
-build and witness check against their per-state references."""
+the rounded-strategy certificate against its per-state reference and an
+exhaustive census at n <= 4, the symmetric solve sequence (oracle._search)
+against the full-model search and a single uncapped solve, the paper's two
+claims at n=6 and n=7, and the array model build and witness check against
+their per-state references."""
 
 import random
 from fractions import Fraction
@@ -23,7 +25,7 @@ from mvcode.model import (SideView, dihedral_generators, rank_masks, state_at, s
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
-from helpers import all_states, reference_orbits
+from helpers import all_states, certified, reference_orbits
 
 K = 1024
 
@@ -170,6 +172,23 @@ def reference_feasible(p, g, strategy):
                 holdings[b, i, u - 1] = units
     latest = np.array([top for _, top in complete], dtype=np.int32)
     return not short_states(holdings, latest, p, g).any()
+
+
+def search(p, g):
+    """The oracle's integer-program search (oracle._search), run whether or
+    not the rounded strategy settles the instance: the optimum in units and
+    its witness."""
+    masks = rank_masks(p, 0, state_count(p))
+    best, first, units = mvcode.oracle._search(p, g, masks, *view_classes(masks, p))
+    return best, mvcode.oracle._witness(p, first, units)
+
+
+def rounded_strategy(p, g):
+    """The readable reference of the oracle's rounded strategy: every
+    SideView of p stores ceil(g/c) units of the newest version its center
+    received, and a view with an empty center stores nothing."""
+    return {side_view(S, i, p): {max(S[i]): full_information_units(p, g)}
+            for S in all_states(p) for i in range(p.n) if S[i]}
 
 
 def params(h, nu=2, n=4):
@@ -349,7 +368,8 @@ def solves(monkeypatch):
                                              for p, g in SWEEP])
 class TestCappedSolve:
     def test_matches_one_uncapped_solve(self, p, g, solves):
-        value, strategy = oracle_min_cost_with_witness(p, g)
+        best, strategy = search(p, g)
+        value = Fraction(best * K, g)
         # the first call caps B at the full-information bound; one uncapped
         # integer solve of the full model agrees with the oracle's answer
         assert solves[0][1]["bounds"].ub[0] == full_information_units(p, g)
@@ -364,7 +384,7 @@ class TestCappedSolve:
         # bound, which is the relaxation's optimum rounded up, by one unit to
         # the first feasible one, inv, then one full solve capped at inv - 1
         # exactly when inv is above the bound
-        best = oracle_min_cost(p, g) * g / K
+        best, _ = search(p, g)
         rising, closing = split_solves(solves)
         assert all(kwargs["integrality"].all() for _, kwargs, _ in rising + closing)
         invariant = rising[0][1]["constraints"].A.shape
@@ -384,9 +404,11 @@ class TestCappedSolve:
 
 
 def test_cap_below_the_optimum_rises_by_one(solves):
-    # the invariant caps rise from the bound, G/c = 2, to 3; one full solve
-    # capped at 2 is infeasible, which proves 3 optimal
+    # the rounded strategy is short, so the search runs: the invariant caps
+    # rise from the bound, G/c = 2, to 3; one full solve capped at 2 is
+    # infeasible, which proves 3 optimal
     p, g = SWEEP[0]
+    assert not certified(p, g)
     assert oracle_min_cost(p, g) == Fraction(3 * K, g)
     assert full_information_units(p, g) == 2
     assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves] == [
@@ -413,8 +435,7 @@ MODEL_CASES = SWEEP + [(P6, 8)]
 
 @pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
                                                    for p, g in MODEL_CASES])
-def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
-    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+def test_array_model_equals_the_side_view_reference(p, g, solves):
     masks = rank_masks(p, 0, state_count(p))
     classes, first = view_classes(masks, p)
     A, lb, ub, z_base, a_cols = mvcode.oracle._model(p, g, masks, classes)
@@ -424,7 +445,7 @@ def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
     assert z_base == z_base_ref and np.array_equal(first, first_ref)
     assert np.array_equal(a_cols, a_cols_ref)
 
-    value, witness = oracle_min_cost_with_witness(p, g, max_g=g)
+    _, witness = search(p, g)
     assert list(witness) == [side_view(state_at(p, f // p.n), f % p.n, p)
                              for f in first_ref.tolist()]
     # a closing solve is the reference model's, call for call: objective,
@@ -446,11 +467,12 @@ def test_array_model_equals_the_side_view_reference(p, g, solves, monkeypatch):
                                                    for p, g in MODEL_CASES])
 def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
     # the full model's LP relaxation is exactly the full-information cost
-    # G/c, so the oracle solves none: its first call is the invariant integer
+    # G/c, so the search solves none: its first call is the invariant integer
     # program capped at ceil(G/c). The proof ends at the full search's
-    # optimum with a witness both checks accept, one key per view class
-    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
-    value, witness = oracle_min_cost_with_witness(p, g, max_g=g)
+    # optimum with a witness both checks accept, one key per view class, and
+    # the oracle's answer is the search's
+    best_units, witness = search(p, g)
+    value = Fraction(best_units * K, g)
     lp, best = reference_solve(p, g)
     assert lp == pytest.approx(g / p.c, abs=1e-9)
     masks = rank_masks(p, 0, state_count(p))
@@ -463,6 +485,8 @@ def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
     assert Fraction(strategy_worst_units(witness) * K, g) == value
     assert strategy_feasible(p, g, witness) and reference_feasible(p, g, witness)
     assert len(witness) == len(reference_model(p, g)[-1])
+    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
+    assert oracle_min_cost(p, g, max_g=g) == value
 
 
 @pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
@@ -481,29 +505,120 @@ def test_invariant_model_equals_the_one_from_searched_orbits(p, g):
 def test_side_information_may_not_help_at_n7(solves, monkeypatch):
     # Theorem 4's regime h <= (n-c)/4: at n=7, cw=cr=5 (c=3), h=1 a server
     # sees (n-3)/2 = 2 others, and the exact optimum is K/2, both the
-    # converse's bound and the cost without side information. The invariant
-    # optimum meets the bound G/c = 2, so one solve proves it, and the full
-    # model (337,113 rows) is never built
+    # converse's bound and the cost without side information. The rounded
+    # strategy meets the bound G/c = 2 on every state, so the oracle solves
+    # nothing. The search's invariant optimum meets the bound too, so one
+    # solve proves it there, and the full model (337,113 rows) is never built
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 7)
     p = Params(n=7, cw=5, cr=5, nu=2, h=1, k_bits=K)
     value = oracle_min_cost(p, 4)
     assert value == lb_thm4(K, p.c) == cost_baseline(K, p.nu, p.c) == Fraction(K, 2)
+    assert solves == []
+    assert Fraction(search(p, 4)[0] * K, 4) == value
     assert len(solves) == 1
     assert solves[0][1]["constraints"].A.shape == (17733, 10491)
 
 
 def test_closing_solve_undercuts_the_invariant_optimum(solves, monkeypatch):
-    # n=6, cw=cr=6, h=1: the cheapest dihedral-invariant strategy stores 2
-    # units, and a strategy that tells rotations apart stores 1; the closing
-    # full solve finds it, and the witness comes from the full model
+    # n=6, cw=cr=6, h=1: the rounded strategy is short, the cheapest
+    # dihedral-invariant strategy stores 2 units, and a strategy that tells
+    # rotations apart stores 1; the closing full solve finds it, and the
+    # witness comes from the full model
     monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
     p = Params(n=6, cw=6, cr=6, nu=2, h=1, k_bits=K)
+    assert not certified(p, 4)
     value, witness = oracle_min_cost_with_witness(p, 4)
     assert value == Fraction(K, 4)
     assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves] == [
         (1, 2), (2, 0), (1, 0)]
     assert strategy_feasible(p, 4, witness) and reference_feasible(p, 4, witness)
     assert strategy_worst_units(witness) == 1
+
+
+# which MODEL_CASES the rounded strategy settles: every SWEEP instance but
+# SWEEP[0] (optimum 3 > bound 2), SWEEP[9] and SWEEP[11], and not P6 at G=8
+# (optimum 3 > bound 2)
+ROUNDED_FEASIBLE = [False, True, True, True, True, True, True, True, True, False, True, False,
+                    False]
+SETTLED = [case for case, settled in zip(MODEL_CASES, ROUNDED_FEASIBLE) if settled]
+
+
+def test_the_certificate_accepts_exactly_the_feasible_rounded_strategies():
+    assert [reference_feasible(p, g, rounded_strategy(p, g))
+            for p, g in MODEL_CASES] == ROUNDED_FEASIBLE
+    assert [certified(p, g) for p, g in MODEL_CASES] == ROUNDED_FEASIBLE
+
+
+@pytest.mark.parametrize("p,g", SETTLED, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                               for p, g in SETTLED])
+def test_a_certified_instance_builds_and_solves_nothing(p, g, solves, monkeypatch):
+    # the rounded strategy costs the bound ceil(G/c) and no state is short,
+    # so it is the witness: one key per view class, the side view of its
+    # first position, holding the rounded units
+    def unreachable(*args):
+        raise AssertionError("a certified instance builds no model")
+
+    monkeypatch.setattr(mvcode.oracle, "_model", unreachable)
+    monkeypatch.setattr(mvcode.oracle, "view_orbits", unreachable)
+    value, witness = oracle_min_cost_with_witness(p, g)
+    assert oracle_min_cost(p, g) == value == Fraction(full_information_units(p, g) * K, g)
+    assert solves == []
+    _, first = view_classes(rank_masks(p, 0, state_count(p)), p)
+    assert list(witness) == [side_view(state_at(p, f // p.n), f % p.n, p) for f in first.tolist()]
+    rounded = rounded_strategy(p, g)
+    assert witness == {view: rounded.get(view, {}) for view in witness}
+    assert strategy_feasible(p, g, witness) and reference_feasible(p, g, witness)
+    assert Fraction(strategy_worst_units(witness) * K, g) == value
+
+
+def test_the_certificate_stops_at_the_first_short_block(monkeypatch):
+    # SWEEP[0] in blocks of 16 states: every block read before the last has
+    # no short state, and the last has one, before the final block
+    p, g = SWEEP[0]
+    verdicts = []
+
+    def recorded(*args):
+        short = short_states(*args)
+        verdicts.append(bool(short.any()))
+        return short
+
+    monkeypatch.setattr(mvcode.oracle, "_BLOCK", 16)
+    monkeypatch.setattr(mvcode.oracle, "short_states", recorded)
+    assert not certified(p, g)
+    assert verdicts == [False] * (len(verdicts) - 1) + [True]
+    assert len(verdicts) < state_count(p) // 16
+
+
+def _census(max_n):
+    """Every instance with n <= max_n, nu <= 2, G <= 4 and h <= (n-1)/2, at
+    every cw and cr."""
+    return [(Params(n=n, cw=cw, cr=cr, nu=nu, h=h, k_bits=K), g)
+            for n in range(1, max_n + 1) for cw in range(1, n + 1)
+            for cr in range(n - cw + 1, n + 1) for nu in (1, 2)
+            for h in range((n - 1) // 2 + 1) for g in range(1, 5)]
+
+
+CENSUS = _census(4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_census_the_certificate_fires_exactly_where_the_rounded_strategy_holds(
+        n, solves, monkeypatch):
+    # every census instance at this n, in blocks of 16 states so that the
+    # check reads up to 16 of them: the public call solves nothing exactly
+    # when the reference accepts the rounded strategy, and its value is the
+    # search's
+    monkeypatch.setattr(mvcode.oracle, "_BLOCK", 16)
+    cases = [(p, g) for p, g in CENSUS if p.n == n]
+    assert len(cases) == [8, 24, 96, 160][n - 1]
+    for p, g in cases:
+        solves.clear()
+        value = oracle_min_cost(p, g)
+        fired = not solves
+        assert fired == reference_feasible(p, g, rounded_strategy(p, g)), (p, g)
+        best, _ = search(p, g)
+        assert value == Fraction(best * K, g), (p, g)
+        assert not fired or best == full_information_units(p, g), (p, g)
 
 
 def scheme_strategy(scheme, p):

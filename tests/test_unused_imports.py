@@ -1,8 +1,9 @@
 """Every name a library module imports is used in it (`__init__.py` only
 re-exports), no library module imports the stdlib `random`, and every
 top-level function or class a library module defines is named outside its
-own def, so no dead kernel lingers; and field products run through one
-loop, which only `gf65536.matmul_stack` calls."""
+own def, so no dead kernel lingers; field products run through one
+loop, which only `gf65536.matmul_stack` calls; and the oracle reads blocks
+of states through one loop, `oracle._no_short_state`."""
 
 import ast
 from pathlib import Path
@@ -147,3 +148,27 @@ def test_the_check_sees_a_second_product_loop():
               "def wide(x):\n    y = _LOG[x]\n    return kernel(y) + stack(y)\n")
     assert globals_read(source) == {"kernel": {"_EXP"}, "stack": {"kernel"},
                                     "wide": {"_LOG", "kernel", "stack"}}
+
+
+def block_loops(source: str, kernel: str = "rank_masks") -> list[str]:
+    """The top-level functions of a module that call `kernel` inside a loop:
+    a for or while statement or a comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call) and kernel in names_in(call.func)
+                    for loop in ast.walk(node) if isinstance(loop, loops)
+                    for call in ast.walk(loop))]
+
+
+def test_one_block_loop_in_the_oracle():
+    """The rounded-strategy certificate and `strategy_feasible` check states
+    block by block through one loop."""
+    assert block_loops((SRC / "oracle.py").read_text()) == ["_no_short_state"]
+
+
+def test_the_check_sees_a_second_block_loop():
+    source = ("def whole(p):\n    return rank_masks(p, 0, 4)\n\n"
+              "def loop(p):\n    for lo in range(0, 4, 2):\n        rank_masks(p, lo, lo + 2)\n\n"
+              "def drained(p):\n    while True:\n        model.rank_masks(p, 0, 1)\n\n"
+              "def listed(p):\n    return [rank_masks(p, lo, lo + 1) for lo in range(4)]\n")
+    assert block_loops(source) == ["loop", "drained", "listed"]
