@@ -129,19 +129,19 @@ def _window_matrix(n: int, h: int) -> np.ndarray:
     return W
 
 
-def _newest(flags: list[np.ndarray]) -> np.ndarray:
+def newest(flags: list[np.ndarray]) -> np.ndarray:
     """Elementwise, the newest version u whose flags[u-1] is set, 0 when none is."""
-    newest = np.zeros(flags[0].shape, dtype=np.int32)
+    found = np.zeros(flags[0].shape, dtype=np.int32)
     for u, flag in enumerate(flags, 1):
-        newest[flag] = u
-    return newest
+        found[flag] = u
+    return found
 
 
 def block_latest(masks: np.ndarray, p: Params) -> np.ndarray:
     """latest_complete for a (states, n) block of per-server version
     bitmasks, 0 where no version is complete."""
-    return _newest([((masks >> (u - 1)) & 1).astype(np.float64) @ np.ones(p.n) >= p.cw
-                    for u in p.versions])
+    return newest([((masks >> (u - 1)) & 1).astype(np.float64) @ np.ones(p.n) >= p.cw
+                   for u in p.versions])
 
 
 def block_allocations(scheme: Scheme, masks: np.ndarray, p: Params
@@ -167,7 +167,7 @@ def block_allocations(scheme: Scheme, masks: np.ndarray, p: Params
         if p.nu > 1:
             per_version.append(held[1] * sees_2 * p.c)
     elif scheme is Scheme.C2:
-        local = _newest([(h > 0) & (h @ W >= p.n - 2) for h in held])
+        local = newest([(h > 0) & (h @ W >= p.n - 2) for h in held])
         per_version = [local == u for u in p.versions]
     else:
         per_version = [h * (latest == u)[:, None] for u, h in enumerate(held, 1)]

@@ -30,11 +30,10 @@ def _required(S: SystemState, p: Params) -> frozenset[int]:
     return frozenset(u for u in p.versions if u >= latest)
 
 
-def make_thm3_params(n: int, k_bits: int, cr: int | None = None, nu: int = 2) -> Params:
-    if n % 2 != 0:
-        raise RegimeError(f"the thm3 pair needs even n, got {n}")
-    return Params(n=n, cw=n - 1, cr=n - 1 if cr is None else cr,
-                  nu=nu, h=n // 2 - 1, k_bits=k_bits)
+def make_thm3_params(n: int, k_bits: int) -> Params:
+    if n % 2 != 0 or n < 4:
+        raise RegimeError(f"the thm3 pair needs even n >= 4, got {n}")
+    return Params(n=n, cw=n - 1, cr=n - 1, nu=2, h=n // 2 - 1, k_bits=k_bits)
 
 
 def fixture_thm3(p: Params) -> FixturePair:
@@ -81,13 +80,11 @@ def thm3_read_sets(p: Params) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return r1, r2
 
 
-def make_thm4_params(n: int, c: int, k_bits: int, h: int | None = None,
-                     nu: int = 2) -> Params:
+def make_thm4_params(n: int, c: int, k_bits: int, h: int | None = None) -> Params:
     if (n - c) % 4 != 0:
         raise RegimeError(f"(n-c)/4 must be an integer, got n={n}, c={c}")
     cw = (n + c) // 2
-    return Params(n=n, cw=cw, cr=cw, nu=nu,
-                  h=(n - c) // 4 if h is None else h, k_bits=k_bits)
+    return Params(n=n, cw=cw, cr=cw, nu=2, h=(n - c) // 4 if h is None else h, k_bits=k_bits)
 
 
 def _thm4_blocks(n: int, c: int) -> tuple[set[int], set[int]]:

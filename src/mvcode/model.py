@@ -237,6 +237,8 @@ def rank_masks(p: Params, start: int, stop: int) -> np.ndarray:
     return (ranks[:, None] >> shifts) & ((1 << p.nu) - 1)
 
 
+BLOCK = 1024  # states per block: every block kernel takes masks this many rows at a time
+
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its counter increment and
 # the multipliers of its finalizer
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)

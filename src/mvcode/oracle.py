@@ -67,8 +67,8 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
-from .allocation import block_latest
-from .model import (Params, SideView, check_work, rank_masks, side_view, state_at,
+from .allocation import block_latest, newest
+from .model import (BLOCK, Params, SideView, check_work, rank_masks, side_view, state_at,
                     state_count, unique_rows, view_classes, view_code, view_codes,
                     view_orbits)
 from .verifier import read_sets, short_states
@@ -76,8 +76,6 @@ from .verifier import read_sets, short_states
 # instance limits of the exact search; only the granularity limit is per call
 MAX_N = 5
 MAX_NU = 2
-# states _no_short_state checks at once
-_BLOCK = 1024
 
 
 Strategy = dict[SideView, dict[int, int]]
@@ -200,10 +198,10 @@ def _no_short_state(p: Params, g: int, holdings: Callable[[np.ndarray], np.ndarr
     """Whether every state with a complete version lets every read set
     decode g units of a version at or above it, when a block of state masks
     stores holdings(masks), (states, n, nu) units: the states in rank order,
-    _BLOCK at a time, up to the first block with a short state."""
+    model.BLOCK at a time, up to the first block with a short state."""
     total = state_count(p)
-    for lo in range(0, total, _BLOCK):
-        masks = rank_masks(p, lo, min(lo + _BLOCK, total))
+    for lo in range(0, total, BLOCK):
+        masks = rank_masks(p, lo, min(lo + BLOCK, total))
         if short_states(holdings(masks), block_latest(masks, p), p, g).any():
             return False
     return True
@@ -214,8 +212,8 @@ def _rounded(p: Params, g: int, centers: np.ndarray) -> np.ndarray:
     `centers` (version masks, any shape): ceil(g/c) units of the newest
     version the center received and none of any other, one row of units
     per version on a new last axis."""
-    newest = np.array([m.bit_length() for m in range(1 << p.nu)])[centers]
-    return -(-g // p.c) * (newest[..., None] == np.arange(1, p.nu + 1))
+    top = newest([(centers >> (u - 1)) & 1 == 1 for u in p.versions])
+    return -(-g // p.c) * (top[..., None] == np.arange(1, p.nu + 1))
 
 
 def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -251,6 +249,10 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
         bad = [u for u in alloc if not 1 <= u <= p.nu]
         if bad:
             raise ValueError(f"allocation names version ids {bad} outside [1, {p.nu}]")
+        bad = [s for s in alloc.values() if isinstance(s, bool)
+               or not isinstance(s, (int, np.integer)) or not 0 <= s < 2**31]
+        if bad:
+            raise ValueError(f"allocation names symbol counts {bad}, not integers in [0, 2**31)")
         if (code := view_code(view, p)) is not None:
             coded[code] = alloc
     # known views in code order, then a sentinel no view code reaches, whose

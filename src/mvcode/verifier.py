@@ -43,24 +43,22 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import gf65536 as gf
-from .allocation import (Scheme, allocation_for, alpha_bits, block_allocations,
+from .allocation import (Scheme, allocation_for, alpha_bits, block_allocations, newest,
                          scheme_granularity, validate_regime)
 from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
-from .model import (Params, SystemState, check_work, latest_complete, rank_masks, sample_masks,
-                    seeded_words, state_at, state_count, state_from_masks, unique_rows)
+from .model import (BLOCK, Params, SystemState, check_work, latest_complete, rank_masks,
+                    sample_masks, seeded_words, state_at, state_count, state_from_masks,
+                    unique_rows)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
 
 _SEED_STRIDE = 1_000_003  # spreads per-state payload seeds; keeps payloads jobs-independent
-# a block of states holds at most _BLOCK states, or when the bit-exact
-# layer runs at most _BITEXACT_BLOCK states and about _BLOCK_BYTES of
-# messages, which bounds the arrays either layer stacks
-_BLOCK = 512
-_BITEXACT_BLOCK = 1024
+# a block holds at most model.BLOCK states, and with the bit-exact layer on
+# at most about _BLOCK_BYTES of messages, which bounds the arrays it stacks
 _BLOCK_BYTES = 1 << 22
 # states are int64 bit masks, one bit per version
 _MAX_NU = 63
@@ -192,12 +190,9 @@ def decode_versions(holdings: np.ndarray, latest: np.ndarray, p: Params,
     `threshold` symbols in the r-th read set of read_sets(p), 0 when none
     does."""
     R = _read_set_matrix(p)
-    versions = np.zeros((len(latest), R.shape[1]), dtype=np.int32)
-    for u in p.versions:
-        # read-set totals of integer counts, summed exactly in float64 by BLAS
-        reaches = holdings[:, :, u - 1].astype(np.float64) @ R >= threshold
-        versions[reaches & (u >= latest)[:, None]] = u
-    return versions
+    # read-set totals of integer counts, summed exactly in float64 by BLAS
+    return newest([(holdings[:, :, u - 1].astype(np.float64) @ R >= threshold)
+                   & (u >= latest)[:, None] for u in p.versions])
 
 
 def short_states(holdings: np.ndarray, latest: np.ndarray, p: Params,
@@ -401,9 +396,9 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
     """States [start, stop) of the run: the worst per-server cost in bits,
     the first max_violations violations and the count of all of them."""
     denom = scheme_granularity(scheme, p)
-    block = _BLOCK
+    block = BLOCK
     if BITEXACT in layers:
-        block = max(1, min(_BITEXACT_BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
+        block = max(1, min(BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
     worst_symbols = 0
     violations: list[Violation] = []
     total = 0

@@ -4,6 +4,7 @@ import numpy as np
 
 from mvcode import gf65536 as gf
 from mvcode.model import SideView, ring_window, side_view, state_at, state_count
+from mvcode.verifier import read_sets
 
 
 def mul_s(a, b):
@@ -33,6 +34,29 @@ def ring_window_walk(i, n, h):
         if j not in seen:
             seen.append(j)
     return tuple(seen)
+
+
+def decode_versions_loop(holdings, latest, p, threshold):
+    """The reference of verifier.decode_versions: one pass per version,
+    oldest first, each writing u into the read sets where u reaches
+    `threshold` symbols and is at or above the state's latest complete
+    version."""
+    sets = read_sets(p)
+    R = np.zeros((p.n, len(sets)))
+    for r, T in enumerate(sets):
+        R[list(T), r] = 1
+    versions = np.zeros((len(latest), len(sets)), dtype=np.int32)
+    for u in p.versions:
+        reaches = holdings[:, :, u - 1].astype(np.float64) @ R >= threshold
+        versions[reaches & (u >= latest)[:, None]] = u
+    return versions
+
+
+def rounded_table(p, g, centers):
+    """The reference of oracle._rounded: a center mask's newest version is
+    its bit_length, looked up in a table over every mask."""
+    newest = np.array([m.bit_length() for m in range(1 << p.nu)])[centers]
+    return -(-g // p.c) * (newest[..., None] == np.arange(1, p.nu + 1))
 
 
 def state_masks(p, states):

@@ -159,6 +159,10 @@ class TestFixturesCommand:
     def test_thm4_regime_violation(self):
         assert run(["fixtures", "--which", "thm4", "--n", "12", "--c", "3"]) == EXIT_CONFIG
 
+    def test_thm3_below_four_servers(self, capsys):
+        err = _config_error(run(["fixtures", "--which", "thm3", "--n", "2"]), capsys)
+        assert err == "error: the thm3 pair needs even n >= 4, got 2\n"
+
 
 class TestRoundtripCommand:
     ARGS = ["roundtrip", "--scheme", "c1", "--n", "6", "--cw", "5", "--cr", "5",

@@ -2,23 +2,25 @@
 
 `block_allocations` must give, row for row, what `allocation_for` gives,
 and `short_states` must flag exactly the states `check_state_counting`
-reports; reports built on them must not change by a byte.
+reports; reports built on them must not change by a byte. The callers of
+`allocation.newest` match the loops they replaced.
 """
 
 import hashlib
+import itertools
 import random
 
 import numpy as np
 import pytest
 
-from mvcode import Params, Scheme
+from mvcode import Params, Scheme, oracle
 from mvcode.allocation import allocation_for, block_allocations, scheme_granularity
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import (latest_complete, random_state, rank_masks, sample_masks, state_at,
                           state_count, state_from_masks)
 from mvcode.verifier import (COUNTING, VerifyMode, _block_masks, check_state_counting,
-                             short_states, verify)
-from helpers import all_states
+                             decode_versions, short_states, verify)
+from helpers import all_states, decode_versions_loop, rounded_table
 
 P4 = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=64)
 P4_NU1 = Params(n=4, cw=3, cr=3, nu=1, h=1, k_bits=64)
@@ -135,7 +137,7 @@ class TestReports:
     @pytest.mark.usefixtures("four_cpus")
     def test_jobs_do_not_change_a_report_whose_ranges_start_inside_a_chunk(self):
         # 9,001 states over 2 or 3 jobs: ranges start at 4,501, 3,001 and
-        # 6,002, so their 512-state blocks cut the run at other states
+        # 6,002, so their 1,024-state blocks cut the run at other states
         mode = VerifyMode.sampled(9_001, 1)
         reports = [verify(Scheme.C2, P8, mode, layers=(COUNTING,), jobs=jobs).to_dict()
                    for jobs in (1, 2, 3)]
@@ -149,3 +151,51 @@ class TestReports:
         monkeypatch.setattr(random, "Random", refuse)
         text = verify(Scheme.C2, P8, VerifyMode.sampled(12_000, 1), layers=(COUNTING,)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == C2_N8_SAMPLED_SHA256
+
+
+class TestNewestCallers:
+    """decode_versions and oracle._rounded take the newest flagged version
+    from allocation.newest; the loop and the bit_length table they used
+    before are their references."""
+
+    @pytest.mark.parametrize("p", [P4, P4_CR4], ids=["cr3", "cr4"])
+    def test_decode_versions_over_every_holding_at_n4(self, p):
+        # every count in 0..2 per server and version, under every latest
+        grid = np.array(list(itertools.product(range(3), repeat=p.n * p.nu)))
+        holdings = np.repeat(grid.reshape(-1, p.n, p.nu), p.nu + 1, axis=0)
+        latest = np.tile(np.arange(p.nu + 1), len(grid))
+        for threshold in range(1, 2 * p.cr + 2):
+            got = decode_versions(holdings, latest, p, threshold)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, decode_versions_loop(holdings, latest, p, threshold))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decode_versions_seeded_at_n8(self, seed):
+        rng = np.random.default_rng(seed)
+        holdings = rng.integers(0, 3, (2000, P8.n, P8.nu))
+        latest = rng.integers(0, P8.nu + 1, 2000)
+        for threshold in (1, 4, 7, 10):
+            assert np.array_equal(decode_versions(holdings, latest, P8, threshold),
+                                  decode_versions_loop(holdings, latest, P8, threshold))
+        counts, latest = block_allocations(Scheme.C2, sample_masks(P8, seed, 0, 2000), P8)
+        denom = scheme_granularity(Scheme.C2, P8)
+        assert np.array_equal(decode_versions(counts, latest, P8, denom),
+                              decode_versions_loop(counts, latest, P8, denom))
+
+    @pytest.mark.parametrize("nu", [1, 2, 3])
+    def test_rounded_over_every_state_at_n4(self, nu):
+        for cw, cr in ((4, 4), (3, 3), (4, 1)):
+            p = Params(n=4, cw=cw, cr=cr, nu=nu, h=1, k_bits=64)
+            masks = rank_masks(p, 0, state_count(p))
+            for g in range(1, 6):
+                assert np.array_equal(oracle._rounded(p, g, masks), rounded_table(p, g, masks))
+                assert np.array_equal(oracle._rounded(p, g, masks[:, 0]),
+                                      rounded_table(p, g, masks[:, 0]))
+
+    @pytest.mark.parametrize("nu", [3, 6])
+    def test_rounded_seeded_at_n8(self, nu):
+        p = Params(n=8, cw=7, cr=7, nu=nu, h=3, k_bits=1024)
+        for seed in range(3):
+            masks = sample_masks(p, seed, 0, 1000)
+            for g in (1, 3, 8):
+                assert np.array_equal(oracle._rounded(p, g, masks), rounded_table(p, g, masks))

@@ -41,6 +41,12 @@ class TestThm3:
         with pytest.raises(RegimeError):
             fixture_thm3(p_bad_h)
 
+    @pytest.mark.parametrize("n", [-2, 0, 2, 3, 7])
+    def test_params_need_even_n_of_at_least_four(self, n):
+        # n=2 gives cw = cr = 1 and overlap c = 0: the pair's rule refuses it before Params
+        with pytest.raises(RegimeError, match=rf"^the thm3 pair needs even n >= 4, got {n}$"):
+            make_thm3_params(n, 1024)
+
     def test_read_sets(self):
         p = make_thm3_params(6, 1024)
         r1, r2 = thm3_read_sets(p)

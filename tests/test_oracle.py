@@ -6,6 +6,7 @@ claims at n=6 and n=7, and the array model build and witness check against
 their per-state references."""
 
 import random
+import re
 from fractions import Fraction
 from functools import cache
 from math import ceil
@@ -582,7 +583,7 @@ def test_the_certificate_stops_at_the_first_short_block(monkeypatch):
         verdicts.append(bool(short.any()))
         return short
 
-    monkeypatch.setattr(mvcode.oracle, "_BLOCK", 16)
+    monkeypatch.setattr(mvcode.oracle, "BLOCK", 16)
     monkeypatch.setattr(mvcode.oracle, "short_states", recorded)
     assert not certified(p, g)
     assert verdicts == [False] * (len(verdicts) - 1) + [True]
@@ -608,7 +609,7 @@ def test_census_the_certificate_fires_exactly_where_the_rounded_strategy_holds(
     # check reads up to 16 of them: the public call solves nothing exactly
     # when the reference accepts the rounded strategy, and its value is the
     # search's
-    monkeypatch.setattr(mvcode.oracle, "_BLOCK", 16)
+    monkeypatch.setattr(mvcode.oracle, "BLOCK", 16)
     cases = [(p, g) for p, g in CENSUS if p.n == n]
     assert len(cases) == [8, 24, 96, 160][n - 1]
     for p, g in cases:
@@ -689,6 +690,22 @@ class TestStrategyFeasibleRejectsBadInput:
         assert any(bad in alloc for alloc in relabelled.values())
         with pytest.raises(ValueError, match="outside \\[1, 2\\]"):
             strategy_feasible(params(h=1), 4, relabelled)
+
+    @pytest.mark.parametrize("bad", [1.5, 2**40, -5, True, 2**31], ids=repr)
+    def test_count_the_units_table_cannot_hold(self, witness, bad):
+        # the witness stores 1 unit per view; an int32 table of units would
+        # read 1.5 as a feasible 1, overflow at 2**40 and store -5
+        view, alloc = next((view, alloc) for view, alloc in witness.items() if alloc)
+        changed = {**witness, view: {u: bad for u in alloc}}
+        with pytest.raises(ValueError, match=rf"^allocation names symbol counts "
+                                             rf"\[{re.escape(repr(bad))}\], "
+                                             r"not integers in \[0, 2\*\*31\)$"):
+            strategy_feasible(params(h=1), 4, changed)
+
+    def test_counts_the_units_table_holds(self, witness):
+        view, alloc = next((view, alloc) for view, alloc in witness.items() if alloc)
+        for count in (np.int64(1), np.int32(1), 2**31 - 1):
+            assert strategy_feasible(params(h=1), 4, {**witness, view: {u: count for u in alloc}})
 
 
 def test_side_views_only_at_the_witness_boundary(monkeypatch):

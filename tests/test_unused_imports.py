@@ -2,8 +2,9 @@
 re-exports), no library module imports the stdlib `random`, and every
 top-level function or class a library module defines is named outside its
 own def, so no dead kernel lingers; field products run through one
-loop, which only `gf65536.matmul_stack` calls; and the oracle reads blocks
-of states through one loop, `oracle._no_short_state`."""
+loop, which only `gf65536.matmul_stack` calls; the oracle reads blocks
+of states through one loop, `oracle._no_short_state`; and one constant,
+`model.BLOCK`, sets how many states a block holds."""
 
 import ast
 from pathlib import Path
@@ -172,3 +173,29 @@ def test_the_check_sees_a_second_block_loop():
               "def drained(p):\n    while True:\n        model.rank_masks(p, 0, 1)\n\n"
               "def listed(p):\n    return [rank_masks(p, lo, lo + 1) for lo in range(4)]\n")
     assert block_loops(source) == ["loop", "drained", "listed"]
+
+
+def block_sizes(library: dict[str, str]) -> list[str]:
+    """'module: name' for every module-level name of a library module
+    (file name -> source) that is assigned and is BLOCK or ends in _BLOCK."""
+    return [f"{module}: {name.id}" for module, source in library.items()
+            for node in ast.parse(source).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for name in ast.walk(target) if isinstance(name, ast.Name)
+            and (name.id == "BLOCK" or name.id.endswith("_BLOCK"))]
+
+
+def test_one_block_size():
+    """Every block kernel reads model.BLOCK; the verifier's _BLOCK_BYTES
+    bounds a block's bytes, not its states."""
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert block_sizes(library) == ["model.py: BLOCK"]
+
+
+def test_the_check_sees_a_second_block_size():
+    library = {"model.py": "BLOCK = 1024\n",
+               "verifier.py": "_BLOCK_BYTES = 1 << 22\n_BLOCK = 512\n\n"
+                              "def f():\n    _BLOCK = 7\n    return _BLOCK\n",
+               "oracle.py": "from .model import BLOCK\nSTEP, ORACLE_BLOCK = 1, 1 << 10\n"}
+    assert block_sizes(library) == ["model.py: BLOCK", "verifier.py: _BLOCK",
+                                    "oracle.py: ORACLE_BLOCK"]
