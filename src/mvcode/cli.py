@@ -1,9 +1,9 @@
 """Command-line entry point: verify | table | fixtures | roundtrip | oracle.
 
 Exit codes: 0 success, 1 verification/round-trip mismatch, 2 bad
-configuration, regime violation or exceeded budget. Flags mirror the
-system tuple (--n --cw --cr --nu --h --K) so runs read like the parameter
-lists in the reports they produce.
+configuration, regime violation, exceeded budget or a run out of memory.
+Flags mirror the system tuple (--n --cw --cr --nu --h --K) so runs read
+like the parameter lists in the reports they produce.
 """
 
 from __future__ import annotations
@@ -247,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (MvcodeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -237,7 +237,24 @@ def rank_masks(p: Params, start: int, stop: int) -> np.ndarray:
     return (ranks[:, None] >> shifts) & ((1 << p.nu) - 1)
 
 
-BLOCK = 1024  # states per block: every block kernel takes masks this many rows at a time
+BLOCK = 1024  # rows per block at most: states, or pairs of a product stack
+BLOCK_BYTES = 1 << 22  # and about this many bytes of the arrays a block's kernels build
+
+
+def block_size(row_bytes: int) -> int:
+    """The rows every block walk takes at a time, each costing row_bytes:
+    at most BLOCK, and at most about BLOCK_BYTES, but never none."""
+    return max(1, min(BLOCK, BLOCK_BYTES // row_bytes))
+
+
+def state_bytes(p: Params, bitexact: bool = False) -> int:
+    """About the bytes of the arrays a block's kernels build per state, as
+    tracemalloc measured them: per read set, 8 + nu for the decode table
+    (verifier.decode_versions) and, with the bit-exact layer, 24 (n + 1)
+    for the decode keys (verifier._decode_pairs) and K/8 per version."""
+    per_read = 8 + p.nu + (24 * (p.n + 1) if bitexact else 0)
+    return per_read * math.comb(p.n, p.cr) + (p.nu * (p.k_bits // 8) if bitexact else 0)
+
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): its counter increment and
 # the multipliers of its finalizer

@@ -68,13 +68,13 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest, newest
-from .model import (BLOCK, Params, SideView, check_work, rank_masks, side_view, state_at,
-                    state_count, unique_rows, view_classes, view_code, view_codes,
-                    view_orbits)
+from .model import (Params, SideView, block_size, check_work, rank_masks, side_view,
+                    state_at, state_bytes, state_count, unique_rows, view_classes, view_code,
+                    view_codes, view_orbits)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
-MAX_N = 5
+MAX_N = 6
 MAX_NU = 2
 
 
@@ -93,14 +93,15 @@ def _check_budget(p: Params, g: int, max_g: int) -> None:
     check_work(p, state_count(p))
 
 
-def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
+def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray, first: np.ndarray
            ) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int, np.ndarray]:
     """The integer program of (p, g) over the strategies that give every
     view of one label the same allocation: its constraint matrix with row
     bounds, the first z column, and per label the column of a[label, u] for
     each version u, -1 where u is not received. labels[b, i] labels the view
     of server i in state b of masks (every state, in rank order), numbered
-    by first appearance; view_classes gives the full model, and view_orbits
+    by first appearance, and first[label] is the flat position of its first
+    view; view_classes gives both for the full model, and view_orbits for
     the invariant one. Views in one orbit have one center mask, so every
     label's views receive the same versions.
 
@@ -110,7 +111,6 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray
     decode key (the sorted labels of a read set, and the latest complete
     version) one row sum_t a[label_t, m] - g z[key, m] >= 0 per m in
     [latest, nu], and the cover row sum_m z[key, m] >= 1."""
-    _, first = np.unique(labels, return_index=True)
     received = (masks.reshape(-1)[first, None] >> np.arange(p.nu)) & 1 == 1
     a_cols = np.full(received.shape, -1)
     a_cols[received] = 1 + np.arange(received.sum())
@@ -178,8 +178,8 @@ def _search(p: Params, g: int, masks: np.ndarray, classes: np.ndarray, first: np
     """The integer programs' optimum and strategy, as _solve returns them,
     over the masks of every state and their view classes and first views
     (view_classes)."""
-    orbits, _ = view_orbits(masks, p)
-    invariant = _model(p, g, masks, orbits)
+    orbits, orbit_first = view_orbits(masks, p)
+    invariant = _model(p, g, masks, orbits, orbit_first)
     # the first feasible capped invariant solve from the full-information
     # bound is the cheapest invariant strategy, which only a full solve
     # capped one unit below can undercut
@@ -188,7 +188,7 @@ def _search(p: Params, g: int, masks: np.ndarray, classes: np.ndarray, first: np
         cap += 1
     best, units = round(res.x[0]), _units(invariant, res)[orbits.ravel()[first]]
     if best != bound:
-        full = _model(p, g, masks, classes)
+        full = _model(p, g, masks, classes, first)
         if (res := _capped_solve(p, g, full, best - 1)).status == 0:
             best, units = round(res.x[0]), _units(full, res)
     return best, first, units
@@ -198,10 +198,10 @@ def _no_short_state(p: Params, g: int, holdings: Callable[[np.ndarray], np.ndarr
     """Whether every state with a complete version lets every read set
     decode g units of a version at or above it, when a block of state masks
     stores holdings(masks), (states, n, nu) units: the states in rank order,
-    model.BLOCK at a time, up to the first block with a short state."""
-    total = state_count(p)
-    for lo in range(0, total, BLOCK):
-        masks = rank_masks(p, lo, min(lo + BLOCK, total))
+    model.block_size at a time, up to the first block with a short state."""
+    total, step = state_count(p), block_size(state_bytes(p))
+    for lo in range(0, total, step):
+        masks = rank_masks(p, lo, min(lo + step, total))
         if short_states(holdings(masks), block_latest(masks, p), p, g).any():
             return False
     return True

@@ -49,17 +49,14 @@ from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
-from .model import (BLOCK, Params, SystemState, check_work, latest_complete, rank_masks,
-                    sample_masks, seeded_words, state_at, state_count, state_from_masks,
-                    unique_rows)
+from .model import (Params, SystemState, block_size, check_work, latest_complete,
+                    rank_masks, sample_masks, seeded_words, state_at, state_bytes, state_count,
+                    state_from_masks, unique_rows)
 
 COUNTING = "counting"
 BITEXACT = "bitexact"
 
 _SEED_STRIDE = 1_000_003  # spreads per-state payload seeds; keeps payloads jobs-independent
-# a block holds at most model.BLOCK states, and with the bit-exact layer on
-# at most about _BLOCK_BYTES of messages, which bounds the arrays it stacks
-_BLOCK_BYTES = 1 << 22
 # states are int64 bit masks, one bit per version
 _MAX_NU = 63
 
@@ -320,7 +317,7 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     such. The other rows go through the field product, one stacked,
     stack-major `matmul_stack` per version and count of unit rows, so every
     pair of a stack has as many product rows. A stack is cut into slices of
-    about _BLOCK_BYTES of temporaries. A state that is not encodable, has a
+    model.block_size pairs. A state that is not encodable, has a
     read set with no decodable version, or decodes to other bytes goes
     through check_state_bitexact, which reports exactly what the reference
     reports.
@@ -356,7 +353,7 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
             coded = encode_slots(scheme, p, m, messages)
             # a pair's temporaries take about 10 bytes per decode-matrix
             # entry, 10 per element read and 11 per element decoded
-            step = max(1, _BLOCK_BYTES // (denom * (10 * denom + 21 * messages.shape[2])))
+            step = block_size(denom * (10 * denom + 21 * messages.shape[2]))
             for copied in np.unique(pair_copies[pair_version == m]).tolist():
                 group = (pair_version == m) & (pair_copies == copied)
                 pair_b, pair_r = owner[group], which[group]
@@ -396,9 +393,7 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
     """States [start, stop) of the run: the worst per-server cost in bits,
     the first max_violations violations and the count of all of them."""
     denom = scheme_granularity(scheme, p)
-    block = BLOCK
-    if BITEXACT in layers:
-        block = max(1, min(BLOCK, 8 * _BLOCK_BYTES // (p.nu * p.k_bits)))
+    block = block_size(state_bytes(p, BITEXACT in layers))
     worst_symbols = 0
     violations: list[Violation] = []
     total = 0

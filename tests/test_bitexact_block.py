@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mvcode import (CodecError, DecodeContractError, Params, Scheme, SystemState,
-                    allocation, verifier)
+                    allocation, model, verifier)
 from mvcode.allocation import allocation_for, block_allocations, scheme_granularity
 from mvcode.cli import EXIT_CONFIG, main
 from mvcode.codec import encode_all, quorum_decode, slots_per_server
@@ -190,13 +190,13 @@ class TestDifferential:
                               state_masks(P6, states)) == [None] * 3
         assert asked == [full]
 
-    @pytest.mark.parametrize("budget", [verifier._BLOCK_BYTES, 1])
+    @pytest.mark.parametrize("budget", [model.BLOCK_BYTES, 1])
     def test_one_wrong_symbol_in_a_mixed_block_sends_only_its_state(self, monkeypatch,
                                                                     budget):
         # a block of seeded states that decode through many distinct reads;
         # one version-2 symbol of the fully replicated state is flipped. A
         # budget of one byte decodes one pair per product.
-        monkeypatch.setattr(verifier, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(model, "BLOCK_BYTES", budget)
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         states = [random_state(P6, 1400 + j) for j in range(40)]
         states.insert(20, full)
@@ -235,7 +235,7 @@ class TestDifferential:
     @pytest.mark.parametrize("budget", [1, 40_000])
     def test_a_stack_cut_into_slices_gives_the_same_result(self, monkeypatch, budget):
         # one pair per product, or a few, with a short last slice
-        monkeypatch.setattr(verifier, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(model, "BLOCK_BYTES", budget)
         states = [random_state(P6, 7000 + j) for j in range(60)]
         kernel, reference = _kernel_and_reference(Scheme.C1, P6, states, range(60))
         assert kernel == reference
@@ -418,16 +418,20 @@ class TestUnitRowsAndProductRows:
 @pytest.mark.parametrize("inject", [None, _drop_one_symbol_at_server_0], ids=["honest", "faulty"])
 def test_block_size_does_not_change_the_report(monkeypatch, inject):
     # what a state is checked against does not depend on its block: at
-    # every size the pinned reports come out byte for byte (P6's messages
-    # let a bit-exact block reach 4,096 states, the whole run)
+    # every state cap, and at every byte bound under the largest cap, the
+    # pinned reports come out byte for byte. A bound of one byte makes every
+    # block and every product slice one row; with the bound lifted, a
+    # bit-exact block of P6 reaches 4,096 states, the whole run
     if inject is not None:
         inject(monkeypatch)
-    for size in (1, 7, 1024, 4096):
-        monkeypatch.setattr(verifier, "BLOCK", size)
+    sizes = [(size, model.BLOCK_BYTES) for size in (1, 7, 1024, 4096)]
+    for size, budget in sizes + [(4096, budget) for budget in (1, 1 << 16, 1 << 40)]:
+        monkeypatch.setattr(model, "BLOCK", size)
+        monkeypatch.setattr(model, "BLOCK_BYTES", budget)
         c1 = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
         if inject is not None:
-            assert c1 == (DATA / "verify_c1_n6_injected.json").read_text(), size
+            assert c1 == (DATA / "verify_c1_n6_injected.json").read_text(), (size, budget)
             continue
         c2 = verify(Scheme.C2, P8, VerifyMode.sampled(12_000, 1), layers=(COUNTING,)).to_json()
-        assert hashlib.sha256(c1.encode()).hexdigest() == C1_N6_SEED1_SHA256, size
-        assert hashlib.sha256(c2.encode()).hexdigest() == C2_N8_SAMPLED_SHA256, size
+        assert hashlib.sha256(c1.encode()).hexdigest() == C1_N6_SEED1_SHA256, (size, budget)
+        assert hashlib.sha256(c2.encode()).hexdigest() == C2_N8_SAMPLED_SHA256, (size, budget)

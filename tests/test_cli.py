@@ -514,3 +514,26 @@ def test_a_crashed_worker_is_a_config_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err == ("error: a verification worker stopped abnormally: "
                             "A process in the process pool was terminated abruptly\n")
+
+
+HUGE_K = ["--scheme", "central", "--n", "1", "--cw", "1", "--cr", "1", "--nu", "1",
+          "--h", "0", "--K", "800000000000"]
+NUMPY_MESSAGE = ("Unable to allocate 93.1 GiB for an array with shape (12500000000,) "
+                 "and data type uint64")
+
+
+@pytest.mark.parametrize("argv", [["verify", *HUGE_K, "--layers", "bitexact"],
+                                  ["roundtrip", *HUGE_K]], ids=["verify", "roundtrip"])
+@pytest.mark.parametrize("message,line", [
+    (NUMPY_MESSAGE, f"error: out of memory: {NUMPY_MESSAGE}\n"),
+    ("", "error: out of memory\n")], ids=["numpy", "bare"])
+def test_out_of_memory_is_a_config_error(monkeypatch, capsys, argv, message, line):
+    # a 100 GB message draws its payload words in one array; the draw raises
+    # here as numpy's allocator does, so nothing of that size is asked for
+    import mvcode.verifier
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(mvcode.verifier, "seeded_words", exhausted)
+    assert _config_error(run(argv), capsys) == line

@@ -102,7 +102,7 @@ BATTERY = [
     ("oracle-full-information", ["oracle", *RING4, "--h", "2", "--G", "4"], []),
     ("oracle-max-g", ["oracle", *RING4, "--h", "0", "--G", "12", "--max-g", "12"], []),
     ("oracle-over-granularity", ["oracle", *RING4, "--h", "0", "--G", "5"], []),
-    ("oracle-over-size", ["oracle", "--n", "6", "--cw", "6", "--cr", "6", "--G", "4"], []),
+    ("oracle-over-size", ["oracle", "--n", "7", "--cw", "7", "--cr", "7", "--G", "4"], []),
     ("oracle-zero-granularity", ["oracle", *RING4, "--G", "0"], []),
     ("help", ["--help"], []),
     ("no-arguments", [], []),

@@ -252,7 +252,7 @@ class TestBudget:
 
     def test_size_budgets(self):
         with pytest.raises(BudgetExceededError):
-            oracle_min_cost(Params(n=6, cw=6, cr=6, nu=2, h=0, k_bits=K), 4)
+            oracle_min_cost(Params(n=7, cw=7, cr=7, nu=2, h=0, k_bits=K), 4)
         with pytest.raises(BudgetExceededError):
             oracle_min_cost(params(h=0, nu=3, n=4), 4)
 
@@ -417,17 +417,29 @@ def test_cap_below_the_optimum_rises_by_one(solves):
     assert solves[-1][1]["constraints"].A.shape == reference_model(p, g)[0].shape
 
 
-def test_side_information_beats_the_baseline_at_n6(monkeypatch):
+def test_side_information_beats_the_baseline_at_n6():
     # the paper's regime: n=6, c=4, h=2 shows each server n-2 others.
     # c1's (c+2)K/c^2 = 3K/8 is optimal on the K/8 grid, and strictly below
     # the cost without side information, 5K/12
-    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
     p = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
     value, strategy = oracle_min_cost_with_witness(p, 8, max_g=8)
     assert value == cost_c1(K, p.c) == Fraction(3 * K, 8)
     assert value < cost_baseline(K, p.nu, p.c) == Fraction(5 * K, 12)
     assert strategy_feasible(p, 8, strategy)
     assert Fraction(strategy_worst_units(strategy) * K, 8) == value
+
+
+def test_a_finer_grid_undercuts_c1_at_n6(solves):
+    # the same instance on the K/24 grid costs K/3, below c1's 3K/8: the
+    # cheapest dihedral-invariant strategy stores 9 units, as c1 does, and
+    # the closing full solve, capped at 8, finds a strategy that stores 8
+    p = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
+    value, strategy = oracle_min_cost_with_witness(p, 24, max_g=24)
+    assert value == Fraction(K, 3) < cost_c1(K, p.c)
+    assert [(kw["bounds"].ub[0], res.status) for _, kw, res in solves] == [
+        (6, 2), (7, 2), (8, 2), (9, 0), (8, 0)]
+    assert strategy_feasible(p, 24, strategy)
+    assert strategy_worst_units(strategy) == 8
 
 
 P6 = Params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=K)
@@ -439,7 +451,7 @@ MODEL_CASES = SWEEP + [(P6, 8)]
 def test_array_model_equals_the_side_view_reference(p, g, solves):
     masks = rank_masks(p, 0, state_count(p))
     classes, first = view_classes(masks, p)
-    A, lb, ub, z_base, a_cols = mvcode.oracle._model(p, g, masks, classes)
+    A, lb, ub, z_base, a_cols = mvcode.oracle._model(p, g, masks, classes, first)
     A_ref, lb_ref, ub_ref, z_base_ref, first_ref, a_cols_ref = reference_model(p, g)
     assert A.shape == A_ref.shape and (A != A_ref).nnz == 0
     assert np.array_equal(lb, lb_ref) and np.array_equal(ub, ub_ref)
@@ -466,7 +478,7 @@ def test_array_model_equals_the_side_view_reference(p, g, solves):
 
 @pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
                                                    for p, g in MODEL_CASES])
-def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
+def test_symmetric_solve_matches_the_full_reference(p, g, solves):
     # the full model's LP relaxation is exactly the full-information cost
     # G/c, so the search solves none: its first call is the invariant integer
     # program capped at ceil(G/c). The proof ends at the full search's
@@ -477,7 +489,7 @@ def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
     lp, best = reference_solve(p, g)
     assert lp == pytest.approx(g / p.c, abs=1e-9)
     masks = rank_masks(p, 0, state_count(p))
-    invariant = mvcode.oracle._model(p, g, masks, view_orbits(masks, p)[0])[0]
+    invariant = mvcode.oracle._model(p, g, masks, *view_orbits(masks, p))[0]
     first = solves[0][1]
     assert first["integrality"].all()
     assert first["bounds"].ub[0] == full_information_units(p, g)
@@ -486,7 +498,6 @@ def test_symmetric_solve_matches_the_full_reference(p, g, solves, monkeypatch):
     assert Fraction(strategy_worst_units(witness) * K, g) == value
     assert strategy_feasible(p, g, witness) and reference_feasible(p, g, witness)
     assert len(witness) == len(reference_model(p, g)[-1])
-    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
     assert oracle_min_cost(p, g, max_g=g) == value
 
 
@@ -497,8 +508,9 @@ def test_invariant_model_equals_the_one_from_searched_orbits(p, g):
     masks = rank_masks(p, 0, state_count(p))
     classes, _ = view_classes(masks, p)
     searched = reference_orbits(p, dihedral_generators(p))[classes]
-    A, lb, ub = mvcode.oracle._model(p, g, masks, view_orbits(masks, p)[0])[:3]
-    A_ref, lb_ref, ub_ref = mvcode.oracle._model(p, g, masks, searched)[:3]
+    A, lb, ub = mvcode.oracle._model(p, g, masks, *view_orbits(masks, p))[:3]
+    A_ref, lb_ref, ub_ref = mvcode.oracle._model(
+        p, g, masks, searched, np.unique(searched, return_index=True)[1])[:3]
     assert A.shape == A_ref.shape and (A != A_ref).nnz == 0
     assert np.array_equal(lb, lb_ref) and np.array_equal(ub, ub_ref)
 
@@ -520,12 +532,11 @@ def test_side_information_may_not_help_at_n7(solves, monkeypatch):
     assert solves[0][1]["constraints"].A.shape == (17733, 10491)
 
 
-def test_closing_solve_undercuts_the_invariant_optimum(solves, monkeypatch):
+def test_closing_solve_undercuts_the_invariant_optimum(solves):
     # n=6, cw=cr=6, h=1: the rounded strategy is short, the cheapest
     # dihedral-invariant strategy stores 2 units, and a strategy that tells
     # rotations apart stores 1; the closing full solve finds it, and the
     # witness comes from the full model
-    monkeypatch.setattr(mvcode.oracle, "MAX_N", 6)
     p = Params(n=6, cw=6, cr=6, nu=2, h=1, k_bits=K)
     assert not certified(p, 4)
     value, witness = oracle_min_cost_with_witness(p, 4)
@@ -583,7 +594,7 @@ def test_the_certificate_stops_at_the_first_short_block(monkeypatch):
         verdicts.append(bool(short.any()))
         return short
 
-    monkeypatch.setattr(mvcode.oracle, "BLOCK", 16)
+    monkeypatch.setattr(mvcode.model, "BLOCK", 16)
     monkeypatch.setattr(mvcode.oracle, "short_states", recorded)
     assert not certified(p, g)
     assert verdicts == [False] * (len(verdicts) - 1) + [True]
@@ -609,7 +620,7 @@ def test_census_the_certificate_fires_exactly_where_the_rounded_strategy_holds(
     # check reads up to 16 of them: the public call solves nothing exactly
     # when the reference accepts the rounded strategy, and its value is the
     # search's
-    monkeypatch.setattr(mvcode.oracle, "BLOCK", 16)
+    monkeypatch.setattr(mvcode.model, "BLOCK", 16)
     cases = [(p, g) for p, g in CENSUS if p.n == n]
     assert len(cases) == [8, 24, 96, 160][n - 1]
     for p, g in cases:

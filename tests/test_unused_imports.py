@@ -3,8 +3,9 @@ re-exports), no library module imports the stdlib `random`, and every
 top-level function or class a library module defines is named outside its
 own def, so no dead kernel lingers; field products run through one
 loop, which only `gf65536.matmul_stack` calls; the oracle reads blocks
-of states through one loop, `oracle._no_short_state`; and one constant,
-`model.BLOCK`, sets how many states a block holds."""
+of states through one loop, `oracle._no_short_state`; one constant,
+`model.BLOCK`, caps how many rows a block holds; and one function,
+`model.block_size`, reads it and the byte bound `model.BLOCK_BYTES`."""
 
 import ast
 from pathlib import Path
@@ -186,8 +187,8 @@ def block_sizes(library: dict[str, str]) -> list[str]:
 
 
 def test_one_block_size():
-    """Every block kernel reads model.BLOCK; the verifier's _BLOCK_BYTES
-    bounds a block's bytes, not its states."""
+    """Every block kernel's cap is model.BLOCK; model.BLOCK_BYTES bounds a
+    block's bytes, not its rows."""
     library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert block_sizes(library) == ["model.py: BLOCK"]
 
@@ -199,3 +200,37 @@ def test_the_check_sees_a_second_block_size():
                "oracle.py": "from .model import BLOCK\nSTEP, ORACLE_BLOCK = 1, 1 << 10\n"}
     assert block_sizes(library) == ["model.py: BLOCK", "verifier.py: _BLOCK",
                                     "oracle.py: ORACLE_BLOCK"]
+
+
+def block_rule_readers(library: dict[str, str]) -> list[str]:
+    """'module: function' for every top-level function or class of a library
+    module (file name -> source) that reads BLOCK or BLOCK_BYTES, as a name
+    or an attribute, and 'module: <module>' for a read outside them."""
+    rule = {"BLOCK", "BLOCK_BYTES"}
+    found = []
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            where = getattr(node, "name", "<module>")
+            if any(isinstance(sub, ast.Name) and sub.id in rule and isinstance(sub.ctx, ast.Load)
+                   or isinstance(sub, ast.Attribute) and sub.attr in rule
+                   for sub in ast.walk(node)) and f"{module}: {where}" not in found:
+                found.append(f"{module}: {where}")
+    return found
+
+
+def test_one_block_rule():
+    """Every block walk, the verifier's blocks of both layers, the oracle's
+    blocks and the bit-exact product slices, takes its size from
+    model.block_size; no other code computes one from BLOCK or BLOCK_BYTES."""
+    library = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert block_rule_readers(library) == ["model.py: block_size"]
+
+
+def test_the_check_sees_a_second_block_rule():
+    library = {"model.py": "BLOCK = 1024\nBLOCK_BYTES = 1 << 22\n\n"
+                           "def block_size(b):\n    return max(1, min(BLOCK, BLOCK_BYTES // b))\n",
+               "verifier.py": "def _verify_range(p):\n    return min(model.BLOCK, 8 * p.k_bits)\n\n"
+                              "def ok(p):\n    return block_size(9)\n",
+               "oracle.py": "from .model import BLOCK_BYTES\nSTEP = BLOCK_BYTES // 2\n"}
+    assert block_rule_readers(library) == ["model.py: block_size", "verifier.py: _verify_range",
+                                           "oracle.py: <module>"]
