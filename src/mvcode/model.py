@@ -145,10 +145,6 @@ class SideView:
     window: tuple[tuple[int, frozenset[int]], ...]
 
     @property
-    def servers(self) -> tuple[int, ...]:
-        return tuple(sid for sid, _ in self.window)
-
-    @property
     def center_state(self) -> frozenset[int]:
         return dict(self.window)[self.center]
 
@@ -356,22 +352,26 @@ def view_classes(masks: np.ndarray, p: Params) -> tuple[np.ndarray, np.ndarray]:
     return _first_appearance(view_codes(masks, p))
 
 
-@lru_cache(maxsize=4096)
-def _mask_of(versions: frozenset[int], nu: int) -> int | None:
-    """The mask of a set of version ids, or None when one lies outside [1, nu]."""
-    if not all(1 <= u <= nu for u in versions):
-        return None
-    return sum(1 << (u - 1) for u in versions)
+@lru_cache(maxsize=64)
+def _mask_table(nu: int) -> dict[frozenset[int], int]:
+    """The masks of the sets of version ids in [1, nu] that view_code has met."""
+    return {}
 
 
 def view_code(view: SideView, p: Params) -> int | None:
     """view_codes of one SideView, or None when no state of p has this view:
     its window is not a ring window of p or names a version outside [1, nu]."""
-    if not (0 <= view.center < p.n and view.servers == ring_window(view.center, p.n, p.h)):
+    if not (0 <= view.center < p.n
+            and len(view.window) == len(order := ring_window(view.center, p.n, p.h))):
         return None
+    masks = _mask_table(p.nu)
     code = 0
-    for _, st in view.window:
-        if (mask := _mask_of(st, p.nu)) is None:
+    for (j, versions), expected in zip(view.window, order):
+        if (mask := masks.get(versions)) is None:
+            if not all(1 <= u <= p.nu for u in versions):
+                return None
+            mask = masks[versions] = sum(1 << (u - 1) for u in versions)
+        if j != expected:
             return None
         code = code << p.nu | mask
     return code * p.n + view.center

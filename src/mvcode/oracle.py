@@ -54,7 +54,9 @@ The model, step 0 and the witness check run on arrays of state masks, and
 the last two share one loop over blocks of states: each
 (state, server) side view is one integer code (model.view_codes), and
 SideView objects appear only as the keys of a witness or of a strategy
-to check.
+to check. Step 0 labels no view: view classes are found only for the
+search. A certified witness takes each class's first position in closed
+form, as a view's first state holds its window masks and nothing else.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest, newest
-from .model import (Params, SideView, block_size, check_work, rank_masks, side_view,
-                    state_at, state_bytes, state_count, unique_rows, view_classes, view_code,
-                    view_codes, view_orbits)
+from .model import (Params, SideView, block_size, check_work, rank_masks, ring_window,
+                    state_bytes, state_count, unique_rows, view_classes, view_code, view_codes,
+                    view_orbits)
 from .verifier import read_sets, short_states
 
 # instance limits of the exact search; only the granularity limit is per call
@@ -216,25 +218,62 @@ def _rounded(p: Params, g: int, centers: np.ndarray) -> np.ndarray:
     return -(-g // p.c) * (top[..., None] == np.arange(1, p.nu + 1))
 
 
-def _solve(p: Params, g: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _solve(p: Params, g: int) -> tuple[int, np.ndarray | None, np.ndarray | None]:
     """Minimum feasible worst-case total in symbol units, plus an optimal
     strategy per view class: the first position of each class (as
     view_classes gives it) and its units of each version, 0 where not
-    received."""
-    masks = rank_masks(p, 0, state_count(p))
-    classes, first = view_classes(masks, p)
+    received. Both are None when the rounded strategy is optimal: then no
+    view is labelled."""
     # the rounded strategy costs the lower bound, so if it is feasible it is
     # optimal and no integer program is built
     if _no_short_state(p, g, lambda block: _rounded(p, g, block)):
-        return -(-g // p.c), first, _rounded(p, g, masks.ravel()[first])
-    return _search(p, g, masks, classes, first)
+        return -(-g // p.c), None, None
+    masks = rank_masks(p, 0, state_count(p))
+    return _search(p, g, masks, *view_classes(masks, p))
+
+
+def _first_views(p: Params) -> np.ndarray:
+    """view_classes' first positions, found without labelling a view. The
+    first state that shows a view holds its window masks and nothing
+    elsewhere, so every center and combination of window masks is one class,
+    first seen at that state's rank * n + center; classes are numbered in
+    ascending position."""
+    windows = np.array([ring_window(i, p.n, p.h) for i in range(p.n)])
+    combos = rank_masks(p, 0, 1 << p.nu * p.window_size)[:, None, :p.window_size]
+    ranks = (combos << windows * p.nu).sum(2)
+    return np.sort((ranks * p.n + np.arange(p.n)).ravel())
 
 
 def _witness(p: Params, first: np.ndarray, units: np.ndarray) -> Strategy:
-    """The per-class solution keyed by SideView: one state_at and side_view
-    per view class, made only when a witness is asked for."""
-    return {side_view(state_at(p, b), i, p): {u: s for u, s in enumerate(held, 1) if s > 0}
-            for (b, i), held in zip((divmod(f, p.n) for f in first.tolist()), units.tolist())}
+    """The per-class solution keyed by SideView, made only when a witness is
+    asked for. A key's window masks come from its first state's rank, and
+    its (server, versions) pairs from one table that every key shares."""
+    everything = (1 << p.nu) - 1
+    state, center = np.divmod(first, p.n)
+    windows = np.array([ring_window(i, p.n, p.h) for i in range(p.n)])[center]
+    pairs = [(j, frozenset(u for u in p.versions if m >> (u - 1) & 1))
+             for j in range(p.n) for m in range(everything + 1)]
+    index = windows << p.nu | ((state[:, None] >> windows * p.nu) & everything)
+    return {SideView(i, tuple(map(pairs.__getitem__, row))):
+            {u: s for u, s in enumerate(held, 1) if s > 0}
+            for i, row, held in zip(center.tolist(), index.tolist(), units.tolist())}
+
+
+def _is_int(x: object) -> bool:
+    """An int or numpy integer; a bool is neither here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _check_allocation(alloc: Mapping[int, int], nu: int) -> None:
+    """Refuse an allocation whose version ids are not integers in [1, nu] or
+    whose symbol counts are not integers in [0, 2**31), which the int32
+    units table holds."""
+    if bad := [u for u in alloc if not _is_int(u)]:
+        raise ValueError(f"allocation names version ids {bad}, not integers")
+    if bad := [u for u in alloc if not 1 <= u <= nu]:
+        raise ValueError(f"allocation names version ids {bad} outside [1, {nu}]")
+    if bad := [s for s in alloc.values() if not _is_int(s) or not 0 <= s < 2**31]:
+        raise ValueError(f"allocation names symbol counts {bad}, not integers in [0, 2**31)")
 
 
 def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int, int]]) -> bool:
@@ -244,24 +283,20 @@ def strategy_feasible(p: Params, g: int, strategy: Mapping[SideView, Mapping[int
     if g < 1:
         raise ValueError(f"granularity must be >= 1, got {g}")
     check_work(p, state_count(p))
-    coded: dict[int, Mapping[int, int]] = {}
+    # a sentinel that sorts after every view code, whose row of units stays
+    # zero for every view the strategy does not name, then the known views
+    codes, rows = [np.iinfo(np.int64).max], [[0] * p.nu]
     for view, alloc in strategy.items():
-        bad = [u for u in alloc if not 1 <= u <= p.nu]
-        if bad:
-            raise ValueError(f"allocation names version ids {bad} outside [1, {p.nu}]")
-        bad = [s for s in alloc.values() if isinstance(s, bool)
-               or not isinstance(s, (int, np.integer)) or not 0 <= s < 2**31]
-        if bad:
-            raise ValueError(f"allocation names symbol counts {bad}, not integers in [0, 2**31)")
+        row = [0] * p.nu
+        for u, s in alloc.items():
+            if not (type(u) is int and 1 <= u <= p.nu and type(s) is int and 0 <= s < 2**31):
+                _check_allocation(alloc, p.nu)
+            row[u - 1] = s
         if (code := view_code(view, p)) is not None:
-            coded[code] = alloc
-    # known views in code order, then a sentinel no view code reaches, whose
-    # row of units stays zero for every view the strategy does not name
-    codes = np.array(sorted(coded) + [np.iinfo(np.int64).max])
-    units = np.zeros((len(codes), p.nu), dtype=np.int32)
-    for row, code in enumerate(codes[:-1].tolist()):
-        for u, s in coded[code].items():
-            units[row, u - 1] = s
+            codes.append(code)
+            rows.append(row)
+    order = np.argsort(codes := np.array(codes))
+    codes, units = codes[order], np.array(rows, dtype=np.int32)[order]
 
     def holdings(masks: np.ndarray) -> np.ndarray:
         block = view_codes(masks, p)
@@ -289,4 +324,8 @@ def oracle_min_cost_with_witness(p: Params, g: int, max_g: int = 4
                                  ) -> tuple[Fraction, Strategy]:
     _check_budget(p, g, max_g)
     best, first, units = _solve(p, g)
+    if first is None:  # the rounded strategy on every view class
+        first = _first_views(p)
+        state, center = np.divmod(first, p.n)
+        units = _rounded(p, g, (state >> center * p.nu) & ((1 << p.nu) - 1))
     return Fraction(best * p.k_bits, g), _witness(p, first, units)

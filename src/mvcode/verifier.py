@@ -11,12 +11,13 @@ Two layers with independent failure modes:
 
 Both layers run on blocks of states and take the block's symbol counts
 from `block_allocations` as one (states, n, nu) array. `decode_versions`
-gives, for every read set of every state, the version the counting rule
-decodes there: the counting layer flags the states where some read set has
-none (`short_states`), and the bit-exact layer (`bitexact_block`) draws the
-block's payloads in one call, makes one encode per version for the whole
-block and decodes every distinct (state, read) pair, the reads keyed as
-packed integers (`model.unique_rows`). The block's decode matrices come
+gives, once per block, for every read set of every state, the version the
+counting rule decodes there: the counting layer flags the states where
+some read set has none (`short_states`), and the bit-exact layer
+(`bitexact_block`) draws the block's payloads in one call, makes one
+encode per version for the whole block and decodes every distinct
+(state, read) pair, the reads keyed as packed integers
+(`model.unique_rows`). The block's decode matrices come
 from one batched interpolation. A decoded symbol whose anchor the read
 holds verbatim is checked as a copy of that systematic symbol; only the
 other rows go through the field product, one stack-major product per
@@ -178,6 +179,15 @@ def _read_set_matrix(p: Params) -> np.ndarray:
     return R
 
 
+@lru_cache(maxsize=64)
+def _read_set_members(p: Params) -> np.ndarray:
+    """The int32 transpose of _read_set_matrix: [r, t] = 1 when server t is
+    in the r-th read set of read_sets(p)."""
+    members = _read_set_matrix(p).T.astype(np.int32)
+    members.flags.writeable = False
+    return members
+
+
 def decode_versions(holdings: np.ndarray, latest: np.ndarray, p: Params,
                     threshold: int) -> np.ndarray:
     """The counting rule of decodability for a block of states.
@@ -281,33 +291,37 @@ def _decode_pairs(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
     and the distinct (state, read) pairs, as block positions and rows of
     the reads."""
     reads = versions.shape[1]
-    in_read = _read_set_matrix(p).T.astype(counts.dtype)  # (reads, n)
-    at = np.take_along_axis(counts, np.broadcast_to(versions[:, None, :] - 1,
-                                                    (len(versions), p.n, reads)), axis=2)
-    keys = np.concatenate([versions[:, :, None], at.transpose(0, 2, 1) * in_read],
-                          axis=2).reshape(-1, p.n + 1)
+    # at[b, r, t]: server t's count of the version read set r decodes in
+    # state b, kept where t is in r
+    at = counts.transpose(0, 2, 1)[np.arange(len(versions))[:, None], versions - 1]
+    at *= _read_set_members(p)
+    # each array is freed once the next is built: the peak per read set is
+    # what model.state_bytes counts
+    keys = np.concatenate([versions[:, :, None], at], axis=2).reshape(-1, p.n + 1)
+    del at
     decodes = np.flatnonzero(keys[:, 0])  # state * reads + read set
-    unique, inverse = unique_rows(keys[decodes])
+    keys = keys[decodes]
+    unique, inverse = unique_rows(keys)
+    del keys
     version, held = unique[:, 0], unique[:, 1:]
     # slot s of server t is index t * slots + s (slot_indices), so walking
     # (server, slot) in order walks the held indices in ascending order
-    slot = np.arange(int(slots.max()))
-    index = np.arange(p.n)[:, None] * slots[version - 1][:, None, None] + slot
-    taken = slot < held[:, :, None]
-    taken &= taken.reshape(len(unique), -1).cumsum(1).reshape(taken.shape) <= denom
-    chosen = index[taken].reshape(-1, denom)
+    taken = np.arange(int(slots.max())) < held[:, :, None]
+    taken &= taken.reshape(len(unique), -1).cumsum(1, dtype=np.int32).reshape(taken.shape) <= denom
+    row, server, slot = np.nonzero(taken)
+    chosen = (server * slots[version[row] - 1] + slot).reshape(-1, denom)
     distinct, read_of_key = unique_rows(np.column_stack([version, chosen]))
     pairs = np.unique(decodes // reads * len(distinct) + read_of_key[inverse])
     return distinct, pairs // len(distinct), pairs % len(distinct)
 
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
-                   counts: np.ndarray, seeds: Sequence[int],
-                   latest: Sequence[int] | np.ndarray,
-                   masks: np.ndarray) -> list[Violation | None]:
+                   counts: np.ndarray, seeds: Sequence[int], latest: np.ndarray,
+                   versions: np.ndarray, masks: np.ndarray) -> list[Violation | None]:
     """check_state_bitexact for a block of states, given their symbol counts
     as block_allocations returns them, their latest complete versions (0
-    for none) and their version masks, one row each.
+    for none), their decode table (decode_versions) and their version
+    masks, one row each.
 
     The states with a complete version are encoded together, one matmul per
     version, and decoded together. Every distinct read's decode matrix
@@ -325,14 +339,12 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
     if states:
         _require_byte_aligned(p)
     denom = scheme_granularity(scheme, p)
-    counts, latest = np.asarray(counts), np.asarray(latest)
     slots = np.array([slots_per_server(scheme, u, p) for u in p.versions])
     held = (masks[:, :, None] >> np.arange(p.nu)) & 1 == 1
     # what server_encode accepts: only versions the server received, within
     # their slots, and every version's slots inside the index universe
     encodable = ((counts == 0) | (held & (counts > 0) & (counts <= slots)
                                   & (p.n * slots <= gf.ORDER))).all(axis=(1, 2))
-    versions = decode_versions(counts, latest, p, denom)
     redo = ~encodable | ((latest > 0) & (versions == 0).any(1))
     live = np.flatnonzero(~redo & (latest > 0))  # every read set returns None elsewhere
 
@@ -402,16 +414,18 @@ def _verify_range(scheme: Scheme, p: Params, mode: VerifyMode,
         masks = _block_masks(p, mode, lo, hi)
         counts, latest = block_allocations(scheme, masks, p)
         worst_symbols = max(worst_symbols, int(counts.sum(-1).max()))
+        versions = decode_versions(counts, latest, p, denom)
         found: list[tuple[int, Violation | None]] = []  # (block position, violation)
         if COUNTING in layers:
-            for b in np.flatnonzero(short_states(counts, latest, p, denom)).tolist():
+            # short_states, from the block's one decode table
+            for b in np.flatnonzero((latest > 0) & (versions == 0).any(1)).tolist():
                 S = _state(p, mode, masks, lo + b, b)
                 found.append((b, check_state_counting(scheme, S, p)))
         if BITEXACT in layers:
             states = [_state(p, mode, masks, lo + b, b) for b in range(hi - lo)]
             seeds = [mode.seed * _SEED_STRIDE + idx for idx in range(lo, hi)]
             found.extend(enumerate(bitexact_block(scheme, p, states, counts, seeds, latest,
-                                                  masks)))
+                                                  versions, masks)))
         # in state order, a state's counting violation before its bit-exact one
         for _, violation in sorted(found, key=lambda pair: pair[0]):
             if violation is not None:

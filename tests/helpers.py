@@ -108,3 +108,24 @@ def reference_orbits(p, generators):
                     orbit[seen] = label
                     stack.append(seen)
     return np.array([orbit[view] for view in views])
+
+
+def witness_reference(p, first, units):
+    """The reference of oracle._witness: each key is side_view of the state
+    state_at decodes from its first position's rank."""
+    return {side_view(state_at(p, b), i, p): {u: s for u, s in enumerate(held, 1) if s > 0}
+            for (b, i), held in zip((divmod(f, p.n) for f in first.tolist()), units.tolist())}
+
+
+def view_code_reference(view, p):
+    """The reference of model.view_code: the window's server ids compared as
+    one tuple with ring_window, each version set's mask summed from its ids."""
+    if not (0 <= view.center < p.n
+            and tuple(sid for sid, _ in view.window) == ring_window(view.center, p.n, p.h)):
+        return None
+    code = 0
+    for _, versions in view.window:
+        if not all(1 <= u <= p.nu for u in versions):
+            return None
+        code = code << p.nu | sum(1 << (u - 1) for u in versions)
+    return code * p.n + view.center

@@ -15,7 +15,7 @@ from mvcode import (CodecError, DecodeContractError, Params, Scheme, SystemState
                     allocation, model, verifier)
 from mvcode.allocation import allocation_for, block_allocations, scheme_granularity
 from mvcode.cli import EXIT_CONFIG, main
-from mvcode.codec import encode_all, quorum_decode, slots_per_server
+from mvcode.codec import encode_all, quorum_decode, slot_indices, slots_per_server
 from mvcode.fixtures import make_thm3_params
 from mvcode.model import latest_complete, random_state, rank_masks, state_count
 from mvcode.verifier import (BITEXACT, COUNTING, VerifyMode, bitexact_block,
@@ -124,6 +124,15 @@ def _decoded_version(scheme, S, T, stores, p):
         return 0
 
 
+def run_block(scheme, p, states, counts, seeds, latest):
+    """bitexact_block on states as _verify_range calls it: with their latest
+    complete versions as an array, the block's decode table and their masks."""
+    latest = np.asarray(latest)
+    versions = decode_versions(counts, latest, p, scheme_granularity(scheme, p))
+    return bitexact_block(scheme, p, states, counts, seeds, latest, versions,
+                          state_masks(p, states))
+
+
 def _kernel_and_reference(scheme, p, states, seeds):
     """bitexact_block and check_state_bitexact on the same states; on the
     way, decode_versions must pick, for every read set of every state with
@@ -138,7 +147,7 @@ def _kernel_and_reference(scheme, p, states, seeds):
         stores = encode_all(scheme, states[b], messages, p)
         expected.append([_decoded_version(scheme, states[b], T, stores, p) for T in read_sets(p)])
     assert versions[complete].tolist() == expected
-    kernel = bitexact_block(scheme, p, states, counts, seeds, latest, state_masks(p, states))
+    kernel = run_block(scheme, p, states, counts, seeds, latest)
     reference = [check_state_bitexact(scheme, S, p, seed) for S, seed in zip(states, seeds)]
     return kernel, reference
 
@@ -186,8 +195,7 @@ class TestDifferential:
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         states = [full, full, full]
         counts = _counts(Scheme.C1, P6, states)
-        assert bitexact_block(Scheme.C1, P6, states, counts, [1, 2, 3], [2] * 3,
-                              state_masks(P6, states)) == [None] * 3
+        assert run_block(Scheme.C1, P6, states, counts, [1, 2, 3], [2] * 3) == [None] * 3
         assert asked == [full]
 
     @pytest.mark.parametrize("budget", [model.BLOCK_BYTES, 1])
@@ -228,8 +236,7 @@ class TestDifferential:
         monkeypatch.setattr(verifier, "encode_slots", corrupt)
         monkeypatch.setattr(verifier, "check_state_bitexact", reference)
         seeds = list(range(len(states)))
-        assert bitexact_block(Scheme.C1, P6, states, counts, seeds, latest,
-                              state_masks(P6, states)) == [None] * len(states)
+        assert run_block(Scheme.C1, P6, states, counts, seeds, latest) == [None] * len(states)
         assert asked == [full]
 
     @pytest.mark.parametrize("budget", [1, 40_000])
@@ -259,8 +266,7 @@ class TestDifferential:
         full = SystemState.of(P6, [{1, 2}] * P6.n)
         counts = _counts(Scheme.C1, P6, [odd, full])
         counts[0, 0, version - 1] = count
-        assert bitexact_block(Scheme.C1, P6, [odd, full], counts, [1, 2], [2, 2],
-                              state_masks(P6, [odd, full])) == [None] * 2
+        assert run_block(Scheme.C1, P6, [odd, full], counts, [1, 2], [2, 2]) == [None] * 2
         assert asked == [odd]
 
 
@@ -286,6 +292,26 @@ class TestReports:
         text = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
 
+    def test_one_decode_table_per_block(self, monkeypatch):
+        # the counting layer's short states and the bit-exact layer read one
+        # decode_versions table: four blocks of 1,024 states, four tables
+        calls = []
+
+        def counted(holdings, *args):
+            calls.append(len(holdings))
+            return decode_versions(holdings, *args)
+
+        monkeypatch.setattr(verifier, "decode_versions", counted)
+        text = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=1)).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
+        assert calls == [1024] * 4
+
+    def test_read_set_members_are_cached_read_only(self):
+        members = verifier._read_set_members(P6)
+        assert members is verifier._read_set_members(P6)
+        assert not members.flags.writeable and members.dtype == np.int32
+        assert np.array_equal(members, verifier._read_set_matrix(P6).T)
+
     @pytest.mark.usefixtures("four_cpus")
     def test_jobs_do_not_change_the_report(self):
         one = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=1).to_dict()
@@ -306,7 +332,7 @@ class TestBoundaryChecks:
         S = SystemState.of(P6, [{1}] + [set()] * 5)
         counts = _counts(Scheme.C1, P6, [S])
         with pytest.raises(CodecError, match=r"^allocation of 7 symbols exceeds 6 slots$"):
-            bitexact_block(Scheme.C1, P6, [S], counts, [0], [0], state_masks(P6, [S]))
+            run_block(Scheme.C1, P6, [S], counts, [0], [0])
 
     def test_an_unreceived_version_is_a_config_error_in_the_cli(self, monkeypatch, capsys):
         _store_unreceived_at_server_0(monkeypatch)
@@ -336,6 +362,27 @@ def _live_pairs(scheme, p, states):
     assert (versions[live] > 0).all()
     reads, owner, which = verifier._decode_pairs(counts[live], versions[live], slots, p, denom)
     return counts, latest, live, reads, owner, which
+
+
+@pytest.mark.parametrize("scheme,p", [(Scheme.C1, P4), (Scheme.C2, P4_CR4), (Scheme.C1, P6),
+                                      (Scheme.CENTRAL, P6_CENTRAL)])
+def test_each_pair_reads_only_its_read_set(scheme, p):
+    # every (live state, read set) pair reads the `denom` smallest slot
+    # indices its read set's servers hold of the version it decodes, and no
+    # symbol of a server outside the read set
+    states = all_states(p) if p.n == 4 else [random_state(p, 7000 + j) for j in range(100)]
+    counts, latest, live, reads, owner, which = _live_pairs(scheme, p, states)
+    denom = scheme_granularity(scheme, p)
+    slots = [slots_per_server(scheme, u, p) for u in p.versions]
+    versions = decode_versions(counts, latest, p, denom)
+    expected = set()
+    for column, b in enumerate(live.tolist()):
+        for r, T in enumerate(read_sets(p)):
+            m = int(versions[b, r])
+            held = sorted(j for t in T for j in slot_indices(t, int(counts[b, t, m - 1]),
+                                                             slots[m - 1]))
+            expected.add((column, m, *held[:denom]))
+    assert {(b, *reads[r].tolist()) for b, r in zip(owner.tolist(), which.tolist())} == expected
 
 
 def _isolated_symbols(reads, owner, which, denom):
@@ -371,8 +418,7 @@ def _asked_after_a_flip(monkeypatch, scheme, p, states, counts, latest, column, 
     monkeypatch.setattr(verifier, "encode_slots", corrupt)
     monkeypatch.setattr(verifier, "check_state_bitexact", reference)
     seeds = list(range(len(states)))
-    assert bitexact_block(scheme, p, states, counts, seeds, latest,
-                          state_masks(p, states)) == [None] * len(states)
+    assert run_block(scheme, p, states, counts, seeds, latest) == [None] * len(states)
     monkeypatch.undo()
     return asked
 

@@ -9,7 +9,8 @@ import pytest
 
 import mvcode.oracle
 from mvcode import Params, Scheme, model, verifier
-from mvcode.allocation import block_allocations
+from mvcode.allocation import block_allocations, scheme_granularity
+from mvcode.codec import slots_per_server
 from mvcode.model import block_size, state_bytes
 from mvcode.verifier import VerifyMode, short_states, verify
 
@@ -90,3 +91,25 @@ def test_oracle_blocks_stay_within_the_rule(monkeypatch):
     assert not mvcode.oracle._no_short_state(WIDE, 1, nothing)
     assert blocks == [122] * (21_845 // 122 + 1)
     assert all(within_the_rule(rows, WIDE, False) for rows in blocks)
+
+
+def test_decode_keys_stay_within_their_cost():
+    # one state where every server holds both versions, so each of the
+    # 12,870 read sets decodes through a distinct read: _decode_pairs peaks
+    # below the 24 (n + 1) bytes per read set that state_bytes counts for it
+    # (about 18 (n + 1) measured; 40 (n + 1) while the gathered counts, their
+    # masked copy and the keys were alive at once)
+    p = Params(n=16, cw=9, cr=8, nu=2, h=8, k_bits=1024)
+    denom = scheme_granularity(Scheme.CENTRAL, p)
+    counts, latest = block_allocations(Scheme.CENTRAL, np.full((1, p.n), 3), p)
+    versions = verifier.decode_versions(counts, latest, p, denom)
+    assert (versions == 2).all()
+    slots = np.array([slots_per_server(Scheme.CENTRAL, u, p) for u in p.versions])
+    verifier._decode_pairs(counts, versions, slots, p, denom)  # warm the caches
+    tracemalloc.start()
+    try:
+        verifier._decode_pairs(counts, versions, slots, p, denom)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * (p.n + 1) * versions.shape[1]

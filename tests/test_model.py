@@ -8,7 +8,7 @@ from mvcode import (Params, SystemState, complete_versions, latest_complete, ran
 from mvcode.fixtures import fixture_thm3, fixture_thm4, make_thm3_params, make_thm4_params
 from mvcode.model import (SideView, rank_masks, ring_window, seeded_words, state_from_masks,
                           view_code, view_codes, view_local_candidate)
-from helpers import all_states, ring_window_walk
+from helpers import all_states, ring_window_walk, view_code_reference
 
 
 def params(n=6, cw=5, cr=5, nu=2, h=2, k_bits=1024):
@@ -75,7 +75,7 @@ class TestSideView:
         p = params(n=6, h=3)
         S = random_state(p, 5)
         view = side_view(S, 2, p)
-        assert sorted(view.servers) == list(range(6))
+        assert sorted(sid for sid, _ in view.window) == list(range(6))
         assert dict(view.window) == dict(enumerate(S.subsets))
 
     def test_depends_only_on_the_window(self):
@@ -118,6 +118,30 @@ class TestViewCodes:
         assert view_code(view, params(n=4, cw=4, cr=4, nu=1, h=1)) is None
         assert view_code(SideView(center=2, window=view.window), p) is None
         assert view_code(SideView(center=4, window=view.window), p) is None
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_codes_and_rejections_equal_the_reference(self, n):
+        # every view of every instance at this n, read by its own p, by p at
+        # the next radius and with one version fewer, and moved to the next
+        # center or one past the ring: each gets the reference's code or None
+        for nu in (1, 2):
+            for h in range((n - 1) // 2 + 2):
+                p = params(n=n, cw=n, cr=n, nu=nu, h=h)
+                readers = [p, params(n=n, cw=n, cr=n, nu=nu, h=h + 1),
+                           params(n=n, cw=n, cr=n, nu=1, h=h)]
+                for S in all_states(p):
+                    for i in range(n):
+                        view = side_view(S, i, p)
+                        moved = [SideView((i + 1) % n, view.window), SideView(n, view.window)]
+                        for q in readers:
+                            assert view_code(view, q) == view_code_reference(view, q)
+                        for other in moved:
+                            assert view_code(other, p) == view_code_reference(other, p)
+        p = params(n=4, cw=4, cr=4, h=1)
+        view = side_view(SystemState.of(p, [{1}, {2}, set(), {1, 2}]), 1, p)
+        for q in (p, params(n=4, cw=4, cr=4, h=0), params(n=4, cw=4, cr=4, nu=1, h=1)):
+            for other in (view, SideView(2, view.window), SideView(4, view.window)):
+                assert view_code(other, q) == view_code_reference(other, q)
 
 
 class TestCompleteness:

@@ -26,7 +26,7 @@ from mvcode.model import (SideView, dihedral_generators, rank_masks, state_at, s
 from mvcode.oracle import (oracle_min_cost_with_witness, strategy_feasible,
                            strategy_worst_units)
 from mvcode.verifier import read_sets, short_states
-from helpers import all_states, certified, reference_orbits
+from helpers import all_states, certified, reference_orbits, witness_reference
 
 K = 1024
 
@@ -633,6 +633,63 @@ def test_census_the_certificate_fires_exactly_where_the_rounded_strategy_holds(
         assert not fired or best == full_information_units(p, g), (p, g)
 
 
+@pytest.mark.parametrize("n,nu", [(n, nu) for n in range(1, 8) for nu in (1, 2)
+                                  if nu * n <= 14])
+def test_first_views_in_closed_form(n, nu):
+    # every instance with at most 2**14 states: a view's first state holds
+    # its window masks and nothing elsewhere, so the positions need no labels
+    for h in range(4):
+        p = Params(n=n, cw=n, cr=n, nu=nu, h=h, k_bits=K)
+        _, first = view_classes(rank_masks(p, 0, state_count(p)), p)
+        for cw in range(1, n + 1):
+            q = Params(n=n, cw=cw, cr=n, nu=nu, h=h, k_bits=K)
+            assert np.array_equal(mvcode.oracle._first_views(q), first), (q,)
+
+
+def reference_witness(p, g):
+    """The witness as the oracle made it with labels: view_classes' first
+    positions, the rounded units of their centers when the certificate holds
+    and the search's strategy otherwise, keyed through side_view(state_at)."""
+    masks = rank_masks(p, 0, state_count(p))
+    classes, first = view_classes(masks, p)
+    if certified(p, g):
+        return witness_reference(p, first, mvcode.oracle._rounded(p, g, masks.ravel()[first]))
+    _, first, units = mvcode.oracle._search(p, g, masks, classes, first)
+    return witness_reference(p, first, units)
+
+
+@pytest.mark.parametrize("p,g", MODEL_CASES, ids=[f"n{p.n}cw{p.cw}cr{p.cr}nu{p.nu}h{p.h}G{g}"
+                                                   for p, g in MODEL_CASES])
+def test_witness_keys_equal_the_side_view_reference(p, g):
+    # the same keys in the same order, each with the same allocation
+    _, witness = oracle_min_cost_with_witness(p, g, max_g=g)
+    assert list(witness.items()) == list(reference_witness(p, g).items())
+
+
+def test_census_witnesses_equal_the_side_view_reference():
+    cases = [(p, g) for p, g in CENSUS if certified(p, g)]
+    assert len(cases) > len(CENSUS) // 2
+    for p, g in cases:
+        _, witness = oracle_min_cost_with_witness(p, g)
+        assert list(witness.items()) == list(reference_witness(p, g).items()), (p, g)
+
+
+def test_a_certified_oracle_labels_no_view(monkeypatch):
+    # the oracle-n5 instance is certified: neither the value nor the witness
+    # labels a view; SWEEP[0] is not, and labels every view once
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return view_classes(*args)
+
+    monkeypatch.setattr(mvcode.oracle, "view_classes", counted)
+    p = Params(n=5, cw=4, cr=4, nu=2, h=1, k_bits=K)
+    assert oracle_min_cost(p, 4) == 512 and calls == []
+    assert len(oracle_min_cost_with_witness(p, 4)[1]) == 320 and calls == []
+    assert oracle_min_cost(*SWEEP[0]) and len(calls) == 1
+
+
 def scheme_strategy(scheme, p):
     return {side_view(S, i, p): allocation_for(scheme, S, i, p)
             for S in all_states(p) for i in range(p.n)}
@@ -713,6 +770,20 @@ class TestStrategyFeasibleRejectsBadInput:
                                              r"not integers in \[0, 2\*\*31\)$"):
             strategy_feasible(params(h=1), 4, changed)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, np.float64(2.0), "1"], ids=repr)
+    def test_a_version_id_that_is_not_an_integer(self, witness, bad):
+        # True and 1.0 compare equal to version 1, but neither is a version id
+        view, alloc = next((view, alloc) for view, alloc in witness.items() if alloc)
+        changed = {**witness, view: {bad: 2}}
+        with pytest.raises(ValueError, match=rf"^allocation names version ids "
+                                             rf"\[{re.escape(repr(bad))}\], not integers$"):
+            strategy_feasible(params(h=1), 4, changed)
+
+    def test_numpy_version_ids(self, witness):
+        numpy_ids = {view: {np.int64(u): s for u, s in alloc.items()}
+                     for view, alloc in witness.items()}
+        assert strategy_feasible(params(h=1), 4, numpy_ids)
+
     def test_counts_the_units_table_holds(self, witness):
         view, alloc = next((view, alloc) for view, alloc in witness.items() if alloc)
         for count in (np.int64(1), np.int32(1), 2**31 - 1):
@@ -727,11 +798,11 @@ def test_side_views_only_at_the_witness_boundary(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return side_view(*args)
+        return SideView(*args)
 
-    monkeypatch.setattr(mvcode.oracle, "side_view", counted)
+    monkeypatch.setattr(mvcode.oracle, "SideView", counted)
     _, witness = oracle_min_cost_with_witness(p, 4)
-    assert len(calls) <= len(witness) == 320
+    assert len(calls) == len(witness) == 320
     calls.clear()
     assert strategy_feasible(p, 4, witness)
     assert calls == []
@@ -744,9 +815,9 @@ def test_no_side_views_without_a_witness(monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return side_view(*args)
+        return SideView(*args)
 
-    monkeypatch.setattr(mvcode.oracle, "side_view", counted)
+    monkeypatch.setattr(mvcode.oracle, "SideView", counted)
     value = oracle_min_cost(p, 4)
     assert calls == []
     assert value == oracle_min_cost_with_witness(p, 4)[0] == 512
