@@ -123,8 +123,7 @@ def _window_matrix(n: int, h: int) -> np.ndarray:
     """W[j, i] = 1 when server i sees server j, so bits @ W counts per server
     the visible servers whose bit is set."""
     W = np.zeros((n, n))
-    for i in range(n):
-        W[list(ring_window(i, n, h)), i] = 1
+    W[np.array([ring_window(i, n, h) for i in range(n)]), np.arange(n)[:, None]] = 1
     W.flags.writeable = False
     return W
 

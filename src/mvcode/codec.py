@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -130,17 +129,6 @@ def slot_indices(server: int, count: int, slots: int) -> range:
     return range(server * slots, server * slots + count)
 
 
-@lru_cache(maxsize=64)
-def _slot_generator(scheme: Scheme, p: Params, version: int) -> np.ndarray:
-    """Generator rows of every server slot of `version`, in slot_indices
-    order: row j is the symbol with global index j. Read-only, since every
-    later encode of the version shares it."""
-    slots = slots_per_server(scheme, version, p)
-    G = gf.generator_matrix(scheme_granularity(scheme, p), tuple(range(p.n * slots)))
-    G.flags.writeable = False
-    return G
-
-
 def message_elements(payloads: np.ndarray, p: Params, denom: int) -> np.ndarray:
     """Messages given as (count, K/8) bytes, padded, as a (denom, count, w)
     stack of field elements: entry [r, b] is base symbol r of message b."""
@@ -154,7 +142,9 @@ def encode_slots(scheme: Scheme, p: Params, version: int, elements: np.ndarray) 
     `message_elements`, with one matmul: entry [i*slots+t, b] holds the bytes
     server_encode stores at that index for message b."""
     k, count, w = elements.shape
-    coded = gf.matmul(_slot_generator(scheme, p, version), elements.reshape(k, count * w))
+    G = gf.generator_matrix(scheme_granularity(scheme, p),
+                            tuple(range(p.n * slots_per_server(scheme, version, p))))
+    coded = gf.matmul(G, elements.reshape(k, count * w))
     return coded.reshape(-1, count, w)
 
 

@@ -24,8 +24,9 @@ and (k, w, P), so each pass is one array operation over the whole stack,
 not over a message a few elements wide.
 
 `matmul` is systematic-aware: a unit row of the left matrix is a row copy,
-not a product. The remaining rows are a stack of one through
-`matmul_stack`, written straight into the result.
+not a product, and the unit rows are copied in one assignment. The
+remaining rows are a stack of one through `matmul_stack`, assigned to their
+rows of the result, so every result row is written once.
 
 The code realized here is a polynomial evaluation code with a systematic
 prefix: message symbols are the values of a degree-< k polynomial at the
@@ -39,9 +40,10 @@ through the anchors and evaluates at the coded points, and the inverse of
 the generator submatrix of any k distinct points interpolates through those
 points and evaluates at the anchors (MacWilliams & Sloane, *The Theory of
 Error-Correcting Codes*, ch. 10). `_lagrange` takes a stack of point sets,
-so many decode matrices are one call; `decode_matrix` is its cached batch
-of one. No elimination is needed; `mat_inv`, a Gauss-Jordan inverse, stays
-as the reference the closed form is tested against.
+so many decode matrices are one call. `generator_matrix` and
+`decode_matrix` are its cached, read-only builds, the only caches of field
+matrices. No elimination is needed; `mat_inv`, a Gauss-Jordan inverse,
+stays as the reference the closed form is tested against.
 """
 
 from __future__ import annotations
@@ -105,8 +107,7 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     of row t of B: the systematic generator rows, and the decode-matrix rows
     of message symbols that were read verbatim. Every other row, a single
     nonzero other than 1 included, is a product, computed by `matmul_stack`
-    as a stack of one straight into the last rows of the result and then
-    moved up to its own row.
+    as a stack of one and assigned to its rows.
     """
     m, k = A.shape
     k2, w = B.shape
@@ -114,31 +115,22 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     out = np.empty((m, w), dtype=np.uint16)
     ones = A == 1
     unit = (np.count_nonzero(A, axis=1) == 1) & ones.any(axis=1)
-    rest = np.flatnonzero(~unit)
-    if rest.size:
-        top = m - rest.size
-        matmul_stack(A[None, rest], B[None], out[None, top:])
-        # rest ascends, so rest[j] <= top + j: no move overwrites a product
-        # still to move, and the copies come after every move
-        for j, r in enumerate(rest.tolist()):
-            if r != top + j:
-                out[r] = out[top + j]
-    for r in np.flatnonzero(unit).tolist():
-        out[r] = B[ones[r].argmax()]
+    out[unit] = B[np.nonzero(ones[unit])[1]]  # the column of each unit row's 1
+    rest = ~unit
+    if rest.any():
+        out[rest] = matmul_stack(A[None, rest], B[None])[0]
     return out
 
 
-def matmul_stack(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(P x m x k) @ (P x k x w) over the field, into `out` (P x m x w) when
-    given: slice p of the result is A[p] @ B[p], every row a product. The
-    passes run stack-axis innermost, CHUNK // P columns of B at a time (at
-    least one), so the buffers hold about k * CHUNK and m * CHUNK elements
-    whatever the width."""
+def matmul_stack(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(P x m x k) @ (P x k x w) over the field: slice p of the result is
+    A[p] @ B[p], every row a product. The passes run stack-axis innermost,
+    CHUNK // P columns of B at a time (at least one), so the buffers hold
+    about k * CHUNK and m * CHUNK elements whatever the width."""
     P, m, k = A.shape
     w = B.shape[2]
     assert B.shape[:2] == (P, k), (A.shape, B.shape)
-    if out is None:
-        out = np.empty((P, m, w), dtype=np.uint16)
+    out = np.empty((P, m, w), dtype=np.uint16)
     step = max(1, min(w, CHUNK // max(P, 1)))
     log_a = np.ascontiguousarray(_LOG[A].transpose(2, 1, 0))
     log_b = np.empty(k * step * P, dtype=np.int32)
@@ -237,9 +229,13 @@ def generator_row(k: int, index: int) -> tuple[int, ...]:
     return tuple(_lagrange(range(k), (index,))[0].tolist())
 
 
+@lru_cache(maxsize=256)
 def generator_matrix(k: int, indices: tuple[int, ...]) -> np.ndarray:
-    """The generator rows of `indices`, one row per index."""
-    return _lagrange(range(k), indices)
+    """The generator rows of `indices`, one row per index. Read-only, since
+    every later encode at the same indices shares it."""
+    G = _lagrange(range(k), indices)
+    G.flags.writeable = False
+    return G
 
 
 @lru_cache(maxsize=4096)

@@ -246,9 +246,9 @@ def block_size(row_bytes: int) -> int:
 def state_bytes(p: Params, bitexact: bool = False) -> int:
     """About the bytes of the arrays a block's kernels build per state, as
     tracemalloc measured them: per read set, 8 + nu for the decode table
-    (verifier.decode_versions) and, with the bit-exact layer, 24 (n + 1)
+    (verifier.decode_versions) and, with the bit-exact layer, 20 (n + 1)
     for the decode keys (verifier._decode_pairs) and K/8 per version."""
-    per_read = 8 + p.nu + (24 * (p.n + 1) if bitexact else 0)
+    per_read = 8 + p.nu + (20 * (p.n + 1) if bitexact else 0)
     return per_read * math.comb(p.n, p.cr) + (p.nu * (p.k_bits // 8) if bitexact else 0)
 
 

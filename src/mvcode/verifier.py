@@ -169,23 +169,16 @@ def short_read_set(holdings: Sequence[Mapping[int, int]], p: Params, latest: int
 
 
 @lru_cache(maxsize=64)
-def _read_set_matrix(p: Params) -> np.ndarray:
-    """R[t, r] = 1 when server t is in the r-th read set of read_sets(p)."""
-    sets = read_sets(p)
-    R = np.zeros((p.n, len(sets)))
-    for r, T in enumerate(sets):
-        R[list(T), r] = 1
-    R.flags.writeable = False
-    return R
-
-
-@lru_cache(maxsize=64)
-def _read_set_members(p: Params) -> np.ndarray:
-    """The int32 transpose of _read_set_matrix: [r, t] = 1 when server t is
-    in the r-th read set of read_sets(p)."""
-    members = _read_set_matrix(p).T.astype(np.int32)
-    members.flags.writeable = False
-    return members
+def _read_set_tables(p: Params) -> tuple[np.ndarray, np.ndarray]:
+    """The read sets of read_sets(p) as 0/1 tables, both read-only: R[t, r]
+    = 1 when server t is in the r-th read set, in float64 for the BLAS
+    product of decode_versions, and its int32 transpose for _decode_pairs."""
+    sets = np.array(read_sets(p))
+    members = np.zeros((len(sets), p.n), dtype=np.int32)
+    members[np.arange(len(sets))[:, None], sets] = 1
+    R = np.ascontiguousarray(members.T, dtype=np.float64)
+    R.flags.writeable = members.flags.writeable = False
+    return R, members
 
 
 def decode_versions(holdings: np.ndarray, latest: np.ndarray, p: Params,
@@ -196,7 +189,7 @@ def decode_versions(holdings: np.ndarray, latest: np.ndarray, p: Params,
     none is. Entry [b, r] is the newest version in [latest, nu] that reaches
     `threshold` symbols in the r-th read set of read_sets(p), 0 when none
     does."""
-    R = _read_set_matrix(p)
+    R = _read_set_tables(p)[0]
     # read-set totals of integer counts, summed exactly in float64 by BLAS
     return newest([(holdings[:, :, u - 1].astype(np.float64) @ R >= threshold)
                    & (u >= latest)[:, None] for u in p.versions])
@@ -294,7 +287,7 @@ def _decode_pairs(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
     # at[b, r, t]: server t's count of the version read set r decodes in
     # state b, kept where t is in r
     at = counts.transpose(0, 2, 1)[np.arange(len(versions))[:, None], versions - 1]
-    at *= _read_set_members(p)
+    at *= _read_set_tables(p)[1]
     # each array is freed once the next is built: the peak per read set is
     # what model.state_bytes counts
     keys = np.concatenate([versions[:, :, None], at], axis=2).reshape(-1, p.n + 1)

@@ -36,16 +36,32 @@ def ring_window_walk(i, n, h):
     return tuple(seen)
 
 
+def read_set_matrix_loop(p):
+    """The reference of verifier._read_set_tables' first table: R[t, r] = 1
+    when server t is in the r-th read set, filled one read set at a time."""
+    sets = read_sets(p)
+    R = np.zeros((p.n, len(sets)))
+    for r, T in enumerate(sets):
+        R[list(T), r] = 1
+    return R
+
+
+def window_matrix_loop(n, h):
+    """The reference of allocation._window_matrix: W[j, i] = 1 when server i
+    sees server j, filled one server's window at a time."""
+    W = np.zeros((n, n))
+    for i in range(n):
+        W[list(ring_window(i, n, h)), i] = 1
+    return W
+
+
 def decode_versions_loop(holdings, latest, p, threshold):
     """The reference of verifier.decode_versions: one pass per version,
     oldest first, each writing u into the read sets where u reaches
     `threshold` symbols and is at or above the state's latest complete
     version."""
-    sets = read_sets(p)
-    R = np.zeros((p.n, len(sets)))
-    for r, T in enumerate(sets):
-        R[list(T), r] = 1
-    versions = np.zeros((len(latest), len(sets)), dtype=np.int32)
+    R = read_set_matrix_loop(p)
+    versions = np.zeros((len(latest), R.shape[1]), dtype=np.int32)
     for u in p.versions:
         reaches = holdings[:, :, u - 1].astype(np.float64) @ R >= threshold
         versions[reaches & (u >= latest)[:, None]] = u

@@ -306,12 +306,6 @@ class TestReports:
         assert hashlib.sha256(text.encode()).hexdigest() == C1_N6_SEED1_SHA256
         assert calls == [1024] * 4
 
-    def test_read_set_members_are_cached_read_only(self):
-        members = verifier._read_set_members(P6)
-        assert members is verifier._read_set_members(P6)
-        assert not members.flags.writeable and members.dtype == np.int32
-        assert np.array_equal(members, verifier._read_set_matrix(P6).T)
-
     @pytest.mark.usefixtures("four_cpus")
     def test_jobs_do_not_change_the_report(self):
         one = verify(Scheme.C1, P6, VerifyMode.exhaustive(seed=4), jobs=1).to_dict()

@@ -169,12 +169,10 @@ class TestMds:
             gf.generator_row(3, -1)
 
     def test_cached_matrices_are_read_only(self):
-        # a write would silently change every later decode or encode
+        # a write would silently change every later decode
         D = gf.decode_matrix(4, (1, 5, 9, 30))
-        G = codec._slot_generator(Scheme.C1, P6, 1)
-        for cached in (D, G):
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0, 0] ^= 1
+        with pytest.raises(ValueError, match="read-only"):
+            D[0, 0] ^= 1
         assert gf.decode_matrix(4, (1, 5, 9, 30)) is D
         assert np.array_equal(gf.matmul(D, gf.generator_matrix(4, (1, 5, 9, 30))),
                               np.eye(4, dtype=np.uint16))

@@ -115,7 +115,7 @@ class TestAgainstTheTripleLoop:
     @pytest.mark.parametrize("w", [CHUNK - 1, CHUNK + 1])
     @pytest.mark.parametrize("layout", ["UUPPP", "PPPUU", "PUPUP", "UPPUU", "PPPPP", "UUUUU"])
     def test_unit_and_product_rows_in_any_order(self, w, layout):
-        # the products land in the last rows and move up to their own
+        # the unit rows are copied and the products assigned, each to its own row
         rng = np.random.default_rng(w)
         k = 4
         B = rng.integers(0, gf.ORDER, (k, w), dtype=np.uint16)
@@ -190,18 +190,6 @@ class TestStack:
         w = {"0": 0, "1": 1, "step-1": step - 1, "step": step, "step+1": step + 1,
              "2step+1": 2 * step + 1}[edge]
         check_stack(np.random.default_rng(1500 + P + w), P, w)
-
-    def test_into_a_given_output(self):
-        # the result lands in `out`, a strided view here, and nowhere else
-        rng = np.random.default_rng(15)
-        A = rng.integers(0, gf.ORDER, (3, 4, 5), dtype=np.uint16)
-        B = rng.integers(0, gf.ORDER, (3, 5, 2 * CHUNK // 3 + 1), dtype=np.uint16)
-        frame = np.zeros((3, 6, B.shape[2] + 2), dtype=np.uint16)
-        view = frame[:, 1:5, 1:-1]
-        assert gf.matmul_stack(A, B, view) is view
-        assert np.array_equal(view, coefficient_stack(A, B))
-        view[:] = 0
-        assert not frame.any()
 
     def test_a_gathered_stack_of_read_only_matrices(self):
         # the shape bitexact_block gives it: cached decode matrices, gathered

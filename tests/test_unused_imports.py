@@ -2,7 +2,9 @@
 re-exports), no library module imports the stdlib `random`, and every
 top-level function or class a library module defines is named outside its
 own def, so no dead kernel lingers; field products run through one
-loop, which only `gf65536.matmul_stack` calls; the oracle reads blocks
+loop, which only `gf65536.matmul_stack` calls, and `matmul_stack` takes
+only its two operands; field matrices are cached in `gf65536` alone, so
+`codec` imports no `lru_cache`; the oracle reads blocks
 of states through one loop, `oracle._no_short_state`; one constant,
 `model.BLOCK`, caps how many rows a block holds; and one function,
 `model.block_size`, reads it and the byte bound `model.BLOCK_BYTES`."""
@@ -133,15 +135,42 @@ def globals_read(source: str) -> dict[str, set[str]]:
             for node in functions}
 
 
+def parameters(source: str, function: str) -> list[str]:
+    """The parameter names of a module's top-level function, in order."""
+    node = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)]
+
+
 def test_one_field_product_kernel():
     """`_sum_products`, the loop of field products, has one caller,
-    `matmul_stack`, and `matmul` reaches products only through it."""
-    calls = globals_read((SRC / "gf65536.py").read_text())
+    `matmul_stack`, and `matmul` reaches products only through it.
+    `matmul_stack` takes its two operands and returns its product, and the
+    field-matrix caches live in gf65536: codec.py imports no lru_cache."""
+    source = (SRC / "gf65536.py").read_text()
+    calls = globals_read(source)
     assert [name for name, called in calls.items() if "_sum_products" in called] == [
         "matmul_stack"]
     assert calls["matmul"] == {"matmul_stack"}
     assert not any("_sum_products" in names_in(ast.parse(path.read_text()))
                    for path in MODULES if path.name != "gf65536.py")
+    assert parameters(source, "matmul_stack") == ["A", "B"]
+    assert "lru_cache" not in names_in(ast.parse((SRC / "codec.py").read_text()))
+
+
+def test_the_check_sees_an_output_parameter():
+    source = ("def matmul_stack(A, B, out=None):\n    pass\n\n"
+              "def other(A, /, B, *rest, out, **options):\n    pass\n")
+    assert parameters(source, "matmul_stack") == ["A", "B", "out"]
+    assert parameters(source, "other") == ["A", "B", "rest", "out", "options"]
+
+
+def test_the_check_sees_a_cache_import():
+    assert ["lru_cache" in names_in(ast.parse(source)) for source in (
+        "from functools import lru_cache\n",
+        "from functools import lru_cache as memo\n",
+        "import functools\n\n@functools.lru_cache(maxsize=64)\ndef f(p):\n    pass\n",
+        "from functools import partial\n")] == [True, True, True, False]
 
 
 def test_the_check_sees_a_second_product_loop():
