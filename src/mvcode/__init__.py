@@ -24,9 +24,9 @@ from .verifier import (VerifyMode, VerifyReport, Violation,
 
 __version__ = "0.1.0"
 
-# modules no verification uses: the oracle needs scipy, and the bound tables
-# and fixtures serve their own commands. Each is imported on first use of
-# one of its names.
+# modules no verification uses: the oracle and the bound tables and
+# fixtures serve their own commands (the oracle loads scipy only for its
+# first integer solve). Each is imported on first use of one of its names.
 _LAZY = {
     "bounds": ("compare_report", "cost_baseline", "cost_c1", "cost_c2",
                "cost_centralized", "lb_eq1", "lb_eq1_leading", "lb_thm3",

@@ -217,7 +217,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     from . import bounds
-    from .oracle import oracle_min_cost  # scipy loads only for this command
+    from .oracle import oracle_min_cost  # scipy loads only if it must solve
 
     p = _params(args)
     value = oracle_min_cost(p, args.g, max_g=args.max_g)

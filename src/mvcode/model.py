@@ -305,6 +305,16 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return number[inverse].reshape(keys.shape), first[order]
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) for an integer array: its distinct entries, sorted,
+    in its dtype. One sort and a comparison of neighbours; the plain
+    np.unique imports numpy.ma on its first call."""
+    ordered = np.sort(values, axis=None)
+    starts = np.ones(ordered.size, dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return ordered[starts]
+
+
 def unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique(rows, axis=0, return_inverse=True) for a 2-D array of
     non-negative integers: the distinct rows in lexicographic order, and

@@ -57,6 +57,8 @@ SideView objects appear only as the keys of a witness or of a strategy
 to check. Step 0 labels no view: view classes are found only for the
 search. A certified witness takes each class's first position in closed
 form, as a view's first state holds its window masks and nothing else.
+scipy loads on the first integer solve (`milp`, `_model`), so an instance
+step 0 settles never imports it.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import BudgetExceededError, SolverError
 from .allocation import block_latest, newest
@@ -96,7 +96,7 @@ def _check_budget(p: Params, g: int, max_g: int) -> None:
 
 
 def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray, first: np.ndarray
-           ) -> tuple[sparse.csc_matrix, np.ndarray, np.ndarray, int, np.ndarray]:
+           ) -> tuple[object, np.ndarray, np.ndarray, int, np.ndarray]:
     """The integer program of (p, g) over the strategies that give every
     view of one label the same allocation: its constraint matrix with row
     bounds, the first z column, and per label the column of a[label, u] for
@@ -142,6 +142,8 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray, first: np.n
         rows += [row, row[k], row_first[key] + span[key]]
         cols += [z, a_cols[sets[key][k, t], m - 1], z]
         vals += [np.full(len(key), -float(g)), np.ones(len(k)), np.ones(len(key))]
+    from scipy import sparse
+
     A = sparse.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(n_rows, z_base + int(span.sum())))
     lb = np.zeros(n_rows)
@@ -151,10 +153,19 @@ def _model(p: Params, g: int, masks: np.ndarray, labels: np.ndarray, first: np.n
     return A, lb, ub, z_base, a_cols
 
 
+def milp(*args, **kwargs):
+    """scipy.optimize.milp, imported on the first call."""
+    from scipy.optimize import milp as solve
+
+    return solve(*args, **kwargs)
+
+
 def _capped_solve(p: Params, g: int, model: tuple, cap: int):
     """One HiGHS integer solve of a _model with B at most cap. Infeasible
     (status 2) is an answer only for a cap below nu*g, where a strategy
     always exists."""
+    from scipy.optimize import Bounds, LinearConstraint
+
     A, lb, ub, z_base, _ = model
     n_vars = A.shape[1]
     hi = np.ones(n_vars)

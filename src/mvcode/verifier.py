@@ -50,7 +50,7 @@ from .codec import (encode_all, encode_slots, message_elements, quorum_decode,
                     slots_per_server)
 from .errors import (CodecError, DecodeContractError, InconsistentSymbolsError,
                      WorkerError)
-from .model import (Params, SystemState, block_size, check_work, latest_complete,
+from .model import (Params, SystemState, block_size, check_work, distinct, latest_complete,
                     rank_masks, sample_masks, seeded_words, state_at, state_bytes, state_count,
                     state_from_masks, unique_rows)
 
@@ -303,9 +303,9 @@ def _decode_pairs(counts: np.ndarray, versions: np.ndarray, slots: np.ndarray,
     taken &= taken.reshape(len(unique), -1).cumsum(1, dtype=np.int32).reshape(taken.shape) <= denom
     row, server, slot = np.nonzero(taken)
     chosen = (server * slots[version[row] - 1] + slot).reshape(-1, denom)
-    distinct, read_of_key = unique_rows(np.column_stack([version, chosen]))
-    pairs = np.unique(decodes // reads * len(distinct) + read_of_key[inverse])
-    return distinct, pairs // len(distinct), pairs % len(distinct)
+    read_rows, read_of_key = unique_rows(np.column_stack([version, chosen]))
+    pairs = distinct(decodes // reads * len(read_rows) + read_of_key[inverse])
+    return read_rows, pairs // len(read_rows), pairs % len(read_rows)
 
 
 def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
@@ -353,13 +353,13 @@ def bitexact_block(scheme: Scheme, p: Params, states: Sequence[SystemState],
         product_rows = np.ones((len(indices), denom), dtype=bool)
         product_rows[np.nonzero(verbatim)[0], indices[verbatim]] = False
         pair_version, pair_copies = version[which], copies[which]
-        for m in np.unique(version).tolist():
+        for m in distinct(version).tolist():
             messages = message_elements(payloads[:, m - 1], p, denom)
             coded = encode_slots(scheme, p, m, messages)
             # a pair's temporaries take about 10 bytes per decode-matrix
             # entry, 10 per element read and 11 per element decoded
             step = block_size(denom * (10 * denom + 21 * messages.shape[2]))
-            for copied in np.unique(pair_copies[pair_version == m]).tolist():
+            for copied in distinct(pair_copies[pair_version == m]).tolist():
                 group = (pair_version == m) & (pair_copies == copied)
                 pair_b, pair_r = owner[group], which[group]
                 for lo in range(0, pair_b.size, step):

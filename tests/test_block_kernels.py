@@ -1,10 +1,10 @@
 """The array kernels of the bit-exact layer against their references.
 
 `model.unique_rows` against `np.unique(rows, axis=0, return_inverse=True)`;
-a stack of `gf65536._lagrange` interpolations against `decode_matrix`, one
-read at a time; and `gf65536.matmul_stack` against the coefficient
-reference, for stacks much taller and much shorter than the messages are
-wide.
+`model.distinct` against the plain `np.unique`; a stack of
+`gf65536._lagrange` interpolations against `decode_matrix`, one read at a
+time; and `gf65536.matmul_stack` against the coefficient reference, for
+stacks much taller and much shorter than the messages are wide.
 """
 
 import random
@@ -19,7 +19,7 @@ from mvcode import gf65536 as gf
 from mvcode.allocation import scheme_granularity
 from mvcode.codec import slots_per_server
 from mvcode.fixtures import make_thm3_params
-from mvcode.model import unique_rows
+from mvcode.model import distinct, unique_rows
 from helpers import coefficient_stack
 
 
@@ -74,6 +74,29 @@ class TestUniqueRows:
     def test_a_negative_entry_is_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
             unique_rows(np.array([[1, -1]]))
+
+
+def assert_distinct_like_numpy(values):
+    expected, got = np.unique(values), distinct(values)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+class TestDistinct:
+    @pytest.mark.parametrize("values", [np.zeros(0, dtype=np.int64), np.array([7]),
+                                        np.full(9, -3), np.zeros((0, 3), dtype=np.int32),
+                                        np.array([[4, 1], [1, 0]], dtype=np.int32)],
+                             ids=["empty", "one", "all-equal", "empty-2d", "int32-2d"])
+    def test_small_arrays(self, values):
+        assert_distinct_like_numpy(values)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 5000), st.integers(1, 1 << 62), st.integers(0, 2**32 - 1))
+    def test_drawn_int64_arrays(self, size, span, seed):
+        # at most `size` values from a pool of half as many, so most repeat
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(-span, span, max(1, size // 2), dtype=np.int64)
+        assert_distinct_like_numpy(pool[rng.integers(0, len(pool), size)])
 
 
 P6 = make_thm3_params(6, 1024)

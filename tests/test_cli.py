@@ -456,11 +456,11 @@ class TestDispatch:
         with pytest.raises(AttributeError):
             mvcode.__getattr__("no_such_name")
 
-    def test_scipy_loads_only_for_the_oracle(self):
+    def test_scipy_loads_only_for_a_solve(self):
         script = """if True:
             import sys
-            UNUSED = ("scipy", "multiprocessing", "concurrent.futures.process", "csv",
-                      "mvcode.bounds", "mvcode.fixtures")
+            UNUSED = ("scipy", "numpy.ma", "multiprocessing", "concurrent.futures.process",
+                      "csv", "mvcode.bounds", "mvcode.fixtures")
 
             def loaded():
                 return [name for name in UNUSED if name in sys.modules]
@@ -478,8 +478,16 @@ class TestDispatch:
             one, two = (verify(Scheme.C1, p, VerifyMode.exhaustive(seed=1), jobs=jobs).to_dict()
                         for jobs in (1, 2))
             assert (one.pop("jobs"), two.pop("jobs")) == (1, 2) and one == two
-            from mvcode import oracle_min_cost
-            assert "scipy" in sys.modules and callable(oracle_min_cost)
+            from mvcode import oracle_min_cost, oracle_min_cost_with_witness
+            from mvcode.oracle import strategy_feasible
+            # the rounded strategy certifies this instance: no model, no solve
+            p = Params(n=5, cw=4, cr=4, nu=2, h=1, k_bits=1024)
+            value, witness = oracle_min_cost_with_witness(p, 4)
+            assert value == 512 and strategy_feasible(p, 4, witness)
+            assert "scipy" not in sys.modules and "numpy.ma" not in sys.modules
+            # its rounded strategy is short, so the optimum comes from a solve
+            p = Params(n=4, cw=3, cr=3, nu=2, h=1, k_bits=1024)
+            assert oracle_min_cost(p, 4) == 768 and "scipy" in sys.modules
         """
         src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

@@ -7,7 +7,10 @@ only its two operands; field matrices are cached in `gf65536` alone, so
 `codec` imports no `lru_cache`; the oracle reads blocks
 of states through one loop, `oracle._no_short_state`; one constant,
 `model.BLOCK`, caps how many rows a block holds; and one function,
-`model.block_size`, reads it and the byte bound `model.BLOCK_BYTES`."""
+`model.block_size`, reads it and the byte bound `model.BLOCK_BYTES`; no
+library module imports scipy at module scope, so only a solve loads it;
+and every `np.unique` call asks for indices, an inverse or counts, since
+the plain form imports `numpy.ma` (`model.distinct` stands in for it)."""
 
 import ast
 from pathlib import Path
@@ -263,3 +266,67 @@ def test_the_check_sees_a_second_block_rule():
                "oracle.py": "from .model import BLOCK_BYTES\nSTEP = BLOCK_BYTES // 2\n"}
     assert block_rule_readers(library) == ["model.py: block_size", "verifier.py: _verify_range",
                                            "oracle.py: <module>"]
+
+
+def module_scope_imports(source: str, package: str) -> list[int]:
+    """The lines where a module imports `package` or a name from it while
+    it is imported itself: outside every function body."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = ([alias.name for alias in sub.names] if isinstance(sub, ast.Import)
+                     else [sub.module or ""] if isinstance(sub, ast.ImportFrom) and not sub.level
+                     else [])
+            if any(name.split(".")[0] == package for name in names):
+                found.append(sub.lineno)
+            visit(sub)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_scipy_at_module_scope(path):
+    """scipy loads on the oracle's first solve, not with any module."""
+    assert module_scope_imports(path.read_text(), "scipy") == []
+
+
+def test_the_check_sees_a_module_scope_scipy_import():
+    source = ("import scipy.sparse\nfrom scipy.optimize import milp\n"
+              "try:\n    import scipy as sp\nexcept ImportError:\n    pass\n\n"
+              "class Model:\n    from scipy import sparse\n\n"
+              "def solve():\n    from scipy.optimize import milp\n\n"
+              "def later():\n    import scipy\n\n"
+              "from . import scipy_free\nimport scipyx\n")
+    assert module_scope_imports(source, "scipy") == [1, 2, 4, 9]
+
+
+def plain_unique_calls(source: str) -> list[int]:
+    """The lines of every `np.unique(...)` or `numpy.unique(...)` call that
+    passes none of return_index, return_inverse and return_counts."""
+    asks = {"return_index", "return_inverse", "return_counts"}
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and not any(keyword.arg in asks for keyword in node.keywords)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_plain_unique(path):
+    """The plain np.unique imports numpy.ma on its first call."""
+    assert plain_unique_calls(path.read_text()) == []
+
+
+def test_the_check_sees_a_plain_unique():
+    source = ("x = np.unique(a)\n"
+              "y, i = np.unique(a, return_inverse=True)\n"
+              "z = numpy.unique(a, axis=0)\n"
+              "w, c = np.unique(a, return_counts=True)\n"
+              "v, f, i = np.unique(a, return_index=True, return_inverse=True)\n"
+              "u = distinct(a)\n"
+              "def f(a):\n    return [np.unique(r).tolist() for r in a]\n")
+    assert plain_unique_calls(source) == [1, 3, 8]
